@@ -42,10 +42,9 @@
 // Mesh sizes are accepted up to 4096x4096: node ids, sub-mesh areas, and
 // channel counts are computed in int32 and stay in range through 4096^2
 // (16,777,216 nodes; ~67M channels). 512x512 is the tested first-class scale
-// — it runs in the CI index-oracle smoke (with PROCSIM_INDEX_CROSS_CHECK=1)
-// and has gated rows in bench_alloc_scaling. Above 128x128 prefer --fast or
-// small --jobs/--reps: event counts grow with the node count, and the
-// saturation workload keeps the whole mesh busy.
+// — it runs in the CI index-oracle smoke (with PROCSIM_INDEX_CROSS_CHECK=1).
+// Above 128x128 prefer --fast or small --jobs/--reps: event counts grow with
+// the node count, and the saturation workload keeps the whole mesh busy.
 //
 // Allocator and scheduler names are resolved through alloc::make_allocator /
 // sched::make_scheduler, and workloads beyond the three figure families

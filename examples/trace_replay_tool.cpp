@@ -12,8 +12,10 @@
 // arrival ahead, so traces far larger than memory replay fine.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/figure_runner.hpp"
@@ -27,11 +29,17 @@ int main(int argc, char** argv) {
 
   std::string swf_path;
   double load = 0.005;
+  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--swf=", 6) == 0) swf_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--load=", 7) == 0) load = std::atof(argv[i] + 7);
+    if (std::strncmp(argv[i], "--swf=", 6) == 0)
+      swf_path = argv[i] + 6;
+    else if (std::strncmp(argv[i], "--load=", 7) == 0)
+      load = std::atof(argv[i] + 7);
+    else
+      passthrough.push_back(argv[i]);
   }
-  const core::RunOptions opts = core::parse_run_options(argc, argv);
+  const core::RunOptions opts = core::parse_run_options(
+      static_cast<int>(passthrough.size()), passthrough.data());
 
   // --- trace statistics -----------------------------------------------
   std::vector<workload::TraceJob> trace;

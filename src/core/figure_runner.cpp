@@ -1,6 +1,7 @@
 #include "core/figure_runner.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -9,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/thread_pool.hpp"
 
@@ -27,28 +29,54 @@ std::vector<Series> paper_series() {
   return out;
 }
 
+namespace {
+
+/// One stderr line, exit status 2 (procsim_sweep's usage-error convention):
+/// a mistyped flag must not run a whole sweep on defaults.
+[[noreturn]] void reject(const char* prog, const std::string& msg) {
+  std::cerr << prog << ": " << msg << "\n";
+  std::exit(2);
+}
+
+/// The unsigned decimal after the `=` of `arg`. Empty, signed, non-numeric,
+/// out-of-range or trailing text is rejected instead of read as 0 (which
+/// --threads would take as "all hardware threads").
+std::uint64_t parse_count(const char* prog, std::string_view arg) {
+  const std::size_t eq = arg.find('=');
+  const std::string_view text = arg.substr(eq + 1);
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, err] = std::from_chars(text.data(), last, value);
+  if (text.empty() || err != std::errc{} || end != last)
+    reject(prog, "bad value '" + std::string(text) + "' for " +
+                     std::string(arg.substr(0, eq)) +
+                     " (expected a non-negative integer)");
+  return value;
+}
+
+}  // namespace
+
 RunOptions parse_run_options(int argc, char** argv) {
   RunOptions opts;
+  const char* prog = argc > 0 ? argv[0] : "procsim";
+  if (const char* slash = std::strrchr(prog, '/')) prog = slash + 1;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--fast") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--fast") {
       opts.fast = true;
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opts.jobs = static_cast<std::size_t>(std::strtoull(arg + 7, nullptr, 10));
-    } else if (std::strncmp(arg, "--reps=", 7) == 0) {
-      opts.max_reps = std::strtoull(arg + 7, nullptr, 10);
+    } else if (arg.starts_with("--jobs=")) {
+      opts.jobs = static_cast<std::size_t>(parse_count(prog, arg));
+    } else if (arg.starts_with("--reps=")) {
+      opts.max_reps = parse_count(prog, arg);
       if (opts.min_reps > opts.max_reps) opts.min_reps = opts.max_reps;
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opts.threads = static_cast<std::size_t>(std::strtoull(arg + 10, nullptr, 10));
-    } else if (std::strcmp(arg, "--obs-probe") == 0) {
+    } else if (arg.starts_with("--seed=")) {
+      opts.seed = parse_count(prog, arg);
+    } else if (arg.starts_with("--threads=")) {
+      opts.threads = static_cast<std::size_t>(parse_count(prog, arg));
+    } else if (arg == "--obs-probe") {
       opts.obs_probe = true;
-    } else if (std::strncmp(arg, "--benchmark", 11) == 0) {
-      // Tolerate google-benchmark style flags so `for b in bench/*` harness
-      // loops can pass uniform arguments.
     } else {
-      std::cerr << "warning: unknown option " << arg << "\n";
+      reject(prog, "unknown option " + std::string(arg));
     }
   }
   if (opts.fast) {

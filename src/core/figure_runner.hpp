@@ -46,6 +46,8 @@ struct RunOptions {
   bool obs_probe{false};
 };
 
+/// Parses the effort flags above. An unknown flag or a malformed number
+/// prints one line naming it to stderr and exits with status 2.
 [[nodiscard]] RunOptions parse_run_options(int argc, char** argv);
 
 /// The generic experiment grid under run_figure and the sweep drivers: any

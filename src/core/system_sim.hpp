@@ -44,7 +44,7 @@ struct SystemConfig {
   /// makes same-time completion bursts real, and a pass that sees several
   /// releases at once can place jobs differently (still deterministically).
   /// Off by default so every figure reproduces its published bytes; the
-  /// throughput paths (event-engine bench, nightly replay) opt in.
+  /// nightly multi-million-job replay (bench_swf_replay) opts in.
   bool coalesce_passes{false};
   /// Event-queue engine for this run. Defaults to the process-wide choice
   /// (PROCSIM_EVENT_ENGINE, calendar when unset); the engines are pop-order

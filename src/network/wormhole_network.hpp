@@ -115,8 +115,8 @@ struct NetStats {
 class WormholeNetwork {
  public:
   /// Per-delivery sink: a raw function pointer + context instead of a
-  /// std::function — the callback fires once per packet on the hot path and
-  /// the type-erased call showed up in bench_network profiles.
+  /// std::function — the callback fires once per delivered packet, so it
+  /// stays a direct call on the network's hot path.
   using DeliverySink = void (*)(void* ctx, const Delivery& d);
 
   WormholeNetwork(des::Simulator& sim, mesh::Geometry geom, NetworkParams params);

@@ -173,6 +173,22 @@ TEST(FigureRunner, ParseRunOptions) {
   EXPECT_EQ(opts.jobs, 123u);
   EXPECT_EQ(opts.seed, 9u);
   EXPECT_EQ(opts.max_reps, 1u);  // fast forces single rep
+
+  // Unknown flags and malformed numbers exit 2 with one line naming them
+  // instead of running a sweep on defaults.
+  const auto parse = [](const char* arg) {
+    const char* args[] = {"./build/fig02", arg};
+    (void)procsim::core::parse_run_options(2, const_cast<char**>(args));
+  };
+  const auto status2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse("--bogus=1"), status2, "^fig02: unknown option --bogus=1\n$");
+  EXPECT_EXIT(parse("--benchmark_min_time=0.01"), status2, "unknown option");
+  EXPECT_EXIT(parse("--threads=garbage"), status2,
+              "^fig02: bad value 'garbage' for --threads");
+  EXPECT_EXIT(parse("--threads="), status2, "bad value '' for --threads");
+  EXPECT_EXIT(parse("--jobs=12x"), status2, "bad value '12x' for --jobs");
+  EXPECT_EXIT(parse("--reps=-1"), status2, "bad value '-1' for --reps");
+  EXPECT_EXIT(parse("--seed=99999999999999999999"), status2, "for --seed");
 }
 
 TEST(FigureRunner, UnknownMetricThrows) {

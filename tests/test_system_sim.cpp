@@ -209,34 +209,53 @@ TEST(SystemSim, NetEngineSelectionPreservesTrajectory) {
   // metric identical to the stepped oracle. Only the DES event count (and
   // wall time) may differ — fewer events per packet is the whole point of
   // batching — so RunMetrics::events is deliberately not compared.
-  SystemConfig cfg;
-  cfg.geom = Geometry(8, 8);
-  cfg.target_completions = 50;
-  std::vector<Job> jobs;
-  procsim::des::Xoshiro256SS rng(7);
-  procsim::workload::StochasticParams params;
-  params.load = 0.05;
-  jobs = procsim::workload::generate_stochastic(params, cfg.geom, 50, rng);
-
-  auto run_with = [&](procsim::network::NetEngine engine) {
-    SystemConfig c = cfg;
-    c.net.engine = engine;
-    GablAllocator alloc(c.geom);
-    OrderedScheduler sched(Policy::kSsd);
-    return SystemSim(c, alloc, sched).run(jobs);
+  struct Input {
+    Geometry geom;
+    Policy policy;
+    double think_time;
+    double load;
+    std::size_t jobs;
+    std::uint64_t seed;
   };
-  const RunMetrics stepped = run_with(procsim::network::NetEngine::kStepped);
-  const RunMetrics batched = run_with(procsim::network::NetEngine::kBatched);
-  const RunMetrics verify = run_with(procsim::network::NetEngine::kVerify);
+  // 8x8 SSD with immediate sends; then the paper's 16x22 GABL/FCFS mesh with
+  // think time 50, where every delivery re-injects the source's next message
+  // from SystemSim::on_delivery after the pause.
+  for (const Input& in :
+       {Input{Geometry(8, 8), Policy::kSsd, 0, 0.05, 50, 7},
+        Input{Geometry(16, 22), Policy::kFcfs, 50, 0.01, 150, 0xF14}}) {
+    SCOPED_TRACE(std::to_string(in.geom.width()) + "x" + std::to_string(in.geom.length()));
+    SystemConfig cfg;
+    cfg.geom = in.geom;
+    cfg.think_time = in.think_time;
+    cfg.target_completions = in.jobs;
+    procsim::des::Xoshiro256SS rng(in.seed);
+    procsim::workload::StochasticParams params;
+    params.load = in.load;
+    const std::vector<Job> jobs =
+        procsim::workload::generate_stochastic(params, cfg.geom, in.jobs, rng);
 
-  for (const RunMetrics* m : {&batched, &verify}) {
-    EXPECT_DOUBLE_EQ(m->turnaround.mean(), stepped.turnaround.mean());
-    EXPECT_DOUBLE_EQ(m->service.mean(), stepped.service.mean());
-    EXPECT_DOUBLE_EQ(m->packet_latency.mean(), stepped.packet_latency.mean());
-    EXPECT_DOUBLE_EQ(m->packet_blocking.mean(), stepped.packet_blocking.mean());
-    EXPECT_DOUBLE_EQ(m->makespan, stepped.makespan);
-    EXPECT_EQ(m->packets, stepped.packets);
-    EXPECT_EQ(m->completed, stepped.completed);
+    auto run_with = [&](procsim::network::NetEngine engine) {
+      SystemConfig c = cfg;
+      c.net.engine = engine;
+      GablAllocator alloc(c.geom);
+      OrderedScheduler sched(in.policy);
+      return SystemSim(c, alloc, sched).run(jobs);
+    };
+    const RunMetrics stepped = run_with(procsim::network::NetEngine::kStepped);
+    const RunMetrics batched = run_with(procsim::network::NetEngine::kBatched);
+    const RunMetrics verify = run_with(procsim::network::NetEngine::kVerify);
+
+    for (const RunMetrics* m : {&batched, &verify}) {
+      EXPECT_DOUBLE_EQ(m->turnaround.mean(), stepped.turnaround.mean());
+      EXPECT_DOUBLE_EQ(m->service.mean(), stepped.service.mean());
+      EXPECT_DOUBLE_EQ(m->packet_latency.mean(), stepped.packet_latency.mean());
+      EXPECT_DOUBLE_EQ(m->packet_blocking.mean(), stepped.packet_blocking.mean());
+      EXPECT_DOUBLE_EQ(m->packet_hops.mean(), stepped.packet_hops.mean());
+      EXPECT_DOUBLE_EQ(m->utilization, stepped.utilization);
+      EXPECT_DOUBLE_EQ(m->makespan, stepped.makespan);
+      EXPECT_EQ(m->packets, stepped.packets);
+      EXPECT_EQ(m->completed, stepped.completed);
+    }
   }
 }
 
