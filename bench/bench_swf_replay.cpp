@@ -1,37 +1,36 @@
 // bench_swf_replay: multi-million-job SWF replay on a large mesh — the
-// nightly soak of the calendar-queue event engine and the arena job storage.
+// nightly soak of the event kernel and the arena job storage.
 //
 // Each replication streams the whole trace through its own SystemSim
-// (calendar engine + coalesced per-timestamp scheduling passes by default),
-// seeded with des::substream_seed(base, rep) — the derivation
-// run_replicated uses — so the per-rep metric rows, and the per-job record
-// CSV of replication 0, are byte-identical no matter how many worker
-// threads drain the replications. The nightly workflow runs this twice
-// (--threads=1, --threads=2) and `cmp`s the CSVs.
+// (coalesced per-timestamp scheduling passes by default), seeded with
+// des::substream_seed(base, rep) — the derivation run_replicated uses — so
+// the per-rep metric rows, and the per-job record CSV of replication 0, are
+// byte-identical no matter how many worker threads drain the replications.
+// The nightly workflow runs this twice (--threads=1, --threads=2) and `cmp`s
+// the CSVs.
 //
 //   bench_swf_replay --swf=trace.swf [--mesh=256] [--reps=2] [--threads=1]
-//                    [--load=0.02] [--prefix=N] [--seed=S]
-//                    [--engine=calendar|heap] [--coalesce=0|1]
+//                    [--load=0.02] [--prefix=N] [--seed=S] [--coalesce=0|1]
 //                    [--out=REPLAY_metrics.csv] [--records=REPLAY_jobs.csv]
 //
-// Wall-clock and events/s go to stdout only — they must never enter the
-// CSVs the determinism check compares.
+// A malformed, signed, trailing or out-of-range flag value exits 2 with one
+// stderr line. Wall-clock and events/s go to stdout only — they must never
+// enter the CSVs the determinism check compares.
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alloc/registry.hpp"
+#include "core/figure_runner.hpp"
 #include "core/job_record_store.hpp"
 #include "core/system_sim.hpp"
-#include "des/event_queue.hpp"
 #include "des/rng.hpp"
 #include "sched/ordered_scheduler.hpp"
 #include "util/thread_pool.hpp"
@@ -51,7 +50,6 @@ struct Options {
   double load{0.02};
   std::size_t prefix{0};
   std::uint64_t seed{0x5EEDULL};
-  des::EventEngine engine{des::EventEngine::kCalendar};
   bool coalesce{true};
   std::string out{"REPLAY_metrics.csv"};
   std::string records;
@@ -62,54 +60,46 @@ struct RepResult {
   double wall_secs{0};
 };
 
-[[noreturn]] void usage_error(const std::string& msg) {
-  std::cerr << "bench_swf_replay: " << msg << "\n";
-  std::exit(2);
-}
+constexpr const char* kProg = "bench_swf_replay";
+constexpr std::uint64_t kMaxMesh = 4096;  // the largest side a mesh spec accepts
+
+[[noreturn]] void usage_error(const std::string& msg) { core::usage_error(kProg, msg); }
 
 Options parse_options(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--swf=", 0) == 0) {
-      opt.swf = value("--swf=");
-    } else if (arg.rfind("--mesh=", 0) == 0) {
-      opt.mesh = static_cast<std::int32_t>(std::stol(value("--mesh=")));
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = std::stoul(value("--reps="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads = std::stoul(value("--threads="));
-    } else if (arg.rfind("--load=", 0) == 0) {
-      opt.load = std::stod(value("--load="));
-    } else if (arg.rfind("--prefix=", 0) == 0) {
-      opt.prefix = std::stoul(value("--prefix="));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(value("--seed="));
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      const std::string e = value("--engine=");
-      if (e == "calendar") {
-        opt.engine = des::EventEngine::kCalendar;
-      } else if (e == "heap") {
-        opt.engine = des::EventEngine::kHeap;
-      } else {
-        usage_error("unknown --engine '" + e + "' (calendar|heap)");
-      }
-    } else if (arg.rfind("--coalesce=", 0) == 0) {
-      opt.coalesce = value("--coalesce=") != "0";
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out = value("--out=");
-    } else if (arg.rfind("--records=", 0) == 0) {
-      opt.records = value("--records=");
+    const std::string_view arg = argv[i];
+    const auto value = [&arg] { return std::string(arg.substr(arg.find('=') + 1)); };
+    const auto count = [&arg] { return core::parse_count_flag(kProg, arg); };
+    if (arg.starts_with("--swf=")) {
+      opt.swf = value();
+    } else if (arg.starts_with("--mesh=")) {
+      const std::uint64_t mesh = count();
+      if (mesh == 0 || mesh > kMaxMesh)
+        usage_error("--mesh=" + value() + " out of range (1.." + std::to_string(kMaxMesh) + ")");
+      opt.mesh = static_cast<std::int32_t>(mesh);
+    } else if (arg.starts_with("--reps=")) {
+      opt.reps = count();
+      if (opt.reps == 0) usage_error("--reps must be positive");
+    } else if (arg.starts_with("--threads=")) {
+      opt.threads = count();
+    } else if (arg.starts_with("--load=")) {
+      opt.load = core::parse_positive_flag(kProg, arg);
+    } else if (arg.starts_with("--prefix=")) {
+      opt.prefix = count();
+    } else if (arg.starts_with("--seed=")) {
+      opt.seed = count();
+    } else if (arg == "--coalesce=0" || arg == "--coalesce=1") {
+      opt.coalesce = arg.back() == '1';
+    } else if (arg.starts_with("--out=")) {
+      opt.out = value();
+    } else if (arg.starts_with("--records=")) {
+      opt.records = value();
     } else {
-      usage_error("unknown option '" + arg + "'");
+      usage_error("unknown option '" + std::string(arg) + "'");
     }
   }
   if (opt.swf.empty()) usage_error("--swf=PATH is required");
-  if (opt.mesh <= 0) usage_error("--mesh must be positive");
-  if (opt.reps == 0) usage_error("--reps must be positive");
   return opt;
 }
 
@@ -122,7 +112,6 @@ RepResult run_rep(const Options& opt,
   core::SystemConfig cfg;
   cfg.geom = geom;
   cfg.target_completions = 0;  // the whole trace
-  cfg.event_engine = opt.engine;
   cfg.coalesce_passes = opt.coalesce;
   cfg.seed = des::substream_seed(opt.seed, rep);
 
@@ -177,9 +166,7 @@ int main(int argc, char** argv) {
       opt.prefix != 0 && opt.prefix < trace->size() ? opt.prefix : trace->size();
   std::cout << "trace: " << trace->size() << " records, replaying " << njobs
             << " per rep x " << opt.reps << " reps on " << opt.mesh << "x"
-            << opt.mesh << " (engine "
-            << (opt.engine == des::EventEngine::kCalendar ? "calendar" : "heap")
-            << ", coalesce " << (opt.coalesce ? "on" : "off") << ")\n";
+            << opt.mesh << " (coalesce " << (opt.coalesce ? "on" : "off") << ")\n";
 
   // Replication 0 additionally streams its per-job records into the columnar
   // store; the sink is observation-only, so rep 0's trajectory matches the

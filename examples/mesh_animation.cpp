@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,59 @@ void print_frame(const alloc::Allocator& allocator,
   std::printf("\n");
 }
 
+/// The animated system: an FCFS queue in front of the allocator, driven by
+/// three event kinds on one simulator (arrival, departure of job `b`, frame).
+struct Animation {
+  Animation(const core::AllocatorSpec& spec, mesh::Geometry g)
+      : geom(g), allocator(core::make_allocator(spec, g, 7)) {}
+
+  static void on_arrive(void* ctx, std::uint32_t, std::uint64_t) {
+    // Poisson arrivals of near-square jobs sized like the Paragon trace.
+    auto& a = *static_cast<Animation*>(ctx);
+    const auto p = static_cast<std::int32_t>(des::sample_uniform_int(a.rng, 2, 96));
+    const auto [w, l] = workload::shape_for_processors(p, a.geom);
+    a.queue.emplace_back(alloc::Request{w, l, p}, a.next_id++);
+    a.try_start();
+    a.sim.schedule_in(des::sample_exponential(a.rng, 120.0), a.kind_arrive);
+  }
+
+  static void on_depart(void* ctx, std::uint32_t, std::uint64_t jid) {
+    auto& a = *static_cast<Animation*>(ctx);
+    a.allocator->release(a.live.at(jid).placement);
+    a.live.erase(jid);
+    a.try_start();  // departures unblock the FCFS head
+  }
+
+  static void on_frame(void* ctx, std::uint32_t, std::uint64_t) {
+    auto& a = *static_cast<Animation*>(ctx);
+    print_frame(*a.allocator, a.live, a.sim.now(), a.queue.size());
+  }
+
+  void try_start() {
+    while (!queue.empty()) {
+      const auto [req, id] = queue.front();
+      auto placement = allocator->allocate(req);
+      if (!placement) break;
+      queue.erase(queue.begin());
+      live.emplace(id, LiveJob{std::move(*placement), next_letter});
+      next_letter = next_letter == 'Z' ? 'A' : static_cast<char>(next_letter + 1);
+      sim.schedule_in(des::sample_exponential(rng, 600.0), kind_depart, 0, id);
+    }
+  }
+
+  mesh::Geometry geom;
+  std::unique_ptr<alloc::Allocator> allocator;
+  des::Simulator sim;
+  des::Xoshiro256SS rng{7};
+  des::EventKind kind_arrive{sim.add_handler(&on_arrive, this)};
+  des::EventKind kind_depart{sim.add_handler(&on_depart, this)};
+  des::EventKind kind_frame{sim.add_handler(&on_frame, this)};
+  std::map<std::uint64_t, LiveJob> live;
+  std::vector<std::pair<alloc::Request, std::uint64_t>> queue;  // FCFS
+  std::uint64_t next_id{0};
+  char next_letter{'A'};
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,52 +114,12 @@ int main(int argc, char** argv) {
   }
   const int frames = argc > 2 ? std::atoi(argv[2]) : 6;
 
-  const mesh::Geometry geom(16, 22);
-  const auto allocator = core::make_allocator(spec, geom, 7);
-  des::Simulator sim;
-  des::Xoshiro256SS rng(7);
+  Animation a(spec, mesh::Geometry(16, 22));
+  std::printf("strategy: %s — '.' free, letters = jobs\n\n", a.allocator->name().c_str());
 
-  std::printf("strategy: %s — '.' free, letters = jobs\n\n", allocator->name().c_str());
-
-  std::map<std::uint64_t, LiveJob> live;
-  std::vector<std::pair<alloc::Request, std::uint64_t>> queue;  // FCFS
-  std::uint64_t next_id = 0;
-  char next_letter = 'A';
-
-  std::function<void()> try_start;  // self-referential: departures re-enter
-  try_start = [&] {
-    while (!queue.empty()) {
-      const auto [req, id] = queue.front();
-      auto placement = allocator->allocate(req);
-      if (!placement) break;
-      queue.erase(queue.begin());
-      live.emplace(id, LiveJob{std::move(*placement), next_letter});
-      next_letter = next_letter == 'Z' ? 'A' : static_cast<char>(next_letter + 1);
-      const double hold = des::sample_exponential(rng, 600.0);
-      const std::uint64_t jid = id;
-      sim.schedule_in(hold, [&, jid] {
-        allocator->release(live.at(jid).placement);
-        live.erase(jid);
-        try_start();  // departures unblock the FCFS head
-      });
-    }
-  };
-
-  // Poisson arrivals of near-square jobs sized like the Paragon trace.
-  std::function<void()> arrive = [&] {
-    const auto p = static_cast<std::int32_t>(des::sample_uniform_int(rng, 2, 96));
-    const auto [w, l] = workload::shape_for_processors(p, geom);
-    queue.emplace_back(alloc::Request{w, l, p}, next_id++);
-    try_start();
-    sim.schedule_in(des::sample_exponential(rng, 120.0), arrive);
-  };
-  sim.schedule_in(0, arrive);
-
+  a.sim.schedule_in(0, a.kind_arrive);
   const double frame_dt = 1500;
-  for (int f = 1; f <= frames; ++f) {
-    const double at = f * frame_dt;
-    sim.schedule_at(at, [&, at] { print_frame(*allocator, live, at, queue.size()); });
-  }
-  sim.run_until(frames * frame_dt + 1);
+  for (int f = 1; f <= frames; ++f) a.sim.schedule_at(f * frame_dt, a.kind_frame);
+  a.sim.run_until(frames * frame_dt + 1);
   return 0;
 }

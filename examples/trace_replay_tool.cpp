@@ -12,7 +12,6 @@
 // arrival ahead, so traces far larger than memory replay fine.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--swf=", 6) == 0)
       swf_path = argv[i] + 6;
     else if (std::strncmp(argv[i], "--load=", 7) == 0)
-      load = std::atof(argv[i] + 7);
+      load = core::parse_positive_flag("trace_replay_tool", argv[i]);
     else
       passthrough.push_back(argv[i]);
   }

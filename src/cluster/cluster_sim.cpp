@@ -29,7 +29,9 @@ bool fits(const workload::Job& job, const mesh::Geometry& geom) {
 }  // namespace
 
 ClusterSim::ClusterSim(ClusterSimConfig cfg)
-    : cfg_(std::move(cfg)), sim_(cfg_.event_engine) {
+    : cfg_(std::move(cfg)),
+      kind_arrival_(sim_.add_handler(&on_arrival_event, this)),
+      kind_migration_(sim_.add_handler(&on_migration_event, this)) {
   const std::size_t n = cfg_.spec.size();
   if (n == 0) throw std::invalid_argument("ClusterSim: empty cluster spec");
   meshes_raw_.reserve(n);
@@ -55,7 +57,6 @@ ClusterSim::ClusterSim(ClusterSimConfig cfg)
     sys.warmup_completions = 0;
     sys.seed = des::substream_seed(cfg_.seed ^ 0x5EEDF00DULL, i);
     sys.max_events = cfg_.max_events;
-    sys.event_engine = cfg_.event_engine;
     sys.recorder = cfg_.recorder;
     unit->sim = std::make_unique<core::SystemSim>(sys, *unit->allocator,
                                                   *unit->scheduler, &sim_);
@@ -80,6 +81,8 @@ core::RunMetrics ClusterSim::run(workload::Source& source) {
   turnaround_ = stats::Welford{};
   service_ = stats::Welford{};
   inbound_.assign(meshes_.size(), 0);
+  migrating_.clear();
+  migrating_free_.clear();
 
   source_ = &source;
   pump_arrival();
@@ -124,7 +127,6 @@ core::RunMetrics ClusterSim::run(workload::Source& source) {
     // The shared-clock tallies the per-mesh finish skipped, added exactly
     // once, plus the fleet-level counters.
     obs::Counters& c = cfg_.recorder->counters();
-    c.calendar_rebuckets += sim_.queue().rebucket_count();
     c.sim_events += sim_.events_executed();
     c.extras.emplace_back("cluster_meshes", meshes_.size());
     c.extras.emplace_back("cluster_migrations", migrations_);
@@ -138,17 +140,28 @@ core::RunMetrics ClusterSim::run(workload::Source& source) {
   return out;
 }
 
+void ClusterSim::on_arrival_event(void* ctx, std::uint32_t, std::uint64_t) {
+  auto* self = static_cast<ClusterSim*>(ctx);
+  std::optional<workload::Job> job = self->source_->next_job();
+  if (!job) return;
+  self->pump_arrival();
+  self->dispatch(std::move(*job));
+}
+
+void ClusterSim::on_migration_event(void* ctx, std::uint32_t slot, std::uint64_t receiver) {
+  auto* self = static_cast<ClusterSim*>(ctx);
+  workload::Job job = std::move(self->migrating_[slot]);
+  self->migrating_free_.push_back(slot);
+  --self->inbound_[receiver];
+  self->meshes_[receiver]->submit(std::move(job));
+}
+
 void ClusterSim::pump_arrival() {
   const std::optional<double> next = source_->peek_arrival();
   if (!next) return;
   if (*next < sim_.now())
     throw std::invalid_argument("ClusterSim: source arrivals must be non-decreasing");
-  sim_.schedule_at(*next, [this] {
-    std::optional<workload::Job> job = source_->next_job();
-    if (!job) return;
-    pump_arrival();
-    dispatch(std::move(*job));
-  });
+  sim_.schedule_at(*next, kind_arrival_);
 }
 
 void ClusterSim::dispatch(workload::Job job) {
@@ -233,11 +246,18 @@ void ClusterSim::maybe_migrate(std::size_t receiver) {
   ++inbound_[receiver];
   // The job travels: it re-queues on the receiver only after the modeled
   // migration latency. Exactly one copy exists throughout — it left the
-  // donor's arena above and enters the receiver's at submit time.
-  sim_.schedule_in(cfg_.spec.migrate_latency, [this, receiver, j = std::move(*job)] {
-    --inbound_[receiver];
-    meshes_[receiver]->submit(j);
-  });
+  // donor's arena above, waits in migrating_, and enters the receiver's
+  // arena at submit time.
+  std::uint32_t slot;
+  if (migrating_free_.empty()) {
+    slot = static_cast<std::uint32_t>(migrating_.size());
+    migrating_.push_back(std::move(*job));
+  } else {
+    slot = migrating_free_.back();
+    migrating_free_.pop_back();
+    migrating_[slot] = std::move(*job);
+  }
+  sim_.schedule_in(cfg_.spec.migrate_latency, kind_migration_, slot, receiver);
 }
 
 }  // namespace procsim::cluster

@@ -25,7 +25,8 @@ struct ClusterSimConfig {
   std::size_t warmup_completions{0};     ///< cluster-wide warmup threshold
   std::uint64_t seed{1};
   std::uint64_t max_events{2'000'000'000};
-  des::EventEngine event_engine{des::EventQueue::default_engine()};
+  /// Unused: kept only for perfbench/ (see des::EventEngine).
+  des::EventEngine event_engine{des::EventEngine::kHeap};
   obs::Recorder* recorder{nullptr};
   /// Allocator registry name used by meshes whose group carries none.
   std::string default_alloc{"GABL"};
@@ -70,6 +71,9 @@ class ClusterSim {
  private:
   struct MeshUnit;  ///< allocator + scheduler + SystemSim, one per mesh
 
+  // Event handlers. Migration payload: a = migrating_ slot, b = receiver.
+  static void on_arrival_event(void* ctx, std::uint32_t, std::uint64_t);
+  static void on_migration_event(void* ctx, std::uint32_t slot, std::uint64_t receiver);
   void pump_arrival();
   void dispatch(workload::Job job);
   /// The completion hook target (see SystemSim::CompletionHook).
@@ -84,6 +88,8 @@ class ClusterSim {
 
   ClusterSimConfig cfg_;
   des::Simulator sim_;  ///< the one shared clock
+  des::EventKind kind_arrival_;
+  des::EventKind kind_migration_;
   std::vector<std::unique_ptr<MeshUnit>> meshes_raw_;
   std::vector<core::SystemSim*> meshes_;  ///< flat view of meshes_raw_
   std::unique_ptr<Dispatcher> dispatcher_;
@@ -94,6 +100,10 @@ class ClusterSim {
   std::vector<MeshLoadView> loads_;        ///< scratch for dispatch decisions
   std::vector<std::size_t> eligible_;      ///< scratch for dispatch decisions
   std::vector<std::int32_t> inbound_;      ///< in-flight migrations per mesh
+  /// Jobs travelling between meshes, slot-reused; a migration event names
+  /// its slot. The job's one resident copy lives here while in flight.
+  std::vector<workload::Job> migrating_;
+  std::vector<std::uint32_t> migrating_free_;
   stats::Welford turnaround_;
   stats::Welford service_;
   std::uint64_t completed_{0};

@@ -120,7 +120,6 @@ RunMetrics run_probed(const ExperimentConfig& cfg, obs::Recorder* recorder,
     ccfg.warmup_completions = cfg.sys.warmup_completions;
     ccfg.seed = cfg.seed;
     ccfg.max_events = cfg.sys.max_events;
-    ccfg.event_engine = cfg.sys.event_engine;
     ccfg.recorder = recorder != nullptr ? recorder : cfg.sys.recorder;
     ccfg.default_alloc = cfg.allocator.label();
     ccfg.scheduler = cfg.scheduler;

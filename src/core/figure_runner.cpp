@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -29,32 +30,44 @@ std::vector<Series> paper_series() {
   return out;
 }
 
-namespace {
-
-/// One stderr line, exit status 2 (procsim_sweep's usage-error convention):
-/// a mistyped flag must not run a whole sweep on defaults.
-[[noreturn]] void reject(const char* prog, const std::string& msg) {
+// A mistyped flag must not run a whole sweep on defaults.
+void usage_error(const char* prog, const std::string& msg) {
   std::cerr << prog << ": " << msg << "\n";
   std::exit(2);
 }
 
-/// The unsigned decimal after the `=` of `arg`. Empty, signed, non-numeric,
-/// out-of-range or trailing text is rejected instead of read as 0 (which
-/// --threads would take as "all hardware threads").
-std::uint64_t parse_count(const char* prog, std::string_view arg) {
+namespace {
+
+/// Parses all of the text after the `=` of `arg` with std::from_chars; any
+/// leftover, failure or value `valid` refuses is a usage_error naming the
+/// flag and `expected`.
+template <typename T, typename Valid>
+T parse_flag_value(const char* prog, std::string_view arg, const char* expected,
+                   Valid valid) {
   const std::size_t eq = arg.find('=');
   const std::string_view text = arg.substr(eq + 1);
-  std::uint64_t value = 0;
+  T value{};
   const char* last = text.data() + text.size();
   const auto [end, err] = std::from_chars(text.data(), last, value);
-  if (text.empty() || err != std::errc{} || end != last)
-    reject(prog, "bad value '" + std::string(text) + "' for " +
-                     std::string(arg.substr(0, eq)) +
-                     " (expected a non-negative integer)");
+  if (text.empty() || err != std::errc{} || end != last || !valid(value))
+    usage_error(prog, "bad value '" + std::string(text) + "' for " +
+                          std::string(arg.substr(0, eq)) + " (expected " + expected + ")");
   return value;
 }
 
 }  // namespace
+
+std::uint64_t parse_count_flag(const char* prog, std::string_view arg) {
+  // Unsigned from_chars rejects a sign, so "-1" never wraps to a huge count
+  // and "" never reads as 0 (which --threads would take as "all threads").
+  return parse_flag_value<std::uint64_t>(prog, arg, "a non-negative integer",
+                                         [](std::uint64_t) { return true; });
+}
+
+double parse_positive_flag(const char* prog, std::string_view arg) {
+  return parse_flag_value<double>(prog, arg, "a finite number > 0",
+                                  [](double v) { return v > 0 && std::isfinite(v); });
+}
 
 RunOptions parse_run_options(int argc, char** argv) {
   RunOptions opts;
@@ -65,18 +78,18 @@ RunOptions parse_run_options(int argc, char** argv) {
     if (arg == "--fast") {
       opts.fast = true;
     } else if (arg.starts_with("--jobs=")) {
-      opts.jobs = static_cast<std::size_t>(parse_count(prog, arg));
+      opts.jobs = static_cast<std::size_t>(parse_count_flag(prog, arg));
     } else if (arg.starts_with("--reps=")) {
-      opts.max_reps = parse_count(prog, arg);
+      opts.max_reps = parse_count_flag(prog, arg);
       if (opts.min_reps > opts.max_reps) opts.min_reps = opts.max_reps;
     } else if (arg.starts_with("--seed=")) {
-      opts.seed = parse_count(prog, arg);
+      opts.seed = parse_count_flag(prog, arg);
     } else if (arg.starts_with("--threads=")) {
-      opts.threads = static_cast<std::size_t>(parse_count(prog, arg));
+      opts.threads = static_cast<std::size_t>(parse_count_flag(prog, arg));
     } else if (arg == "--obs-probe") {
       opts.obs_probe = true;
     } else {
-      reject(prog, "unknown option " + std::string(arg));
+      usage_error(prog, "unknown option " + std::string(arg));
     }
   }
   if (opts.fast) {

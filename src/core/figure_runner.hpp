@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,6 +51,17 @@ struct RunOptions {
 /// Parses the effort flags above. An unknown flag or a malformed number
 /// prints one line naming it to stderr and exits with status 2.
 [[nodiscard]] RunOptions parse_run_options(int argc, char** argv);
+
+/// The CLI usage-error convention: one stderr line `prog: msg`, exit 2.
+[[noreturn]] void usage_error(const char* prog, const std::string& msg);
+
+/// Strict values for `--name=value` flags, shared by every tool: the text
+/// after the `=` of `arg` must be the whole number. Empty, signed,
+/// non-numeric, out-of-range or trailing text ("abc", "-1", "0.01x") is a
+/// usage_error naming the flag, never a silent 0 or a parsed prefix.
+[[nodiscard]] std::uint64_t parse_count_flag(const char* prog, std::string_view arg);
+/// Same for a finite value > 0, e.g. an offered load.
+[[nodiscard]] double parse_positive_flag(const char* prog, std::string_view arg);
 
 /// The generic experiment grid under run_figure and the sweep drivers: any
 /// row axis (loads, mesh sizes, ...) × any column axis (series), one

@@ -12,19 +12,55 @@ namespace procsim::core {
 SystemSim::SystemSim(SystemConfig cfg, alloc::Allocator& allocator,
                      sched::Scheduler& scheduler)
     : cfg_(cfg), allocator_(allocator), scheduler_(scheduler),
-      rec_(cfg.recorder), own_sim_(cfg.event_engine), sim_(&own_sim_) {
-  if (!(allocator.geometry() == cfg.geom))
-    throw std::invalid_argument("SystemSim: allocator geometry mismatch");
+      rec_(cfg.recorder), sim_(&own_sim_) {
+  wire();
 }
 
 SystemSim::SystemSim(SystemConfig cfg, alloc::Allocator& allocator,
                      sched::Scheduler& scheduler, des::Simulator* clock)
     : cfg_(cfg), allocator_(allocator), scheduler_(scheduler),
-      rec_(cfg.recorder), own_sim_(cfg.event_engine), sim_(clock) {
+      rec_(cfg.recorder), sim_(clock) {
   if (clock == nullptr)
     throw std::invalid_argument("SystemSim: external clock must be non-null");
-  if (!(allocator.geometry() == cfg.geom))
+  wire();
+}
+
+void SystemSim::wire() {
+  if (!(allocator_.geometry() == cfg_.geom))
     throw std::invalid_argument("SystemSim: allocator geometry mismatch");
+  kind_arrival_ = sim_->add_handler(&on_arrival_event, this);
+  kind_complete_ = sim_->add_handler(&on_complete_event, this);
+  kind_inject_ = sim_->add_handler(&on_inject_event, this);
+  kind_telemetry_ = sim_->add_handler(&on_telemetry_event, this);
+  net_ = std::make_unique<network::WormholeNetwork>(*sim_, cfg_.geom, cfg_.net);
+  // Captureless-lambda-to-function-pointer: the per-delivery dispatch is a
+  // raw call through (fn, ctx), not a type-erased std::function.
+  net_->set_delivery_sink(
+      [](void* ctx, const network::Delivery& d) {
+        static_cast<SystemSim*>(ctx)->on_delivery(d);
+      },
+      this);
+}
+
+void SystemSim::on_arrival_event(void* ctx, std::uint32_t, std::uint64_t) {
+  auto* self = static_cast<SystemSim*>(ctx);
+  std::optional<workload::Job> job = self->source_->next_job();
+  if (!job) return;  // a source must not retract a peeked job; be lenient
+  self->pump_arrival();
+  self->on_arrival(std::move(*job));
+}
+
+void SystemSim::on_complete_event(void* ctx, std::uint32_t slot, std::uint64_t) {
+  static_cast<SystemSim*>(ctx)->complete_job(slot);
+}
+
+void SystemSim::on_inject_event(void* ctx, std::uint32_t slot, std::uint64_t b) {
+  static_cast<SystemSim*>(ctx)->net_->inject(static_cast<mesh::NodeId>(b >> 32),
+                                             static_cast<mesh::NodeId>(b & 0xFFFFFFFFU), slot);
+}
+
+void SystemSim::on_telemetry_event(void* ctx, std::uint32_t, std::uint64_t) {
+  static_cast<SystemSim*>(ctx)->sample_telemetry();
 }
 
 RunMetrics SystemSim::run(const std::vector<workload::Job>& jobs) {
@@ -69,14 +105,9 @@ void SystemSim::begin_run() {
   busy_procs_ = stats::TimeWeighted{};
   queue_len_ = stats::TimeWeighted{};
   rng_ = des::Xoshiro256SS{cfg_.seed};
-  net_ = std::make_unique<network::WormholeNetwork>(*sim_, cfg_.geom, cfg_.net);
-  // Captureless-lambda-to-function-pointer: the per-delivery dispatch is a
-  // raw call through (fn, ctx), not a type-erased std::function.
-  net_->set_delivery_sink(
-      [](void* ctx, const network::Delivery& d) {
-        static_cast<SystemSim*>(ctx)->on_delivery(d);
-      },
-      this);
+  // A run stopped by target_completions leaves packets in flight; the clock
+  // was reset first, so dropping them cannot strand an event.
+  net_->reset();
   net_->set_recorder(rec_);
 }
 
@@ -93,9 +124,9 @@ void SystemSim::finalize_run(bool own_clock,
   metrics_.events = sim_->events_executed();
   if (rec_ != nullptr) {
     // End-of-run pull of the subsystem tallies the hot hooks never touch:
-    // the occupancy index and calendar queue keep their own lightweight
-    // counts (reset with the run), and reservation-aware schedulers export
-    // named counters without depending on obs.
+    // the occupancy index and the network keep their own lightweight counts
+    // (reset with the run), and reservation-aware schedulers export named
+    // counters without depending on obs.
     obs::Counters& c = rec_->counters();
     const mesh::OccupancyIndex::QueryStats& qs = allocator_.index().query_stats();
     c.index_frontier_passes += qs.frontier_passes;
@@ -107,7 +138,6 @@ void SystemSim::finalize_run(bool own_clock,
       // The clock-level tallies belong to whoever owns the event loop: in
       // cluster mode N meshes share one clock and the cluster adds these
       // once, else every counter would be N-fold.
-      c.calendar_rebuckets += sim_->queue().rebucket_count();
       c.sim_events += sim_->events_executed();
     }
     const network::NetStats& ns = net_->stats();
@@ -155,12 +185,7 @@ void SystemSim::pump_arrival() {
   // The next arrival is scheduled *before* this one's side effects run (see
   // the call site in the arrival event), preserving the event order of the
   // historical schedule-all-arrivals-up-front implementation.
-  sim_->schedule_at(*next, [this] {
-    std::optional<workload::Job> job = source_->next_job();
-    if (!job) return;  // a source must not retract a peeked job; be lenient
-    pump_arrival();
-    on_arrival(std::move(*job));
-  });
+  sim_->schedule_at(*next, kind_arrival_);
 }
 
 void SystemSim::on_arrival(workload::Job job) {
@@ -284,7 +309,7 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
     // packet's worth of work (a zero-hop traversal).
     const double nominal = static_cast<double>(net_->base_latency_cycles(0));
     arena_.outstanding(slot) = 0;
-    sim_->schedule_in(nominal, [this, slot] { complete_job(slot); });
+    sim_->schedule_in(nominal, kind_complete_, slot);
     return;
   }
 
@@ -314,13 +339,12 @@ void SystemSim::on_delivery(const network::Delivery& d) {
   // The source that just completed a send issues its next message after the
   // (optional) compute gap.
   if (const auto next_dst = arena_.streams(slot).advance(d.src)) {
-    const mesh::NodeId src = d.src;
-    const mesh::NodeId dst = *next_dst;
     if (cfg_.think_time > 0) {
-      sim_->schedule_in(cfg_.think_time,
-                       [this, src, dst, slot] { net_->inject(src, dst, slot); });
+      sim_->schedule_in(cfg_.think_time, kind_inject_, slot,
+                        std::uint64_t{static_cast<std::uint32_t>(d.src)} << 32 |
+                            static_cast<std::uint32_t>(*next_dst));
     } else {
-      net_->inject(src, dst, slot);
+      net_->inject(d.src, *next_dst, slot);
     }
   }
 
@@ -415,7 +439,7 @@ void SystemSim::sample_telemetry() {
   // jobs or pending arrivals. Without it an unbounded reschedule would keep
   // the event queue non-empty forever on runs that end by draining.
   if (arena_.active() > 0 || (source_ != nullptr && source_->peek_arrival()))
-    sim_->schedule_in(sampler.interval(), [this] { sample_telemetry(); });
+    sim_->schedule_in(sampler.interval(), kind_telemetry_);
 }
 
 }  // namespace procsim::core

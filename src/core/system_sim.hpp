@@ -46,10 +46,8 @@ struct SystemConfig {
   /// Off by default so every figure reproduces its published bytes; the
   /// nightly multi-million-job replay (bench_swf_replay) opts in.
   bool coalesce_passes{false};
-  /// Event-queue engine for this run. Defaults to the process-wide choice
-  /// (PROCSIM_EVENT_ENGINE, calendar when unset); the engines are pop-order
-  /// identical, so this never changes results — only throughput.
-  des::EventEngine event_engine{des::EventQueue::default_engine()};
+  /// Unused: kept only for perfbench/ (see des::EventEngine).
+  des::EventEngine event_engine{des::EventEngine::kHeap};
   /// Observability attach point (null = off). Observation-only like the
   /// MetricsSink: attaching cannot change a simulated event, and every
   /// hot-path hook is a null-pointer check when detached (obs::Recorder).
@@ -122,6 +120,10 @@ class SystemSim {
   SystemSim(SystemConfig cfg, alloc::Allocator& allocator, sched::Scheduler& scheduler,
             des::Simulator* clock);
 
+  /// Pinned in place: the clock's handler table holds `this`.
+  SystemSim(const SystemSim&) = delete;
+  SystemSim& operator=(const SystemSim&) = delete;
+
   /// Runs a streaming job source to exhaustion (or the completion target).
   /// The source is reset-ready (caller calls source.reset(seed) first); jobs
   /// are pulled one arrival ahead, so a stream never has to exist in memory
@@ -153,8 +155,8 @@ class SystemSim {
   void submit(workload::Job job);
 
   /// Computes this mesh's end-of-run metrics at the shared clock's final
-  /// time. Skips the clock-level counter pulls (sim_events,
-  /// calendar_rebuckets, run_wall_s) — the cluster accounts those once.
+  /// time. Skips the clock-level counter pulls (sim_events, run_wall_s) —
+  /// the cluster accounts those once.
   [[nodiscard]] RunMetrics finish_external_run();
 
   /// Removes and returns the most recently queued job (the work-stealing
@@ -189,6 +191,15 @@ class SystemSim {
   }
 
  private:
+  /// Shared constructor tail: registers the event kinds on the clock and
+  /// builds the network once (begin_run resets it per replication).
+  void wire();
+  // Event handlers. Payloads: complete a = arena slot; inject a = slot,
+  // b = src << 32 | dst.
+  static void on_arrival_event(void* ctx, std::uint32_t, std::uint64_t);
+  static void on_complete_event(void* ctx, std::uint32_t slot, std::uint64_t);
+  static void on_inject_event(void* ctx, std::uint32_t slot, std::uint64_t b);
+  static void on_telemetry_event(void* ctx, std::uint32_t, std::uint64_t);
   /// run()'s per-run reset minus the clock reset (shared in cluster mode).
   void begin_run();
   /// End-of-run metric finalization; `own_clock` gates the clock-level
@@ -223,11 +234,16 @@ class SystemSim {
   CompletionHook hook_{nullptr};  ///< cluster completion hook (null = off)
   void* hook_ctx_{nullptr};
 
-  // Per-run state (rebuilt in run()).
   des::Simulator own_sim_;  ///< the single-mesh clock; idle in cluster mode
   des::Simulator* sim_;     ///< &own_sim_, or the cluster's shared clock
+  std::unique_ptr<network::WormholeNetwork> net_;  ///< built once, reset per run
+  des::EventKind kind_arrival_{0};
+  des::EventKind kind_complete_{0};
+  des::EventKind kind_inject_{0};
+  des::EventKind kind_telemetry_{0};
+
+  // Per-run state (reset in begin_run()).
   workload::Source* source_{nullptr};  ///< the run's job stream (non-owning)
-  std::unique_ptr<network::WormholeNetwork> net_;
   des::Xoshiro256SS rng_{1};
   /// Every resident job (queued or running): slot-reused, SoA hot fields,
   /// slot index == network tag. Messages one processor sends are paced

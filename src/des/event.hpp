@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 
 namespace procsim::des {
 
@@ -9,24 +9,31 @@ namespace procsim::des {
 /// flit needs to cross one link), matching the paper's "time units".
 using SimTime = double;
 
-/// Action executed when an event fires. Events carry no payload of their
-/// own; closures capture whatever state they need.
-using EventAction = std::function<void()>;
+/// Index into a Simulator's handler table (Simulator::add_handler).
+using EventKind = std::uint32_t;
 
-/// A scheduled event. Ordering is (time, sequence): two events at the same
-/// timestamp fire in the order they were scheduled, which keeps runs
-/// deterministic under a fixed seed.
+/// A scheduled event: a plain 32-byte record, copied by value through the
+/// queue. `kind` names the handler that fires it; `a` and `b` are that
+/// handler's payload (a packet, channel or job slot; an epoch stamp). The
+/// meaning of the payload belongs to whoever registered the kind.
+///
+/// Ordering is (time, sequence): two events at the same timestamp fire in
+/// the order they were scheduled, which keeps runs deterministic under a
+/// fixed seed.
 struct Event {
   SimTime time{0};
   std::uint64_t seq{0};
-  EventAction action;
+  EventKind kind{0};
+  std::uint32_t a{0};
+  std::uint64_t b{0};
 };
+static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) == 32);
 
 /// Min-heap comparator for Event (later time == lower priority).
 struct EventLater {
-  [[nodiscard]] bool operator()(const Event& a, const Event& b) const noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+  [[nodiscard]] bool operator()(const Event& x, const Event& y) const noexcept {
+    if (x.time != y.time) return x.time > y.time;
+    return x.seq > y.seq;
   }
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -8,112 +9,85 @@
 
 namespace procsim::des {
 
-/// Which pending-event structure an EventQueue uses.
-///
-///  * kCalendar — the production engine: a calendar queue (Brown 1988)
-///    bucketed by time, O(1) push/pop under a stationary event-time profile,
-///    with automatic re-bucketing as the pending set grows or shrinks.
-///  * kHeap — the pre-calendar binary heap, kept as the randomized-
-///    equivalence oracle (the OccupancyIndex / FreeSubmeshScan pattern).
-///  * kCrossCheck — runs the calendar queue with a shadow (time, seq) heap
-///    and verifies every pop against it; throws std::logic_error on the
-///    first divergence. Opt-in, for tests and debugging.
-///
-/// Both engines implement the identical contract — events leave in strict
-/// (time, insertion-sequence) order — so trajectories are bit-for-bit the
-/// same whichever engine runs. The default is kCalendar; the environment
-/// variable PROCSIM_EVENT_ENGINE (calendar | heap | verify) overrides it
-/// process-wide, which is how a driver binary is flipped onto the oracle
-/// without a rebuild.
-enum class EventEngine { kCalendar, kHeap, kCrossCheck };
+/// Retired engine selector: the pending-event set has one implementation,
+/// EventQueue below. The enum and the `event_engine` fields of
+/// core::SystemConfig and cluster::ClusterSimConfig survive only because
+/// perfbench/ still assigns them; nothing reads them. Delete all three with
+/// the next change to the benchmark.
+enum class EventEngine { kHeap };
 
-/// Pending-event set of a discrete-event simulation, keyed by
-/// (time, insertion sequence). Insertion order breaks timestamp ties so
-/// identical seeds reproduce identical trajectories.
+/// Pending-event set of a discrete-event simulation, popped in strict
+/// (time, insertion sequence) order.
+///
+/// A binary min-heap on (time, seq), fronted by a FIFO lane for events pushed
+/// at exactly the queue's clock (the time of the last heap pop). The lane
+/// needs no key comparison to stay exact: a heap event due at the clock time
+/// was pushed before the clock got there, since a push at the clock time goes
+/// to the lane instead, so it has a smaller seq than every lane event and
+/// pops first; lane events then leave in push order, and the clock cannot
+/// pass them before the lane drains. Same-time follow-ups (the network's
+/// per-timestamp arbitration passes above all) never touch the heap.
 class EventQueue {
  public:
-  /// Engine from PROCSIM_EVENT_ENGINE (default kCalendar).
-  EventQueue() : EventQueue(default_engine()) {}
-  explicit EventQueue(EventEngine engine);
-
-  /// Schedules `action` to fire at absolute time `time`.
-  void push(SimTime time, EventAction action);
+  /// Schedules the event (kind, a, b) at absolute time `time`. Precondition:
+  /// `time` is not before the last popped event (Simulator::schedule_at
+  /// enforces it against its clock).
+  void push(SimTime time, EventKind kind, std::uint32_t a, std::uint64_t b) {
+    const Event ev{time, next_seq_++, kind, a, b};
+    if (time == now_) {
+      lane_.push_back(ev);
+      return;
+    }
+    heap_.push_back(ev);
+    std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+  }
 
   /// Removes and returns the earliest event. Precondition: !empty().
-  [[nodiscard]] Event pop();
+  Event pop() {
+    if (lane_head_ < lane_.size() && (heap_.empty() || heap_.front().time > now_)) {
+      const Event ev = lane_[lane_head_++];
+      if (lane_head_ == lane_.size()) {
+        lane_.clear();
+        lane_head_ = 0;
+      }
+      return ev;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+    const Event ev = heap_.back();
+    heap_.pop_back();
+    now_ = ev.time;
+    return ev;
+  }
 
   /// Timestamp of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] SimTime next_time() const noexcept;
+  [[nodiscard]] SimTime next_time() const noexcept {
+    return lane_head_ < lane_.size() ? now_ : heap_.front().time;
+  }
 
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() + (lane_.size() - lane_head_);
+  }
 
-  /// Drops every pending event (used between replications). Bucket geometry
-  /// resets to the initial configuration so replications are independent.
-  void clear();
+  /// Drops every pending event and rewinds the clock and the sequence
+  /// counter (between replications).
+  void clear() noexcept {
+    heap_.clear();
+    lane_.clear();
+    lane_head_ = 0;
+    now_ = 0;
+    next_seq_ = 0;
+  }
 
   /// Total number of events ever scheduled (diagnostic).
   [[nodiscard]] std::uint64_t scheduled_count() const noexcept { return next_seq_; }
 
-  [[nodiscard]] EventEngine engine() const noexcept { return engine_; }
-
-  /// The process-wide default: PROCSIM_EVENT_ENGINE if set (calendar | heap
-  /// | verify), else kCalendar. Parsed once.
-  [[nodiscard]] static EventEngine default_engine();
-
-  // Calendar internals exposed read-only for tests/benchmarks.
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
-  [[nodiscard]] double bucket_width() const noexcept { return width_; }
-  /// Calendar resizes (grow + shrink) since construction/clear() — an
-  /// observability counter: a run that rebuckets often has an event-time
-  /// profile the bucket-width estimator keeps chasing.
-  [[nodiscard]] std::uint64_t rebucket_count() const noexcept { return rebuckets_; }
-
  private:
-  /// One calendar bucket: events sorted ascending by (time, seq), consumed
-  /// from `head` so a pop never shifts the vector. The popped prefix is
-  /// reclaimed when the bucket empties; capacities persist across reuse.
-  struct Bucket {
-    std::vector<Event> items;
-    std::size_t head{0};
-
-    [[nodiscard]] bool drained() const noexcept { return head == items.size(); }
-    [[nodiscard]] const Event& front() const noexcept { return items[head]; }
-  };
-
-  // -- calendar engine --------------------------------------------------
-  void calendar_push(SimTime time, Event ev);
-  [[nodiscard]] Event calendar_pop();
-  /// Positions cur_slot_/cur_bucket_ on the bucket holding the earliest
-  /// pending event (the calendar scan; falls back to a direct search after
-  /// one full year). Precondition: size_ > 0. Logically const: only the
-  /// scan cursor moves, never an event.
-  std::size_t find_min_bucket() const;
-  void rebucket(std::size_t new_bucket_count);
-  [[nodiscard]] double slot_of(SimTime time) const noexcept;
-  [[nodiscard]] std::size_t bucket_of_slot(double slot) const noexcept;
-
-  // -- heap engine (the oracle) -----------------------------------------
-  void heap_push(Event ev);
-  [[nodiscard]] Event heap_pop();
-
-  EventEngine engine_;
-
-  // Calendar state. cur_slot_/cur_bucket_ form the scan cursor; mutable so
-  // next_time() can advance it (the subsequent pop then hits immediately).
-  std::vector<Bucket> buckets_;
-  double width_{1.0};
-  mutable double cur_slot_{0};
-  mutable std::size_t cur_bucket_{0};
-
-  // Heap state: a std::push_heap/std::pop_heap min-heap on EventLater. In
-  // kCrossCheck the calendar holds the actions and this shadow holds bare
-  // (time, seq) keys for the pop-order identity assertion.
-  std::vector<Event> heap_;
-
-  std::size_t size_{0};
+  std::vector<Event> heap_;  ///< std::push_heap/pop_heap min-heap on EventLater
+  std::vector<Event> lane_;  ///< events at now_, in push order, from lane_head_
+  std::size_t lane_head_{0};
+  SimTime now_{0};
   std::uint64_t next_seq_{0};
-  std::uint64_t rebuckets_{0};
 };
 
 }  // namespace procsim::des

@@ -10,26 +10,32 @@ void Simulator::flush_batch() {
          (queue_.empty() || queue_.next_time() > now_)) {
     batch_scratch_.clear();
     std::swap(batch_scratch_, batch_end_);
-    for (EventAction& action : batch_scratch_) {
+    for (std::function<void()>& action : batch_scratch_) {
       action();
       if (stopped_) break;
     }
   }
 }
 
+void Simulator::step() {
+  const Event ev = queue_.pop();
+  now_ = ev.time;
+  // By value: a handler may register further kinds and grow the table.
+  const HandlerEntry h = handlers_[ev.kind];
+  h.fn(h.ctx, ev.a, ev.b);
+  ++executed_;
+  // Timestamp exhausted: run the deferred batch-end work before the clock
+  // advances. flush_batch re-checks, since an action may extend the batch.
+  if (!batch_end_.empty() && (queue_.empty() || queue_.next_time() > now_))
+    flush_batch();
+}
+
 std::uint64_t Simulator::run(std::uint64_t max_events) {
   std::uint64_t fired = 0;
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && fired < max_events) {
-    Event ev = queue_.pop();
-    now_ = ev.time;
-    ev.action();
+    step();
     ++fired;
-    ++executed_;
-    // Timestamp exhausted: run the deferred batch-end work before the clock
-    // advances. flush_batch re-checks, since an action may extend the batch.
-    if (!batch_end_.empty() && (queue_.empty() || queue_.next_time() > now_))
-      flush_batch();
   }
   return fired;
 }
@@ -39,13 +45,8 @@ std::uint64_t Simulator::run_until(SimTime horizon, std::uint64_t max_events) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && fired < max_events &&
          queue_.next_time() <= horizon) {
-    Event ev = queue_.pop();
-    now_ = ev.time;
-    ev.action();
+    step();
     ++fired;
-    ++executed_;
-    if (!batch_end_.empty() && (queue_.empty() || queue_.next_time() > now_))
-      flush_batch();
   }
   if (!stopped_ && (queue_.empty() || queue_.next_time() > horizon)) now_ = horizon;
   return fired;

@@ -56,6 +56,12 @@ WormholeNetwork::WormholeNetwork(des::Simulator& sim, mesh::Geometry geom,
     : sim_(sim), map_(geom, params.torus), params_(params) {
   if (params.st < 0 || params.packet_len < 1)
     throw std::invalid_argument("WormholeNetwork: bad parameters");
+  kind_pass_ = sim_.add_handler(&on_pass, this);
+  kind_grant_ = sim_.add_handler(&on_grant, this);
+  kind_attempt_ = sim_.add_handler(&on_attempt, this);
+  kind_eject_ = sim_.add_handler(&on_eject, this);
+  kind_deliver_ = sim_.add_handler(&on_deliver, this);
+  kind_analytic_ = sim_.add_handler(&on_analytic, this);
   const auto n_channels = static_cast<std::size_t>(map_.channel_count());
   if (params_.engine == NetEngine::kAnalytic) {
     busy_cycles_.assign(n_channels, 0.0);
@@ -70,6 +76,63 @@ WormholeNetwork::WormholeNetwork(des::Simulator& sim, mesh::Geometry geom,
     shadow_->shadow = true;
     shadow_->channels.resize(n_channels);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Event handlers. The grant, attempt and eject continuations carry the
+// channel or packet epoch they were scheduled under and do nothing once a
+// truncation has moved it on.
+// ---------------------------------------------------------------------------
+
+void WormholeNetwork::on_pass(void* ctx, std::uint32_t, std::uint64_t b) {
+  auto* self = static_cast<WormholeNetwork*>(ctx);
+  self->run_pass(self->state_of(b));
+}
+
+void WormholeNetwork::on_grant(void* ctx, std::uint32_t cid, std::uint64_t b) {
+  auto* self = static_cast<WormholeNetwork*>(ctx);
+  EngineState& st = self->state_of(b);
+  Channel& c = st.channels[cid];
+  if (c.epoch != epoch_of(b)) return;
+  c.grant_scheduled = false;
+  self->mark_dirty(st, static_cast<ChannelId>(cid));
+  self->ensure_arbitration(st);
+}
+
+void WormholeNetwork::on_attempt(void* ctx, std::uint32_t pkt, std::uint64_t b) {
+  auto* self = static_cast<WormholeNetwork*>(ctx);
+  EngineState& st = self->state_of(b);
+  if (st.pool[pkt].run_epoch != epoch_of(b)) return;
+  self->register_attempt(st, static_cast<std::int32_t>(pkt), self->sim_.now());
+}
+
+void WormholeNetwork::on_eject(void* ctx, std::uint32_t pkt, std::uint64_t b) {
+  auto* self = static_cast<WormholeNetwork*>(ctx);
+  EngineState& st = self->state_of(b);
+  const Packet& p = st.pool[pkt];
+  if (p.run_epoch != epoch_of(b)) return;
+  st.ejections.push_back({static_cast<std::int32_t>(pkt), p.path.back(), p.run_epoch});
+  self->ensure_arbitration(st);
+}
+
+void WormholeNetwork::on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t b) {
+  auto* self = static_cast<WormholeNetwork*>(ctx);
+  self->deliver(self->state_of(b), static_cast<std::int32_t>(pkt));
+}
+
+void WormholeNetwork::on_analytic(void* ctx, std::uint32_t slot, std::uint64_t) {
+  auto* self = static_cast<WormholeNetwork*>(ctx);
+  const Delivery d = self->analytic_[slot];
+  self->analytic_free_.push_back(slot);
+  self->metrics_.latency.add(d.latency);
+  self->metrics_.blocking.add(d.blocked);
+  self->metrics_.hops.add(static_cast<double>(d.hops));
+  ++self->metrics_.delivered;
+  if (self->rec_ != nullptr)
+    self->rec_->packet_deliver(self->sim_.now(), d.tag, static_cast<std::int32_t>(d.src),
+                               static_cast<std::int32_t>(d.dst), d.hops, d.latency,
+                               d.blocked);
+  if (self->sink_ != nullptr) self->sink_(self->sink_ctx_, d);
 }
 
 std::int32_t WormholeNetwork::alloc_packet(EngineState& st, mesh::NodeId src,
@@ -177,8 +240,7 @@ void WormholeNetwork::ensure_arbitration(EngineState& st) {
   const double now = sim_.now();
   if (st.arb_time == now) return;
   st.arb_time = now;
-  EngineState* sp = &st;
-  sim_.schedule_at(now, [this, sp] { run_pass(*sp); });
+  sim_.schedule_at(now, kind_pass_, 0, stamp(st, 0));
 }
 
 // The canonical arbitration pass: runs once per network-active timestamp
@@ -251,15 +313,8 @@ void WormholeNetwork::arbitrate(EngineState& st, ChannelId cid, double t) {
   if (ch.holder >= 0 && ch.wait_head >= 0 && ch.rel_time != kNoRelease &&
       !ch.grant_scheduled) {
     ch.grant_scheduled = true;
-    const std::uint32_t e = ch.epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(ch.rel_time, [this, sp, cid, e] {
-      Channel& c = sp->channels[static_cast<std::size_t>(cid)];
-      if (c.epoch != e) return;
-      c.grant_scheduled = false;
-      mark_dirty(*sp, cid);
-      ensure_arbitration(*sp);
-    });
+    sim_.schedule_at(ch.rel_time, kind_grant_, static_cast<std::uint32_t>(cid),
+                     stamp(st, ch.epoch));
   }
 }
 
@@ -290,12 +345,8 @@ void WormholeNetwork::step_acquire(EngineState& st, std::int32_t pkt, double t) 
   if (static_cast<std::size_t>(i) + 1 == p.path.size()) {
     st.ejections.push_back({pkt, cid, p.run_epoch});  // flushed by this pass
   } else {
-    const std::uint32_t e = p.run_epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(t + static_cast<double>(1 + params_.st), [this, sp, pkt, e] {
-      if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-      register_attempt(*sp, pkt, sim_.now());
-    });
+    sim_.schedule_at(t + static_cast<double>(1 + params_.st), kind_attempt_,
+                     static_cast<std::uint32_t>(pkt), stamp(st, p.run_epoch));
   }
 }
 
@@ -347,25 +398,17 @@ void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
   ++stats_.runs_batched;
   ++stats_.run_len_hist[run_len_bucket(j - first)];
   const std::uint32_t e = p.run_epoch;
-  EngineState* sp = &st;
   if (j == len) {
     const ChannelId ej = p.path[static_cast<std::size_t>(len - 1)];
     const double t_eject = st.channels[static_cast<std::size_t>(ej)].acq_time;
     if (t_eject == t) {
       st.ejections.push_back({pkt, ej, e});  // flushed by this pass
     } else {
-      sim_.schedule_at(t_eject, [this, sp, pkt, e, ej] {
-        if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-        sp->ejections.push_back({pkt, ej, e});
-        ensure_arbitration(*sp);
-      });
+      sim_.schedule_at(t_eject, kind_eject_, static_cast<std::uint32_t>(pkt), stamp(st, e));
     }
   } else {
     const double arrive = t + static_cast<double>(static_cast<std::int64_t>(j - first) * step);
-    sim_.schedule_at(arrive, [this, sp, pkt, e] {
-      if (sp->pool[static_cast<std::size_t>(pkt)].run_epoch != e) return;
-      register_attempt(*sp, pkt, sim_.now());
-    });
+    sim_.schedule_at(arrive, kind_attempt_, static_cast<std::uint32_t>(pkt), stamp(st, e));
   }
 }
 
@@ -429,12 +472,8 @@ void WormholeNetwork::truncate(EngineState& st, ChannelId cid, double t) {
       if (cur < 0) ch.wait_tail = victim;
     }
   } else {
-    const std::uint32_t e = p.run_epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(arrive, [this, sp, victim, e] {
-      if (sp->pool[static_cast<std::size_t>(victim)].run_epoch != e) return;
-      register_attempt(*sp, victim, sim_.now());
-    });
+    sim_.schedule_at(arrive, kind_attempt_, static_cast<std::uint32_t>(victim),
+                     stamp(st, p.run_epoch));
   }
 }
 
@@ -443,15 +482,7 @@ void WormholeNetwork::set_release(EngineState& st, ChannelId cid, double when) {
   ch.rel_time = when;
   if (ch.wait_head >= 0 && !ch.grant_scheduled) {
     ch.grant_scheduled = true;
-    const std::uint32_t e = ch.epoch;
-    EngineState* sp = &st;
-    sim_.schedule_at(when, [this, sp, cid, e] {
-      Channel& c = sp->channels[static_cast<std::size_t>(cid)];
-      if (c.epoch != e) return;
-      c.grant_scheduled = false;
-      mark_dirty(*sp, cid);
-      ensure_arbitration(*sp);
-    });
+    sim_.schedule_at(when, kind_grant_, static_cast<std::uint32_t>(cid), stamp(st, ch.epoch));
   }
 }
 
@@ -465,8 +496,7 @@ void WormholeNetwork::complete(EngineState& st, std::int32_t pkt, double t_eject
   for (std::int32_t d = h - 1; d >= 0; --d)
     set_release(st, p.path[static_cast<std::size_t>(len - 1 - d)],
                 t_done - static_cast<double>(d));
-  EngineState* sp = &st;
-  sim_.schedule_at(t_done, [this, sp, pkt] { deliver(*sp, pkt); });
+  sim_.schedule_at(t_done, kind_deliver_, static_cast<std::uint32_t>(pkt), stamp(st, 0));
 }
 
 void WormholeNetwork::deliver(EngineState& st, std::int32_t pkt) {
@@ -529,26 +559,17 @@ void WormholeNetwork::inject_analytic(mesh::NodeId src, mesh::NodeId dst,
   for (const ChannelId cid : path)
     busy_cycles_[static_cast<std::size_t>(cid)] += service;
   const double latency = static_cast<double>(base_latency_cycles(hops)) + wait;
-  sim_.schedule_at(sim_.now() + latency,
-                   [this, tag, src, dst, latency, wait, hops] {
-                     Delivery d;
-                     d.tag = tag;
-                     d.src = src;
-                     d.dst = dst;
-                     d.latency = latency;
-                     d.blocked = wait;
-                     d.hops = hops;
-                     metrics_.latency.add(d.latency);
-                     metrics_.blocking.add(d.blocked);
-                     metrics_.hops.add(static_cast<double>(d.hops));
-                     ++metrics_.delivered;
-                     if (rec_ != nullptr)
-                       rec_->packet_deliver(sim_.now(), d.tag,
-                                            static_cast<std::int32_t>(d.src),
-                                            static_cast<std::int32_t>(d.dst),
-                                            d.hops, d.latency, d.blocked);
-                     if (sink_ != nullptr) sink_(sink_ctx_, d);
-                   });
+  // The delivery waits in a slot-reused side table; the event carries the slot.
+  std::uint32_t slot;
+  if (analytic_free_.empty()) {
+    slot = static_cast<std::uint32_t>(analytic_.size());
+    analytic_.emplace_back();
+  } else {
+    slot = analytic_free_.back();
+    analytic_free_.pop_back();
+  }
+  analytic_[slot] = Delivery{tag, src, dst, latency, wait, hops};
+  sim_.schedule_at(sim_.now() + latency, kind_analytic_, slot);
 }
 
 void WormholeNetwork::verify_match(std::uint64_t id, const VerifyRec& rec) {
@@ -635,13 +656,12 @@ void WormholeNetwork::reset_state(EngineState& st) {
 }
 
 void WormholeNetwork::reset() {
-  if (in_flight() != 0)
-    throw std::logic_error("WormholeNetwork::reset: packets still in flight");
-  if (!verify_pending_.empty())
-    throw std::logic_error("WormholeNetwork::reset: unmatched verify deliveries");
   if (primary_ != nullptr) reset_state(*primary_);
   if (shadow_ != nullptr) reset_state(*shadow_);
   std::fill(busy_cycles_.begin(), busy_cycles_.end(), 0.0);
+  analytic_.clear();
+  analytic_free_.clear();
+  verify_pending_.clear();
   verify_cmp_armed_ = false;
   metrics_.reset();
   stats_.reset();

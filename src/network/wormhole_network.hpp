@@ -166,8 +166,10 @@ class WormholeNetwork {
     return static_cast<std::int64_t>(params_.packet_len) * (1 + params_.st) + 1;
   }
 
-  /// Drops all state (between replications). Precondition: no packet in
-  /// flight (enforced).
+  /// Drops all state between replications, including packets a run stopped
+  /// early left in flight and their unmatched verify-mode deliveries. The
+  /// simulator's pending events must be dropped with it (Simulator::reset),
+  /// as SystemSim does: they name packets and channels that no longer exist.
   void reset();
 
  private:
@@ -237,6 +239,26 @@ class WormholeNetwork {
     bool from_shadow{false};
   };
 
+  // Event payloads: `a` is a packet pool index or a channel id, `b` is
+  // stamp(st, epoch) — the epoch that cancels stale events, shifted past the
+  // bit that says which engine state (primary or verify shadow) owns it.
+  [[nodiscard]] static std::uint64_t stamp(const EngineState& st, std::uint32_t epoch) noexcept {
+    return std::uint64_t{epoch} << 1 | (st.shadow ? 1U : 0U);
+  }
+  [[nodiscard]] static std::uint32_t epoch_of(std::uint64_t b) noexcept {
+    return static_cast<std::uint32_t>(b >> 1);
+  }
+  [[nodiscard]] EngineState& state_of(std::uint64_t b) noexcept {
+    return (b & 1U) != 0 ? *shadow_ : *primary_;
+  }
+  // Event handlers (one registered kind each).
+  static void on_pass(void* ctx, std::uint32_t, std::uint64_t b);
+  static void on_grant(void* ctx, std::uint32_t cid, std::uint64_t b);
+  static void on_attempt(void* ctx, std::uint32_t pkt, std::uint64_t b);
+  static void on_eject(void* ctx, std::uint32_t pkt, std::uint64_t b);
+  static void on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t b);
+  static void on_analytic(void* ctx, std::uint32_t slot, std::uint64_t);
+
   [[nodiscard]] std::int32_t alloc_packet(EngineState& st, mesh::NodeId src,
                                           mesh::NodeId dst, std::uint64_t tag);
   void register_attempt(EngineState& st, std::int32_t pkt, double t);
@@ -265,7 +287,15 @@ class WormholeNetwork {
   std::unique_ptr<EngineState> primary_;
   std::unique_ptr<EngineState> shadow_;  // kVerify only
   std::vector<double> busy_cycles_;      // kAnalytic per-channel utilization
+  std::vector<Delivery> analytic_;       // kAnalytic deliveries in flight
+  std::vector<std::uint32_t> analytic_free_;  // reusable analytic_ slots
   std::unordered_map<std::uint64_t, VerifyRec> verify_pending_;
+  des::EventKind kind_pass_{0};
+  des::EventKind kind_grant_{0};
+  des::EventKind kind_attempt_{0};
+  des::EventKind kind_eject_{0};
+  des::EventKind kind_deliver_{0};
+  des::EventKind kind_analytic_{0};
   bool verify_cmp_armed_{false};
   DeliverySink sink_{nullptr};
   void* sink_ctx_{nullptr};

@@ -52,7 +52,6 @@ void Counters::write_json(std::ostream& out) const {
   field(out, "index_descent_queries", index_descent_queries, first);
   field(out, "index_first_fit_queries", index_first_fit_queries, first);
   field(out, "index_best_fit_queries", index_best_fit_queries, first);
-  field(out, "calendar_rebuckets", calendar_rebuckets, first);
   field(out, "sim_events", sim_events, first);
   field(out, "net_runs_batched", net_runs_batched, first);
   field(out, "net_run_len_1", net_run_len_hist[0], first);

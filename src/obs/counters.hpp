@@ -10,8 +10,8 @@ namespace procsim::obs {
 
 /// The counter/timer registry pillar: run-wide tallies bumped by the
 /// Recorder's hot-path hooks plus subsystem tallies (occupancy index,
-/// calendar queue, backfill reservations) pulled in once at the end of a
-/// run. Dumped as one JSON report per run (write_json), printed by
+/// network, backfill reservations) pulled in once at the end of a run.
+/// Dumped as one JSON report per run (write_json), printed by
 /// `procsim_sweep --counters`.
 ///
 /// Plain public fields on purpose: a hook costs one `++c.field`, no name
@@ -40,7 +40,9 @@ struct Counters {
   std::uint64_t index_descent_queries{0};  ///< stale-narrow fast-path queries
   std::uint64_t index_first_fit_queries{0};
   std::uint64_t index_best_fit_queries{0};
-  std::uint64_t calendar_rebuckets{0};     ///< calendar-queue resizes
+  /// Always 0 and not in write_json: the calendar queue is gone, and the
+  /// field stays only while perfbench/ still reads it.
+  std::uint64_t calendar_rebuckets{0};
   std::uint64_t sim_events{0};
   std::uint64_t net_runs_batched{0};       ///< batched-engine maximal runs started
   /// Maximal-run lengths (channels acquired per run), buckets

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "des/distributions.hpp"
 #include "des/event_queue.hpp"
 #include "des/rng.hpp"
 #include "des/simulator.hpp"
+#include "sim_actions.hpp"
 #include "stats/welford.hpp"
 
 namespace {
@@ -13,29 +15,29 @@ namespace {
 using procsim::des::EventQueue;
 using procsim::des::Simulator;
 using procsim::des::Xoshiro256SS;
+using procsim_test::Actions;
 
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
-  std::vector<int> fired;
-  q.push(3.0, [&] { fired.push_back(3); });
-  q.push(1.0, [&] { fired.push_back(1); });
-  q.push(2.0, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  q.push(3.0, 0, 3, 0);
+  q.push(1.0, 0, 1, 0);
+  q.push(2.0, 0, 2, 0);
+  std::vector<std::uint32_t> fired;
+  while (!q.empty()) fired.push_back(q.pop().a);
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, TiesFireInScheduleOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) q.push(5.0, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().action();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
+  for (std::uint32_t i = 0; i < 10; ++i) q.push(5.0, 0, i, 0);
+  for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(q.pop().a, i);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {
   Simulator sim;
+  Actions act(sim);
   double seen = -1;
-  sim.schedule_at(7.5, [&] { seen = sim.now(); });
+  act.at(7.5, [&] { seen = sim.now(); });
   sim.run();
   EXPECT_DOUBLE_EQ(seen, 7.5);
   EXPECT_DOUBLE_EQ(sim.now(), 7.5);
@@ -43,10 +45,11 @@ TEST(Simulator, ClockAdvancesToEventTime) {
 
 TEST(Simulator, ScheduleInIsRelative) {
   Simulator sim;
+  Actions act(sim);
   std::vector<double> times;
-  sim.schedule_at(2.0, [&] {
+  act.at(2.0, [&] {
     times.push_back(sim.now());
-    sim.schedule_in(3.0, [&] { times.push_back(sim.now()); });
+    act.in(3.0, [&] { times.push_back(sim.now()); });
   });
   sim.run();
   ASSERT_EQ(times.size(), 2u);
@@ -55,17 +58,19 @@ TEST(Simulator, ScheduleInIsRelative) {
 
 TEST(Simulator, SchedulingIntoThePastThrows) {
   Simulator sim;
-  sim.schedule_at(10.0, [&] {
-    EXPECT_THROW(sim.schedule_at(5.0, [] {}), std::invalid_argument);
+  Actions act(sim);
+  act.at(10.0, [&] {
+    EXPECT_THROW(act.at(5.0, [] {}), std::invalid_argument);
   });
   sim.run();
 }
 
 TEST(Simulator, StopHaltsExecution) {
   Simulator sim;
+  Actions act(sim);
   int fired = 0;
   for (int i = 1; i <= 100; ++i)
-    sim.schedule_at(i, [&] {
+    act.at(i, [&] {
       ++fired;
       if (fired == 10) sim.stop();
     });
@@ -76,8 +81,9 @@ TEST(Simulator, StopHaltsExecution) {
 
 TEST(Simulator, RunUntilRespectsHorizon) {
   Simulator sim;
+  Actions act(sim);
   int fired = 0;
-  for (int i = 1; i <= 10; ++i) sim.schedule_at(i, [&] { ++fired; });
+  for (int i = 1; i <= 10; ++i) act.at(i, [&] { ++fired; });
   sim.run_until(5.0);
   EXPECT_EQ(fired, 5);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -87,7 +93,8 @@ TEST(Simulator, RunUntilRespectsHorizon) {
 
 TEST(Simulator, ResetClearsEverything) {
   Simulator sim;
-  sim.schedule_at(1.0, [] {});
+  Actions act(sim);
+  act.at(1.0, [] {});
   sim.run();
   sim.reset();
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
@@ -98,13 +105,14 @@ TEST(Simulator, BatchEndRunsOncePerTimestamp) {
   // Three events at t=1 each defer work; the deferred actions run after the
   // whole t=1 batch, before the t=2 event.
   Simulator sim;
+  Actions act(sim);
   std::vector<int> order;
   for (int i = 0; i < 3; ++i)
-    sim.schedule_at(1.0, [&sim, &order, i] {
+    act.at(1.0, [&sim, &order, i] {
       order.push_back(i);
       sim.at_batch_end([&order, i] { order.push_back(10 + i); });
     });
-  sim.schedule_at(2.0, [&order] { order.push_back(99); });
+  act.at(2.0, [&order] { order.push_back(99); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12, 99}));
 }
@@ -113,26 +121,28 @@ TEST(Simulator, BatchEndActionKeepsBatchOpenWhenSchedulingAtNow) {
   // A deferred action schedules a same-time event, which defers again: the
   // batch reopens and the second deferral still runs before time advances.
   Simulator sim;
+  Actions act(sim);
   std::vector<int> order;
-  sim.schedule_at(1.0, [&] {
+  act.at(1.0, [&] {
     order.push_back(0);
     sim.at_batch_end([&] {
       order.push_back(1);
-      sim.schedule_at(1.0, [&] {
+      act.at(1.0, [&] {
         order.push_back(2);
         sim.at_batch_end([&] { order.push_back(3); });
       });
     });
   });
-  sim.schedule_at(2.0, [&order] { order.push_back(99); });
+  act.at(2.0, [&order] { order.push_back(99); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 99}));
 }
 
 TEST(Simulator, BatchEndDroppedOnStop) {
   Simulator sim;
+  Actions act(sim);
   bool deferred_ran = false;
-  sim.schedule_at(1.0, [&] {
+  act.at(1.0, [&] {
     sim.at_batch_end([&] { deferred_ran = true; });
     sim.stop();
   });
@@ -140,16 +150,17 @@ TEST(Simulator, BatchEndDroppedOnStop) {
   EXPECT_FALSE(deferred_ran);
   // reset() forgets the dropped action: it must not leak into the next run.
   sim.reset();
-  sim.schedule_at(1.0, [] {});
+  act.at(1.0, [] {});
   sim.run();
   EXPECT_FALSE(deferred_ran);
 }
 
 TEST(Simulator, MaxEventsGuard) {
   Simulator sim;
+  Actions act(sim);
   // A self-rescheduling event would run forever without the guard.
-  std::function<void()> tick = [&] { sim.schedule_in(1.0, tick); };
-  sim.schedule_at(0.0, tick);
+  std::function<void()> tick = [&] { act.in(1.0, tick); };
+  act.at(0.0, tick);
   const auto fired = sim.run(1000);
   EXPECT_EQ(fired, 1000u);
 }

@@ -191,6 +191,20 @@ TEST(FigureRunner, ParseRunOptions) {
   EXPECT_EXIT(parse("--seed=99999999999999999999"), status2, "for --seed");
 }
 
+TEST(FigureRunner, PositiveFlagValues) {
+  // The shared --load parser of bench_swf_replay and trace_replay_tool.
+  using procsim::core::parse_positive_flag;
+  EXPECT_DOUBLE_EQ(parse_positive_flag("tool", "--load=0.01"), 0.01);
+  EXPECT_DOUBLE_EQ(parse_positive_flag("tool", "--load=1e-3"), 1e-3);
+  EXPECT_DOUBLE_EQ(parse_positive_flag("tool", "--load=6"), 6.0);
+  const auto status2 = ::testing::ExitedWithCode(2);
+  for (const char* bad : {"--load=abc", "--load=0.01x", "--load=", "--load=0",
+                          "--load=-1", "--load=inf", "--load=nan", "--load=+1"})
+    EXPECT_EXIT((void)parse_positive_flag("tool", bad), status2,
+                "^tool: bad value '.*' for --load \\(expected a finite number > 0\\)\n$")
+        << bad;
+}
+
 TEST(FigureRunner, UnknownMetricThrows) {
   FigureSpec spec;
   spec.id = "bad";

@@ -67,10 +67,12 @@ RunResult run_schedule(const std::vector<Injection>& schedule, Geometry geom,
   WormholeNetwork net(sim, geom, params);
   struct Ctx {
     Simulator* sim;
+    WormholeNetwork* net;
+    const std::vector<Injection>* schedule;
     std::vector<Record>* out;
   };
   std::vector<Record> deliveries;
-  Ctx ctx{&sim, &deliveries};
+  Ctx ctx{&sim, &net, &schedule, &deliveries};
   net.set_delivery_sink(
       [](void* c, const Delivery& d) {
         auto* x = static_cast<Ctx*>(c);
@@ -78,8 +80,16 @@ RunResult run_schedule(const std::vector<Injection>& schedule, Geometry geom,
                                  d.tag, d.src, d.dst});
       },
       &ctx);
-  for (const Injection& in : schedule)
-    sim.schedule_at(in.t, [&net, in] { net.inject(in.src, in.dst, in.tag); });
+  // One test-registered kind: injection `a` of the schedule.
+  const auto inject = sim.add_handler(
+      [](void* c, std::uint32_t a, std::uint64_t) {
+        auto* x = static_cast<Ctx*>(c);
+        const Injection& in = (*x->schedule)[a];
+        x->net->inject(in.src, in.dst, in.tag);
+      },
+      &ctx);
+  for (std::size_t i = 0; i < schedule.size(); ++i)
+    sim.schedule_at(schedule[i].t, inject, static_cast<std::uint32_t>(i));
   sim.run();
   EXPECT_EQ(net.in_flight(), 0u);
   RunResult r;

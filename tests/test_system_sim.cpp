@@ -10,6 +10,8 @@
 
 #include "alloc/gabl.hpp"
 #include "alloc/paging.hpp"
+#include "cluster/cluster_spec.hpp"
+#include "core/experiment.hpp"
 #include "core/job_record_store.hpp"
 #include "core/system_sim.hpp"
 #include "sched/ordered_scheduler.hpp"
@@ -275,6 +277,39 @@ TEST(SystemSim, RunIsRepeatableOnSameInstance) {
   EXPECT_DOUBLE_EQ(m1.turnaround.mean(), m2.turnaround.mean());
 }
 
+TEST(SystemSim, RerunAfterEarlyStopMatchesFreshInstance) {
+  // The network is built once per SystemSim and reset per run: a run that
+  // target_completions stops with worms still in flight (on every engine)
+  // must leave nothing behind for the next run on the same instance.
+  SystemConfig cfg;
+  cfg.geom = Geometry(8, 8);
+  cfg.target_completions = 10;
+  procsim::des::Xoshiro256SS rng(19);
+  procsim::workload::StochasticParams params;
+  params.load = 0.1;
+  const auto jobs = procsim::workload::generate_stochastic(params, cfg.geom, 40, rng);
+  for (const auto engine : {procsim::network::NetEngine::kBatched,
+                            procsim::network::NetEngine::kVerify,
+                            procsim::network::NetEngine::kAnalytic}) {
+    cfg.net.engine = engine;
+    GablAllocator a1(cfg.geom);
+    OrderedScheduler s1(Policy::kFcfs);
+    SystemSim reused(cfg, a1, s1);
+    const RunMetrics first = reused.run(jobs);
+    EXPECT_GT(first.packets, first.packet_latency.count());  // stopped mid-flight
+    const RunMetrics second = reused.run(jobs);
+    GablAllocator a2(cfg.geom);
+    OrderedScheduler s2(Policy::kFcfs);
+    const RunMetrics fresh = SystemSim(cfg, a2, s2).run(jobs);
+    for (const RunMetrics* m : {&second, &fresh}) {
+      EXPECT_EQ(m->events, first.events);
+      EXPECT_EQ(m->makespan, first.makespan);
+      EXPECT_EQ(m->turnaround.mean(), first.turnaround.mean());
+      EXPECT_EQ(m->packet_latency.mean(), first.packet_latency.mean());
+    }
+  }
+}
+
 TEST(SystemSim, CoalescedPassesMatchLegacyOnContinuousWorkload) {
   // Continuous-time arrivals/completions (almost) never tie, so one pass per
   // timestamp must walk the exact same trajectory as one pass per event.
@@ -397,6 +432,69 @@ TEST(SystemSim, RejectsGeometryMismatch) {
   GablAllocator alloc(Geometry(8, 8));
   OrderedScheduler sched(Policy::kFcfs);
   EXPECT_THROW(SystemSim(cfg, alloc, sched), std::invalid_argument);
+}
+
+// Golden trajectories: the event count, makespan and two means of a
+// fixed-seed run, pinned bit for bit (hex float literals). Any change to
+// the event order — the kernel's (time, seq) contract, a handler, the
+// network's arbitration — moves at least one of them.
+struct Golden {
+  std::uint64_t events;
+  double makespan;
+  double turnaround;
+  double latency;
+};
+
+void expect_golden(const RunMetrics& m, const Golden& g) {
+  EXPECT_EQ(m.events, g.events);
+  EXPECT_EQ(m.makespan, g.makespan);
+  EXPECT_EQ(m.turnaround.mean(), g.turnaround);
+  EXPECT_EQ(m.packet_latency.mean(), g.latency);
+}
+
+TEST(SystemSim, GoldenTrajectoryFig02Cell) {
+  // fig02's GABL/FCFS cell at its highest load: the Paragon stream on the
+  // paper's 16x22 mesh, st=3, P_len=8, think 50, at --fast effort.
+  procsim::core::ExperimentConfig cfg;
+  cfg.sys.geom = Geometry(16, 22);
+  cfg.sys.net = procsim::network::NetworkParams{3, 8, false};
+  cfg.sys.think_time = 50;
+  cfg.sys.target_completions = 200;
+  cfg.workload.kind = procsim::core::WorkloadKind::kTrace;
+  cfg.workload.replay.prefix = 200;
+  cfg.workload.load = 0.005;
+  cfg.allocator = procsim::core::AllocatorSpec("GABL");
+  cfg.scheduler = Policy::kFcfs;
+  cfg.seed = 42;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 200u);
+  expect_golden(m, Golden{187110, 0x1.6f00253cd98fp+15, 0x1.c742aba330196p+9,
+                          0x1.608e6947ed807p+5});
+}
+
+TEST(SystemSim, GoldenTrajectoryStealingFleet) {
+  // Four 16x16 meshes on one clock behind the snapshot dispatcher, with
+  // work stealing: arrivals, dispatch, migrations and four networks share
+  // one event order.
+  procsim::core::ExperimentConfig cfg;
+  cfg.cluster = procsim::cluster::parse_cluster_spec(
+      "4x(16x16);balance=improved;stale=10;migrate=steal;lat=100");
+  ASSERT_TRUE(cfg.cluster.has_value());
+  cfg.sys.geom = cfg.cluster->meshes.front().geom;
+  cfg.sys.think_time = 50;
+  cfg.sys.target_completions = 0;
+  cfg.workload.kind = procsim::core::WorkloadKind::kStochastic;
+  cfg.workload.job_count = 300;
+  cfg.workload.stochastic.side_dist = procsim::workload::SideDistribution::kUniform;
+  cfg.workload.stochastic.load = 0.1;
+  cfg.allocator = procsim::core::AllocatorSpec("FirstFit");
+  cfg.scheduler = Policy::kFcfs;
+  cfg.seed = 7;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 300u);
+  EXPECT_EQ(m.cluster.migrations, 26u);
+  expect_golden(m, Golden{8616, 0x1.a49a4916d465p+11, 0x1.1691e852901d5p+7,
+                          0x1.99ffa8ad4824fp+5});
 }
 
 TEST(SystemSim, AllProcessorsReleasedAtEnd) {
