@@ -9,6 +9,8 @@
 //                         backfill[:conservative][;shape]]
 //                 [--workload=uniform|exponential|real|swf:<path>|saturation|
 //                            bursty[;key=value...]]
+//                   (keys: load, jobs, mes, f = trace arrival factor,
+//                    n/dist = saturation, b/phase = bursty)
 //                 [--metric=turnaround|service|utilization|latency|blocking|
 //                          hops|queue_length|wait_mean|wait_p50|wait_p95|
 //                          wait_p99|wait_max|turnaround_p50|turnaround_p95|
@@ -61,6 +63,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -70,6 +73,7 @@
 #include "des/rng.hpp"
 #include "network/wormhole_network.hpp"
 #include "obs/recorder.hpp"
+#include "util/strings.hpp"
 #include "workload/source_registry.hpp"
 
 namespace {
@@ -85,35 +89,10 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+// One stderr line, exit 2: the CLI convention (core::usage_error). The
+// flag grammar is the comment at the top of this file.
 [[noreturn]] void usage_error(const std::string& msg) {
-  std::cerr << "procsim_sweep: " << msg << "\n"
-            << "usage: procsim_sweep [--mesh=WxL[,WxL...]] (W,L in 1..4096)\n"
-            << "         [--cluster=SPEC]  (fleet of meshes; SPEC grammar:\n"
-            << "           N\"x(\"WxL[:ALLOC]\")\" [+group...] [;balance=P]\n"
-            << "           [;stale=T] [;migrate=steal] [;lat=X], policies P:\n"
-            << "           " << cluster::known_dispatcher_list() << ";\n"
-            << "           conflicts with --mesh and the observability flags)\n"
-            << "         [--alloc=A[,A...]]\n"
-            << "         [--sched=S[,S...]]\n"
-            << "           (FCFS|SSD|SJF|LJF|lookahead:k|backfill[:conservative][;shape])\n"
-            << "         [--workload=uniform|exponential|real|swf:<path>|saturation|\n"
-            << "                    bursty[;key=value...]]\n"
-            << "         [--metric=M] [--loads=x[,x...]]\n"
-            << "         [--net=stepped|batched|verify|analytic] (network engine;\n"
-            << "           default: PROCSIM_NET_ENGINE or batched)\n"
-            << "         [--fast] [--jobs=N] [--reps=N] [--seed=N] [--threads=N]\n"
-            << "         [--telemetry=PATH[;dt=X]] [--counters[=PATH]]\n"
-            << "         [--trace=PATH] [--job-records=PATH[.jsonl|.csv]]\n"
-            << "observability flags add ONE instrumented replication of the first\n"
-            << "  cell after the sweep (grid CSV bytes unchanged); --counters with\n"
-            << "  no path prints the JSON to stderr; --trace writes the binary\n"
-            << "  format trace_convert consumes\n"
-            << "workload spec keys (workload/source_registry.hpp): load, jobs, mes,\n"
-            << "  f (trace arrival factor), n/dist (saturation), b/phase (bursty)\n"
-            << "fairness metrics (per-job record stream): wait_mean, wait_p50/p95/p99,\n"
-            << "  wait_max, turnaround_p50/p95/p99/max, slowdown_p50/p95/p99/max,\n"
-            << "  starved (jobs waiting > 4x the median wait)\n";
-  std::exit(2);
+  core::usage_error("procsim_sweep", msg);
 }
 
 bool take_value(const char* arg, const char* key, std::string& out) {
@@ -170,10 +149,11 @@ int main(int argc, char** argv) {
         const std::string rest = value.substr(semi + 1);
         if (rest.rfind("dt=", 0) != 0)
           usage_error("bad --telemetry option '" + rest + "' (expected dt=X)");
-        char* end = nullptr;
-        telemetry_dt = std::strtod(rest.c_str() + 3, &end);
-        if (*end != '\0' || telemetry_dt <= 0)
-          usage_error("bad --telemetry dt '" + rest.substr(3) + "'");
+        const auto dt = util::parse_number<double>(std::string_view(rest).substr(3));
+        if (!dt || *dt <= 0)
+          usage_error("bad --telemetry dt '" + rest.substr(3) +
+                      "' (expected a finite number > 0)");
+        telemetry_dt = *dt;
       }
       if (telemetry_path.empty()) usage_error("empty --telemetry path");
     } else if (take_value(argv[i], "--counters=", value)) {
@@ -279,10 +259,10 @@ int main(int argc, char** argv) {
     if (saturation) usage_error("--loads does not apply to --workload=saturation");
     loads.clear();
     for (const std::string& s : split_csv(loads_arg)) {
-      char* end = nullptr;
-      const double v = std::strtod(s.c_str(), &end);
-      if (*end != '\0' || v <= 0) usage_error("bad load '" + s + "'");
-      loads.push_back(v);
+      const auto v = util::parse_number<double>(s);
+      if (!v || *v <= 0)
+        usage_error("bad load '" + s + "' (expected a finite number > 0)");
+      loads.push_back(*v);
     }
   }
   if (loads.empty()) usage_error("empty --loads");

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "mesh/coord.hpp"
-#include "mesh/mesh_state.hpp"
 #include "mesh/occupancy_index.hpp"
 #include "mesh/submesh.hpp"
 
@@ -36,25 +35,26 @@ struct Placement {
   /// Total processors held — may exceed compute_nodes.size() (internal
   /// fragmentation: Paging with pages > 1 node, GABL's a*b bounding).
   std::int32_t allocated{0};
-  /// Strategy-private bookkeeping (page indices, buddy block ids).
+  /// Strategy-private bookkeeping (MBS's buddy block ids).
   std::vector<std::int32_t> tags;
 };
 
 /// Common interface of every allocation strategy. Each strategy owns the
-/// mesh occupancy (one strategy drives one simulated machine) plus whatever
-/// auxiliary index it needs, and guarantees:
+/// mesh occupancy (one strategy drives one simulated machine), and
+/// guarantees:
 ///   * allocate() either returns a Placement of disjoint, previously-free
 ///     blocks (now marked busy) or changes nothing;
 ///   * release() returns exactly the Placement's blocks to the free pool.
 ///
-/// The base keeps two views of the occupancy in lock-step: the per-node
-/// MeshState (ground truth for tests and diagnostics) and the bit-parallel
-/// OccupancyIndex that answers the strategies' free-rectangle queries without
-/// any per-event snapshot rebuild. Strategies mutate occupancy only through
-/// occupy()/vacate(), which update both.
+/// The base owns the one record of which nodes are busy: the bit-parallel
+/// OccupancyIndex, which also answers the strategies' free-rectangle queries
+/// without any per-event snapshot rebuild. Strategies mutate occupancy only
+/// through occupy()/vacate(); the index throws on a double allocation or a
+/// release of a free node, so a strategy cannot hand out or return a node
+/// twice unnoticed.
 class Allocator {
  public:
-  explicit Allocator(mesh::Geometry geom) : state_(geom), index_(geom) {}
+  explicit Allocator(mesh::Geometry geom) : index_(geom) {}
   virtual ~Allocator() = default;
 
   Allocator(const Allocator&) = delete;
@@ -97,15 +97,11 @@ class Allocator {
   [[nodiscard]] virtual bool is_noncontiguous() const = 0;
 
   /// Restores the pristine empty mesh (between replications).
-  virtual void reset() {
-    state_.clear();
-    index_.clear();
-  }
+  virtual void reset() { index_.clear(); }
 
-  [[nodiscard]] const mesh::MeshState& state() const noexcept { return state_; }
   [[nodiscard]] const mesh::OccupancyIndex& index() const noexcept { return index_; }
   [[nodiscard]] const mesh::Geometry& geometry() const noexcept {
-    return state_.geometry();
+    return index_.geometry();
   }
   [[nodiscard]] std::int32_t free_processors() const noexcept {
     return index_.free_count();
@@ -117,24 +113,12 @@ class Allocator {
   void set_recorder(obs::Recorder* rec) noexcept { rec_ = rec; }
 
  protected:
-  /// Marks `s` (all currently free) busy in both occupancy views.
-  void occupy(const mesh::SubMesh& s) {
-    state_.allocate(s);
-    index_.allocate(s);
-  }
-  /// Returns `s` (all currently busy) to the free pool in both views.
-  void vacate(const mesh::SubMesh& s) {
-    state_.release(s);
-    index_.release(s);
-  }
-  void occupy(mesh::NodeId n) {
-    state_.allocate(n);
-    index_.allocate(n);
-  }
-  void vacate(mesh::NodeId n) {
-    state_.release(n);
-    index_.release(n);
-  }
+  /// Marks `s` (all currently free) busy.
+  void occupy(const mesh::SubMesh& s) { index_.allocate(s); }
+  /// Returns `s` (all currently busy) to the free pool.
+  void vacate(const mesh::SubMesh& s) { index_.release(s); }
+  void occupy(mesh::NodeId n) { index_.allocate(n); }
+  void vacate(mesh::NodeId n) { index_.release(n); }
 
   /// Fills placement.compute_nodes with the first `p` nodes of the blocks in
   /// block order (row-major inside each block) and sets `allocated`.
@@ -148,7 +132,6 @@ class Allocator {
   void note_fallback(const Request& req) const;
 
  private:
-  mesh::MeshState state_;
   mesh::OccupancyIndex index_;
   obs::Recorder* rec_{nullptr};  ///< non-owning; null = observability off
 };

@@ -1,7 +1,6 @@
 #include "alloc/gabl.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace procsim::alloc {
 namespace {
@@ -70,10 +69,6 @@ std::optional<Placement> GablAllocator::allocate(const Request& req) {
     prev_l = piece.length();
   }
 
-  for (const mesh::SubMesh& blk : placement.blocks) {
-    busy_slot_.emplace(blk, busy_list_.size());
-    busy_list_.push_back(blk);
-  }
   finalize_placement(placement, geometry(), req.processors);
   return placement;
 }
@@ -96,25 +91,7 @@ bool GablAllocator::can_allocate_with_free(
 }
 
 void GablAllocator::release(const Placement& placement) {
-  for (const mesh::SubMesh& blk : placement.blocks) {
-    const auto it = busy_slot_.find(blk);
-    if (it == busy_slot_.end())
-      throw std::logic_error("GablAllocator: releasing a block not in the busy list");
-    const std::size_t slot = it->second;
-    busy_slot_.erase(it);
-    if (slot + 1 != busy_list_.size()) {
-      busy_list_[slot] = busy_list_.back();
-      busy_slot_[busy_list_[slot]] = slot;
-    }
-    busy_list_.pop_back();
-    vacate(blk);
-  }
-}
-
-void GablAllocator::reset() {
-  Allocator::reset();
-  busy_list_.clear();
-  busy_slot_.clear();
+  for (const mesh::SubMesh& blk : placement.blocks) vacate(blk);
 }
 
 }  // namespace procsim::alloc

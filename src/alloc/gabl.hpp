@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -22,12 +20,9 @@ namespace procsim::alloc {
 /// degree of contiguity (few large pieces), which is what cuts message
 /// distances and contention relative to Paging and MBS.
 ///
-/// Allocated pieces live in a busy list (kept here per the published
-/// algorithm and exposed for tests); the occupancy bitmap mirrors it. The
-/// list's order is unspecified: a side index maps each block to its slot so
-/// release() is O(1) per block (swap-and-pop) instead of a linear find over
-/// every busy block in the machine — the published algorithm never reads the
-/// list's order, only its contents.
+/// The published algorithm keeps the allocated pieces in a busy list; here
+/// the allocator's OccupancyIndex is that record (every query reads it), and
+/// a placement's own blocks say what release() returns.
 class GablAllocator final : public Allocator {
  public:
   explicit GablAllocator(mesh::Geometry geom) : Allocator(geom) {}
@@ -40,31 +35,6 @@ class GablAllocator final : public Allocator {
   void release(const Placement& placement) override;
   [[nodiscard]] std::string name() const override { return "GABL"; }
   [[nodiscard]] bool is_noncontiguous() const override { return true; }
-  void reset() override;
-
-  /// All sub-meshes currently allocated across jobs (unspecified order).
-  [[nodiscard]] const std::vector<mesh::SubMesh>& busy_list() const noexcept {
-    return busy_list_;
-  }
-
- private:
-  struct BlockHash {
-    std::size_t operator()(const mesh::SubMesh& s) const noexcept {
-      // Pack base and end into one 64-bit word each, then mix (splitmix64).
-      std::uint64_t h = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.x1)) << 32 |
-                         static_cast<std::uint32_t>(s.y1)) ^
-                        ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.x2)) << 32 |
-                          static_cast<std::uint32_t>(s.y2)) *
-                         0x9E3779B97F4A7C15ULL);
-      h ^= h >> 30;
-      h *= 0xBF58476D1CE4E5B9ULL;
-      h ^= h >> 27;
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  std::vector<mesh::SubMesh> busy_list_;
-  std::unordered_map<mesh::SubMesh, std::size_t, BlockHash> busy_slot_;  ///< block -> index
 };
 
 }  // namespace procsim::alloc

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "alloc/allocator.hpp"
 #include "mesh/page_table.hpp"
 
@@ -12,6 +10,9 @@ namespace procsim::alloc {
 /// in indexing order (the paper's main results use row-major). Paging(0)
 /// has one-node pages, hence no internal fragmentation; larger pages trade
 /// internal fragmentation for contiguity.
+///
+/// Pages are allocated and released whole, so the occupancy index is the
+/// page table's busy record too: a page is busy iff its base node is.
 class PagingAllocator final : public Allocator {
  public:
   PagingAllocator(mesh::Geometry geom, std::int32_t size_index,
@@ -22,15 +23,11 @@ class PagingAllocator final : public Allocator {
   void release(const Placement& placement) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] bool is_noncontiguous() const override { return true; }
-  void reset() override;
 
   [[nodiscard]] const mesh::PageTable& pages() const noexcept { return table_; }
-  [[nodiscard]] std::size_t free_pages() const noexcept { return free_page_count_; }
 
  private:
   mesh::PageTable table_;
-  std::vector<std::uint8_t> page_busy_;  // by page index
-  std::size_t free_page_count_;
 };
 
 }  // namespace procsim::alloc

@@ -11,7 +11,7 @@ std::optional<Placement> RandomAllocator::allocate(const Request& req) {
 
   // Reused scratch: the free list is rebuilt in place each call instead of
   // allocating a fresh vector per request (this is the allocator's hot path).
-  state().free_nodes_into(free_scratch_);
+  index().free_nodes_into(free_scratch_);
   std::vector<mesh::NodeId>& free = free_scratch_;
   // Partial Fisher-Yates: draw p distinct nodes uniformly.
   Placement placement;

@@ -1,10 +1,11 @@
 #include "cluster/cluster_spec.hpp"
 
 #include <cctype>
-#include <charconv>
+#include <optional>
 #include <sstream>
 
 #include "alloc/registry.hpp"
+#include "util/strings.hpp"
 
 namespace procsim::cluster {
 namespace {
@@ -21,25 +22,12 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-bool parse_i32(std::string_view s, std::int32_t& out) {
-  s = trim(s);
-  if (s.empty()) return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-bool parse_f64(std::string_view s, double& out) {
-  s = trim(s);
-  if (s.empty()) return false;
-  // from_chars<double> is spotty on older libstdc++; stod via string is fine
-  // for spec parsing (cold path).
-  try {
-    std::size_t pos = 0;
-    out = std::stod(std::string(s), &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
+/// util::parse_number on the trimmed text; `out` is left alone on failure.
+template <typename T>
+bool parse_trimmed(std::string_view s, T& out) {
+  const std::optional<T> v = util::parse_number<T>(trim(s));
+  if (v) out = *v;
+  return v.has_value();
 }
 
 bool fail(std::string* error, std::string msg) {
@@ -64,7 +52,7 @@ bool parse_group(std::string_view g, std::vector<MeshSpec>& out, std::string* er
   }
   count_part.remove_suffix(1);
   std::int32_t count = 0;
-  if (!parse_i32(count_part, count) || count < 1) {
+  if (!parse_trimmed(count_part, count) || count < 1) {
     return fail(error, "cluster group count '" + std::string(count_part) +
                            "' must be a positive integer");
   }
@@ -92,7 +80,7 @@ bool parse_group(std::string_view g, std::vector<MeshSpec>& out, std::string* er
   }
   std::int32_t w = 0;
   std::int32_t l = 0;
-  if (!parse_i32(inner.substr(0, x), w) || !parse_i32(inner.substr(x + 1), l) ||
+  if (!parse_trimmed(inner.substr(0, x), w) || !parse_trimmed(inner.substr(x + 1), l) ||
       w < 1 || l < 1 || w > kMaxSide || l > kMaxSide) {
     return fail(error, "cluster group geometry '" + std::string(inner) +
                            "' must be WxL with 1 <= side <= 4096");
@@ -184,9 +172,9 @@ std::optional<ClusterSpec> parse_cluster_spec(std::string_view spec, std::string
       }
       out.balance = name;
     } else if (key == "stale") {
-      if (!parse_f64(value, out.stale_refresh) || out.stale_refresh <= 0.0) {
+      if (!parse_trimmed(value, out.stale_refresh) || out.stale_refresh <= 0.0) {
         fail(error, "cluster option stale=" + std::string(value) +
-                        " must be a positive refresh period");
+                        " must be a finite positive refresh period");
         return std::nullopt;
       }
     } else if (key == "migrate") {
@@ -202,9 +190,9 @@ std::optional<ClusterSpec> parse_cluster_spec(std::string_view spec, std::string
       }
       migrate_set = true;
     } else if (key == "lat") {
-      if (!parse_f64(value, out.migrate_latency) || out.migrate_latency < 0.0) {
+      if (!parse_trimmed(value, out.migrate_latency) || out.migrate_latency < 0.0) {
         fail(error, "cluster option lat=" + std::string(value) +
-                        " must be a non-negative migration latency");
+                        " must be a finite non-negative migration latency");
         return std::nullopt;
       }
     } else {

@@ -6,7 +6,6 @@
 #include "cluster/cluster_sim.hpp"
 #include "obs/recorder.hpp"
 #include "sched/registry.hpp"
-#include "stats/parallel_replication.hpp"
 #include "workload/source_registry.hpp"
 #include "workload/swf.hpp"
 
@@ -219,22 +218,19 @@ std::vector<std::string> known_metrics() {
 }
 
 AggregateResult run_replicated(const ExperimentConfig& cfg,
-                               const stats::ReplicationPolicy& policy,
-                               util::ThreadPool* pool) {
+                               const stats::ReplicationPolicy& policy) {
   stats::ReplicationPolicy gated = policy;
   if (gated.precision_metrics.empty())
     gated.precision_metrics = precision_observation_names();
-  const stats::ParallelReplicationRunner runner(gated, pool);
-  const stats::ReplicationController controller =
-      runner.run([&cfg](std::uint64_t rep) {
-        ExperimentConfig rep_cfg = cfg;
-        rep_cfg.seed = des::substream_seed(cfg.seed, rep);
-        const RunMetrics m = run_once(rep_cfg);
-        // Unordered-map iteration order is irrelevant here: each metric is keyed.
-        std::unordered_map<std::string, double> obs;
-        for (const auto& [k, v] : to_observations(m)) obs.emplace(k, v);
-        return obs;
-      });
+  stats::ReplicationController controller(gated);
+  ExperimentConfig rep_cfg = cfg;
+  for (std::uint64_t rep = 0; !controller.done(); ++rep) {
+    rep_cfg.seed = des::substream_seed(cfg.seed, rep);
+    // Unordered-map iteration order is irrelevant here: each metric is keyed.
+    std::unordered_map<std::string, double> obs;
+    for (const auto& [k, v] : to_observations(run_once(rep_cfg))) obs.emplace(k, v);
+    controller.add_replication(obs);
+  }
   AggregateResult out;
   out.replications = controller.replications();
   for (const std::string& name : controller.metric_names())

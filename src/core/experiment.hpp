@@ -13,7 +13,6 @@
 #include "mesh/page_table.hpp"
 #include "sched/registry.hpp"
 #include "stats/replication.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/paragon_model.hpp"
 #include "workload/source.hpp"
 #include "workload/stochastic.hpp"
@@ -152,16 +151,14 @@ struct ExperimentConfig {
 
 /// Replicated experiment: reruns with per-replication RNG substream seeds
 /// (des::substream_seed) until the policy's 95 % / 5 % precision target
-/// (paper §5) is met or the cap is reached. With a pool of more than one
-/// worker, replications are farmed across its threads; the result is
-/// bit-identical to the serial (null pool) path for any thread count.
+/// (paper §5) is met or the cap is reached. Replications run one after
+/// another; concurrency lives one level up, in run_grid's cell farm.
 struct AggregateResult {
   std::map<std::string, stats::Interval> metrics;
   std::uint64_t replications{0};
 };
 
 [[nodiscard]] AggregateResult run_replicated(const ExperimentConfig& cfg,
-                                             const stats::ReplicationPolicy& policy,
-                                             util::ThreadPool* pool = nullptr);
+                                             const stats::ReplicationPolicy& policy);
 
 }  // namespace procsim::core

@@ -1,26 +1,24 @@
 #include "core/experiment_spec.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 
 #include "cluster/cluster_spec.hpp"
 #include "network/wormhole_network.hpp"
 #include "sched/registry.hpp"
+#include "util/strings.hpp"
 #include "workload/source_registry.hpp"
 
 namespace procsim::core {
 
 std::optional<mesh::Geometry> parse_mesh_geometry(const std::string& s) {
   const auto x = s.find_first_of("xX");
-  if (x == std::string::npos || x == 0 || x + 1 >= s.size()) return std::nullopt;
-  char* end = nullptr;
-  const long w = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + x) return std::nullopt;
-  const long l = std::strtol(s.c_str() + x + 1, &end, 10);
-  if (*end != '\0' || w <= 0 || l <= 0 || w > 4096 || l > 4096)
-    return std::nullopt;
-  return mesh::Geometry(static_cast<std::int32_t>(w),
-                        static_cast<std::int32_t>(l));
+  if (x == std::string::npos) return std::nullopt;
+  const std::string_view text = s;
+  const auto w = util::parse_number<std::int32_t>(text.substr(0, x));
+  const auto l = util::parse_number<std::int32_t>(text.substr(x + 1));
+  if (!w || !l || *w <= 0 || *l <= 0 || *w > 4096 || *l > 4096) return std::nullopt;
+  return mesh::Geometry(*w, *l);
 }
 
 void apply_experiment_spec(const ExperimentSpecStrings& axes,

@@ -1,18 +1,18 @@
 #include "core/figure_runner.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace procsim::core {
@@ -38,27 +38,25 @@ void usage_error(const char* prog, const std::string& msg) {
 
 namespace {
 
-/// Parses all of the text after the `=` of `arg` with std::from_chars; any
-/// leftover, failure or value `valid` refuses is a usage_error naming the
+/// Parses all of the text after the `=` of `arg` with util::parse_number; a
+/// malformed number or a value `valid` refuses is a usage_error naming the
 /// flag and `expected`.
 template <typename T, typename Valid>
 T parse_flag_value(const char* prog, std::string_view arg, const char* expected,
                    Valid valid) {
   const std::size_t eq = arg.find('=');
   const std::string_view text = arg.substr(eq + 1);
-  T value{};
-  const char* last = text.data() + text.size();
-  const auto [end, err] = std::from_chars(text.data(), last, value);
-  if (text.empty() || err != std::errc{} || end != last || !valid(value))
+  const std::optional<T> value = util::parse_number<T>(text);
+  if (!value || !valid(*value))
     usage_error(prog, "bad value '" + std::string(text) + "' for " +
                           std::string(arg.substr(0, eq)) + " (expected " + expected + ")");
-  return value;
+  return *value;
 }
 
 }  // namespace
 
 std::uint64_t parse_count_flag(const char* prog, std::string_view arg) {
-  // Unsigned from_chars rejects a sign, so "-1" never wraps to a huge count
+  // Unsigned parsing rejects a sign, so "-1" never wraps to a huge count
   // and "" never reads as 0 (which --threads would take as "all threads").
   return parse_flag_value<std::uint64_t>(prog, arg, "a non-negative integer",
                                          [](std::uint64_t) { return true; });
@@ -66,7 +64,7 @@ std::uint64_t parse_count_flag(const char* prog, std::string_view arg) {
 
 double parse_positive_flag(const char* prog, std::string_view arg) {
   return parse_flag_value<double>(prog, arg, "a finite number > 0",
-                                  [](double v) { return v > 0 && std::isfinite(v); });
+                                  [](double v) { return v > 0; });
 }
 
 RunOptions parse_run_options(int argc, char** argv) {
@@ -203,9 +201,7 @@ void run_grid(const GridSpec& spec, const RunOptions& opts, std::ostream& out,
 
   const std::size_t workers = std::min(util::resolve_threads(opts.threads), n_cells);
   if (workers > 1 && n_cells > 1) {
-    // Cells parallelise, replications within a cell stay serial (null pool):
-    // nesting both levels on one fixed pool could park every worker on a
-    // future only another queued task can satisfy.
+    // Cells parallelise; run_replicated runs a cell's replications serially.
     util::ThreadPool pool(workers);
     // Submit every cell up front so workers are never idle at row
     // boundaries, but print each row as soon as *its* cells are done —

@@ -76,15 +76,10 @@ void MeshState::clear() {
 
 std::vector<NodeId> MeshState::free_nodes() const {
   std::vector<NodeId> out;
-  free_nodes_into(out);
-  return out;
-}
-
-void MeshState::free_nodes_into(std::vector<NodeId>& out) const {
-  out.clear();
   out.reserve(static_cast<std::size_t>(free_));
   for (NodeId n = 0; n < geom_.nodes(); ++n)
     if (!busy_[static_cast<std::size_t>(n)]) out.push_back(n);
+  return out;
 }
 
 }  // namespace procsim::mesh

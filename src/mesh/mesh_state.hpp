@@ -8,10 +8,10 @@
 
 namespace procsim::mesh {
 
-/// Occupancy bitmap of a mesh: which processors are currently allocated.
-/// Shared vocabulary of every allocation strategy; the strategies keep their
-/// own auxiliary indexes (page tables, buddy trees, busy lists) in sync with
-/// this ground truth, and the tests cross-check them against it.
+/// Occupancy bitmap of a mesh, one byte per node: which processors are
+/// currently allocated. The obviously-correct oracle that FreeSubmeshScan
+/// reads and OccupancyIndex is checked against (OccupancyIndex::to_mesh_state);
+/// the allocators themselves record occupancy in the index only.
 class MeshState {
  public:
   explicit MeshState(Geometry geom)
@@ -43,12 +43,9 @@ class MeshState {
   /// Frees every node (fresh replication).
   void clear();
 
-  /// Row-major list of free node ids (Paging(0) ground truth / diagnostics).
+  /// Row-major list of free node ids (the oracle of
+  /// OccupancyIndex::free_nodes_into, whose order Random's draws rely on).
   [[nodiscard]] std::vector<NodeId> free_nodes() const;
-
-  /// free_nodes() into a caller-owned buffer (cleared first) so hot paths can
-  /// reuse one allocation across calls.
-  void free_nodes_into(std::vector<NodeId>& out) const;
 
  private:
   [[nodiscard]] std::size_t checked(NodeId n) const;

@@ -162,6 +162,18 @@ void OccupancyIndex::release(NodeId n) {
   release(SubMesh{c.x, c.y, c.x, c.y});
 }
 
+void OccupancyIndex::free_nodes_into(std::vector<NodeId>& out) const {
+  out.clear();
+  out.reserve(static_cast<std::size_t>(free_count_));
+  for (std::int32_t y = 0; y < geom_.length(); ++y) {
+    const std::uint64_t* r = row(y);
+    const NodeId row_base = y * geom_.width();
+    for (std::size_t w = 0; w < words_; ++w)
+      for (std::uint64_t bits = r[w]; bits != 0; bits &= bits - 1)
+        out.push_back(row_base + static_cast<NodeId>(w * 64) + std::countr_zero(bits));
+  }
+}
+
 std::int32_t OccupancyIndex::free_in_row_range(std::int32_t y, std::int32_t c1,
                                                std::int32_t c2) const {
   const std::uint64_t* r = row(y);

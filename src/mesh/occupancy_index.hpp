@@ -73,6 +73,11 @@ class OccupancyIndex {
 
   // --- Queries, answer-identical to FreeSubmeshScan on the same occupancy ---
 
+  /// Row-major list of free node ids into a caller-owned buffer (cleared
+  /// first), so a hot path reuses one allocation across calls; the order is
+  /// MeshState::free_nodes()'s.
+  void free_nodes_into(std::vector<NodeId>& out) const;
+
   /// Number of busy nodes inside `s` (must lie within the mesh).
   [[nodiscard]] std::int32_t busy_in(const SubMesh& s) const;
 

@@ -124,10 +124,7 @@ void WormholeNetwork::on_analytic(void* ctx, std::uint32_t slot, std::uint64_t) 
   auto* self = static_cast<WormholeNetwork*>(ctx);
   const Delivery d = self->analytic_[slot];
   self->analytic_free_.push_back(slot);
-  self->metrics_.latency.add(d.latency);
-  self->metrics_.blocking.add(d.blocked);
-  self->metrics_.hops.add(static_cast<double>(d.hops));
-  ++self->metrics_.delivered;
+  ++self->stats_.delivered;
   if (self->rec_ != nullptr)
     self->rec_->packet_deliver(self->sim_.now(), d.tag, static_cast<std::int32_t>(d.src),
                                static_cast<std::int32_t>(d.dst), d.hops, d.latency,
@@ -168,7 +165,7 @@ void WormholeNetwork::inject(mesh::NodeId src, mesh::NodeId dst, std::uint64_t t
     inject_analytic(src, dst, tag);
     return;
   }
-  ++metrics_.injected;
+  ++stats_.injected;
   if (rec_ != nullptr)
     rec_->packet_inject(sim_.now(), tag, static_cast<std::int32_t>(src),
                         static_cast<std::int32_t>(dst));
@@ -352,15 +349,18 @@ void WormholeNetwork::step_acquire(EngineState& st, std::int32_t pkt, double t) 
 
 // Batched continuation: acquire the maximal run of currently-free consecutive
 // path channels in one shot. Channels past the first are reservations with
-// future acquisition times (t + k*(1+st)); worm-slide releases inside the run
-// are computed arithmetically. One event total: the virtual arrival at the
-// first non-free channel (or the ejection completion).
+// future acquisition times; worm-slide releases inside the run are computed
+// arithmetically. One event total: the virtual arrival at the first non-free
+// channel (or the ejection completion). The k-th acquisition time is built
+// by adding 1+st k times, exactly as the stepped engine's per-hop attempts
+// do: t + k*(1+st) rounds once and can differ in the last bit when t (a
+// job's start time) is not an integer.
 void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
   Packet& p = st.pool[static_cast<std::size_t>(pkt)];
   const auto len = static_cast<std::int32_t>(p.path.size());
   const std::int32_t first = p.next;
   const std::int32_t plen = params_.packet_len;
-  const std::int64_t step = 1 + params_.st;
+  const auto step = static_cast<double>(1 + params_.st);
   {
     Channel& head = st.channels[static_cast<std::size_t>(p.path[static_cast<std::size_t>(first)])];
     head.holder = pkt;
@@ -372,6 +372,7 @@ void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
     set_release(st, p.path[static_cast<std::size_t>(first - plen)], t + 1.0);
   if (params_.engine == NetEngine::kVerify)
     st.touched.push_back(p.path[static_cast<std::size_t>(first)]);
+  double vt = t;  // acquisition time of the last channel of the run
   std::int32_t j = first + 1;
   while (j < len) {
     Channel& ch = st.channels[static_cast<std::size_t>(p.path[static_cast<std::size_t>(j)])];
@@ -382,7 +383,7 @@ void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
       ch.reserved = false;
     }
     if (ch.holder >= 0 || ch.wait_head >= 0) break;
-    const double vt = t + static_cast<double>(static_cast<std::int64_t>(j - first) * step);
+    vt += step;
     ch.holder = pkt;
     ch.acq_time = vt;
     ch.rel_time = kNoRelease;
@@ -399,16 +400,14 @@ void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
   ++stats_.run_len_hist[run_len_bucket(j - first)];
   const std::uint32_t e = p.run_epoch;
   if (j == len) {
-    const ChannelId ej = p.path[static_cast<std::size_t>(len - 1)];
-    const double t_eject = st.channels[static_cast<std::size_t>(ej)].acq_time;
-    if (t_eject == t) {
-      st.ejections.push_back({pkt, ej, e});  // flushed by this pass
+    if (vt == t) {  // flushed by this pass
+      st.ejections.push_back({pkt, p.path[static_cast<std::size_t>(len - 1)], e});
     } else {
-      sim_.schedule_at(t_eject, kind_eject_, static_cast<std::uint32_t>(pkt), stamp(st, e));
+      sim_.schedule_at(vt, kind_eject_, static_cast<std::uint32_t>(pkt), stamp(st, e));
     }
   } else {
-    const double arrive = t + static_cast<double>(static_cast<std::int64_t>(j - first) * step);
-    sim_.schedule_at(arrive, kind_attempt_, static_cast<std::uint32_t>(pkt), stamp(st, e));
+    sim_.schedule_at(vt + step, kind_attempt_, static_cast<std::uint32_t>(pkt),
+                     stamp(st, e));
   }
 }
 
@@ -514,10 +513,7 @@ void WormholeNetwork::deliver(EngineState& st, std::int32_t pkt) {
     recycle(st, pkt);
     return;
   }
-  metrics_.latency.add(d.latency);
-  metrics_.blocking.add(d.blocked);
-  metrics_.hops.add(static_cast<double>(d.hops));
-  ++metrics_.delivered;
+  ++stats_.delivered;
   if (params_.engine == NetEngine::kVerify)
     verify_match(id, VerifyRec{sim_.now(), d.latency, d.blocked, d.hops, false});
   if (rec_ != nullptr)
@@ -541,7 +537,7 @@ void WormholeNetwork::recycle(EngineState& st, std::int32_t pkt) {
 // byte-compared.
 void WormholeNetwork::inject_analytic(mesh::NodeId src, mesh::NodeId dst,
                                       std::uint64_t tag) {
-  ++metrics_.injected;
+  ++stats_.injected;
   ++stats_.analytic_packets;
   if (rec_ != nullptr)
     rec_->packet_inject(sim_.now(), tag, static_cast<std::int32_t>(src),
@@ -663,7 +659,6 @@ void WormholeNetwork::reset() {
   analytic_free_.clear();
   verify_pending_.clear();
   verify_cmp_armed_ = false;
-  metrics_.reset();
   stats_.reset();
 }
 

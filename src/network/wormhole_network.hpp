@@ -10,7 +10,6 @@
 #include "des/simulator.hpp"
 #include "mesh/coord.hpp"
 #include "network/routing.hpp"
-#include "stats/welford.hpp"
 
 namespace procsim::obs {
 class Recorder;
@@ -66,21 +65,14 @@ struct Delivery {
   std::int32_t hops{0};
 };
 
-/// Aggregate network statistics for one simulation run.
-struct NetworkMetrics {
-  stats::Welford latency;
-  stats::Welford blocking;
-  stats::Welford hops;
-  std::uint64_t injected{0};
-  std::uint64_t delivered{0};
-
-  void reset() { *this = NetworkMetrics{}; }
-};
-
 /// Engine-level counters for one run (pulled into obs::Counters by
 /// SystemSim). `run_len_hist` buckets maximal-run lengths at
-/// 1, 2-3, 4-7, 8-15, 16-31, 32+ channels.
+/// 1, 2-3, 4-7, 8-15, 16-31, 32+ channels. Per-packet latency, blocking and
+/// hop statistics are not kept here: they reach the delivery sink, and
+/// SystemSim accumulates them behind its warmup gate.
 struct NetStats {
+  std::uint64_t injected{0};
+  std::uint64_t delivered{0};
   std::uint64_t runs_batched{0};
   std::uint64_t run_len_hist[6]{};
   std::uint64_t truncations{0};       ///< reservations stolen by earlier attempts
@@ -110,8 +102,8 @@ struct NetStats {
 /// id order, winner = min (attempt_time, injection_seq). Both cycle engines
 /// share this core, which is what makes kBatched bit-identical to kStepped.
 ///
-/// Latency and blocking are accumulated per packet and reported through both
-/// the delivery sink (for per-job bookkeeping) and NetworkMetrics.
+/// Latency and blocking are accumulated per packet and reported through the
+/// delivery sink.
 class WormholeNetwork {
  public:
   /// Per-delivery sink: a raw function pointer + context instead of a
@@ -128,7 +120,7 @@ class WormholeNetwork {
   /// Precondition: src != dst.
   void inject(mesh::NodeId src, mesh::NodeId dst, std::uint64_t tag);
 
-  /// Invoked on every completed delivery (after metrics are updated).
+  /// Invoked on every completed delivery (after stats().delivered counts it).
   void set_delivery_sink(DeliverySink sink, void* ctx) noexcept {
     sink_ = sink;
     sink_ctx_ = ctx;
@@ -138,10 +130,9 @@ class WormholeNetwork {
   /// wired by SystemSim::run from SystemConfig::recorder.
   void set_recorder(obs::Recorder* rec) noexcept { rec_ = rec; }
 
-  [[nodiscard]] const NetworkMetrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const NetStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t in_flight() const noexcept {
-    return metrics_.injected - metrics_.delivered;
+    return stats_.injected - stats_.delivered;
   }
   [[nodiscard]] const NetworkParams& params() const noexcept { return params_; }
   [[nodiscard]] NetEngine engine() const noexcept { return params_.engine; }
@@ -150,8 +141,10 @@ class WormholeNetwork {
   /// Contention-free latency of one packet over `hops` mesh links, in whole
   /// cycles: every channel (injection, links, ejection) costs 1 cycle plus
   /// `st` routing before the next, and the tail drains P_len - 1 cycles
-  /// behind the header. All cycle arithmetic in the engines routes through
-  /// this integer form; simulation times are exact integers in double.
+  /// behind the header. Simulation times are not integers (a job starts at
+  /// a continuous arrival time), so a delivery's latency can differ from
+  /// this in the last bit; both cycle engines add the per-hop 1 + st one
+  /// hop at a time, which keeps them bit-identical to each other.
   [[nodiscard]] std::int64_t base_latency_cycles(std::int32_t hops) const noexcept {
     return (static_cast<std::int64_t>(hops) + 1) * (1 + params_.st) + params_.packet_len;
   }
@@ -220,7 +213,7 @@ class WormholeNetwork {
   // except the continuation after a grant; kVerify instantiates two.
   struct EngineState {
     bool stepped{false};
-    bool shadow{false};  // verify shadow: no metrics/recorder/sink
+    bool shadow{false};  // verify shadow: no stats/recorder/sink
     std::vector<Channel> channels;
     std::vector<Packet> pool;
     std::vector<std::int32_t> free_pool;
@@ -282,7 +275,6 @@ class WormholeNetwork {
   des::Simulator& sim_;
   ChannelMap map_;
   NetworkParams params_;
-  NetworkMetrics metrics_;
   NetStats stats_;
   std::unique_ptr<EngineState> primary_;
   std::unique_ptr<EngineState> shadow_;  // kVerify only

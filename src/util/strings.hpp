@@ -1,7 +1,12 @@
 #pragma once
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 
 namespace procsim::util {
 
@@ -14,6 +19,24 @@ namespace procsim::util {
         std::tolower(static_cast<unsigned char>(b[i])))
       return false;
   return true;
+}
+
+/// The one number grammar of every flag and spec string: all of `text` must
+/// be one std::from_chars number. Empty text, leftover characters ("0.01x"),
+/// a sign on an unsigned type ("-1"), a value out of the type's range
+/// ("1e999") and, for floating point, "nan" and "inf" give nullopt, never a
+/// parsed prefix or a silent default. Callers keep their own range checks.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text) noexcept {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, err] = std::from_chars(text.data(), last, value);
+  if (text.empty() || err != std::errc{} || end != last) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace procsim::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <initializer_list>
 #include <stdexcept>
 
@@ -42,25 +41,28 @@ class Options {
  public:
   explicit Options(const SourceSpec& spec) : spec_(spec), unused_(spec.params) {}
 
+  /// A finite value > min_exclusive.
   [[nodiscard]] double number(const std::string& key, double fallback,
                               double min_exclusive) {
     const auto it = spec_.params.find(key);
     if (it == spec_.params.end()) return fallback;
     unused_.erase(key);
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0' || !(v > min_exclusive))
+    const auto v = util::parse_number<double>(it->second);
+    if (!v || !(*v > min_exclusive))
       fail("bad value '" + it->second + "' for key '" + key + "' in '" +
            spec_.canonical + "'");
-    return v;
+    return *v;
   }
 
   [[nodiscard]] std::size_t count(const std::string& key, std::size_t fallback) {
-    const double v = number(key, static_cast<double>(fallback), -1);
-    if (v < 0 || v != static_cast<double>(static_cast<std::size_t>(v)))
+    const auto it = spec_.params.find(key);
+    if (it == spec_.params.end()) return fallback;
+    unused_.erase(key);
+    const auto v = util::parse_number<std::size_t>(it->second);
+    if (!v)
       fail("key '" + key + "' must be a non-negative integer in '" +
            spec_.canonical + "'");
-    return static_cast<std::size_t>(v);
+    return *v;
   }
 
   [[nodiscard]] SideDistribution dist(const std::string& key,

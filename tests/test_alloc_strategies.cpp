@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "alloc/contiguous.hpp"
 #include "alloc/gabl.hpp"
@@ -68,9 +69,21 @@ TEST(Paging, ReleaseRestoresPages) {
   PagingAllocator a(Geometry(8, 8), 2);  // one 4×4 page quadrant each
   const auto p = a.allocate(Request{4, 4, 16});
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(a.free_pages(), 3u);
+  ASSERT_EQ(p->blocks.size(), 1u);
+  EXPECT_EQ(p->blocks[0], a.pages().page(0));
+  EXPECT_EQ(a.free_processors(), 48);
+  // The next request skips the busy first page.
+  const auto q = a.allocate(Request{4, 4, 16});
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->blocks[0], a.pages().page(1));
   a.release(*p);
-  EXPECT_EQ(a.free_pages(), 4u);
+  EXPECT_EQ(a.free_processors(), 48);
+  // The released page is the first free one again.
+  const auto r = a.allocate(Request{4, 4, 16});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->blocks[0], a.pages().page(0));
+  a.release(*q);
+  a.release(*r);
   EXPECT_EQ(a.free_processors(), 64);
 }
 
@@ -146,7 +159,7 @@ TEST(Gabl, ContiguousFastPathWhenPossible) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->blocks.size(), 1u);
   EXPECT_EQ(p->blocks[0].area(), 20);
-  EXPECT_EQ(a.busy_list().size(), 1u);
+  EXPECT_EQ(a.index().busy_count(), 20);
 }
 
 TEST(Gabl, RotatesWhenOnlyRotatedFits) {
@@ -200,16 +213,25 @@ TEST(Gabl, FailsIffFreeBelowAxB) {
   EXPECT_TRUE(a.allocate(Request{6, 1, 6}).has_value());   // exactly 6 free
 }
 
-TEST(Gabl, BusyListTracksAllBlocks) {
+TEST(Gabl, IndexTracksAllBlocks) {
   GablAllocator a(Geometry(16, 22));
   const auto p1 = a.allocate(Request{4, 4, 16});
   const auto p2 = a.allocate(Request{3, 3, 9});
   ASSERT_TRUE(p1 && p2);
-  EXPECT_EQ(a.busy_list().size(), p1->blocks.size() + p2->blocks.size());
+  EXPECT_EQ(a.index().busy_count(), p1->allocated + p2->allocated);
   a.release(*p1);
-  EXPECT_EQ(a.busy_list().size(), p2->blocks.size());
+  EXPECT_EQ(a.index().busy_count(), p2->allocated);
+  for (const auto& blk : p2->blocks) EXPECT_EQ(a.index().busy_in(blk), blk.area());
   a.release(*p2);
-  EXPECT_TRUE(a.busy_list().empty());
+  EXPECT_EQ(a.index().busy_count(), 0);
+}
+
+TEST(Gabl, ReleasingAPlacementTwiceThrows) {
+  GablAllocator a(Geometry(8, 8));
+  const auto p = a.allocate(Request{3, 2, 6});
+  ASSERT_TRUE(p.has_value());
+  a.release(*p);
+  EXPECT_THROW(a.release(*p), std::logic_error);
 }
 
 // --------------------------------------------------------------- Contiguous

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,8 +12,8 @@
 #include "cluster/dispatcher.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_spec.hpp"
+#include "core/figure_runner.hpp"
 #include "network/wormhole_network.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -112,6 +113,15 @@ TEST(ClusterSpec, MalformedSpecsFailWithReason) {
   fails("4x(8x8);migrate=maybe", "migrate");
   fails("4x(8x8);bogus=1", "unknown");
   fails("4x(9999x8)", "4096");
+  // Non-finite numbers fail like malformed ones: a NaN latency would run the
+  // fleet clock backwards.
+  fails("2x(8x8);migrate=steal;lat=nan", "lat");
+  fails("2x(8x8);migrate=steal;lat=inf", "lat");
+  fails("2x(8x8);migrate=steal;lat=1e999", "lat");
+  fails("2x(8x8);balance=improved;stale=nan", "stale");
+  fails("2x(8x8);balance=improved;stale=inf", "stale");
+  fails("2x(8x8.5)", "4096");
+  fails("1e1x(8x8)", "count");
 }
 
 // ---------------------------------------------------------------------------
@@ -355,19 +365,31 @@ TEST(ClusterSim, FixedSeedRunsAreBitIdentical) {
 }
 
 TEST(ClusterSim, ThreadedReplicationsMatchSerialBitForBit) {
-  const auto cfg = cluster_cfg("2x(8x8);balance=random;migrate=steal;lat=25",
-                               0.08, 120);
-  stats::ReplicationPolicy policy;
-  policy.min_replications = policy.max_replications = 3;
-  const core::AggregateResult serial = core::run_replicated(cfg, policy, nullptr);
-  util::ThreadPool pool(2);
-  const core::AggregateResult threaded = core::run_replicated(cfg, policy, &pool);
-  ASSERT_EQ(serial.replications, threaded.replications);
-  ASSERT_EQ(serial.metrics.size(), threaded.metrics.size());
-  for (const auto& [name, interval] : serial.metrics) {
-    ASSERT_TRUE(threaded.metrics.contains(name)) << name;
-    EXPECT_EQ(interval.mean, threaded.metrics.at(name).mean) << name;
-    EXPECT_EQ(interval.half_width, threaded.metrics.at(name).half_width) << name;
+  // run_grid farms cells across threads and runs each cell's replications
+  // serially, so a fleet grid prints the same bytes, means and 95 %
+  // half-widths, at any thread count.
+  const std::vector<std::string> balance{"random", "improved"};
+  const std::vector<double> loads{0.04, 0.08};
+  core::GridSpec grid;
+  grid.corner = "load";
+  grid.rows = {"0.04", "0.08"};
+  grid.cols = balance;
+  grid.cell = [&](std::size_t r, std::size_t c) {
+    return cluster_cfg("2x(8x8);balance=" + balance[c] + ";migrate=steal;lat=25",
+                       loads[r], 120);
+  };
+  core::RunOptions opts;
+  opts.min_reps = opts.max_reps = 3;
+  opts.seed = 7;
+  for (const char* metric : {"turnaround", "latency", "migrations", "util_spread"}) {
+    grid.metric = metric;
+    std::ostringstream serial;
+    std::ostringstream threaded;
+    opts.threads = 1;
+    core::run_grid(grid, opts, serial, /*with_ci=*/true);
+    opts.threads = 3;
+    core::run_grid(grid, opts, threaded, /*with_ci=*/true);
+    EXPECT_EQ(threaded.str(), serial.str()) << metric;
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include "alloc/registry.hpp"
 #include "core/experiment.hpp"
+#include "core/experiment_spec.hpp"
 #include "core/figure_runner.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -203,6 +205,39 @@ TEST(FigureRunner, PositiveFlagValues) {
     EXPECT_EXIT((void)parse_positive_flag("tool", bad), status2,
                 "^tool: bad value '.*' for --load \\(expected a finite number > 0\\)\n$")
         << bad;
+}
+
+TEST(ParseNumber, WholeTextFiniteNumbersOnly) {
+  using procsim::util::parse_number;
+  EXPECT_EQ(parse_number<std::uint64_t>("42"), 42u);
+  EXPECT_EQ(parse_number<std::int32_t>("-7"), -7);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("1e-3"), 1e-3);
+  EXPECT_EQ(parse_number<double>("-2"), -2.0);  // sign checks are the caller's
+  for (const char* bad : {"", "abc", "12x", "0.01x", " 1", "1 ", "+1", "0x10"}) {
+    EXPECT_FALSE(parse_number<std::uint64_t>(bad)) << bad;
+    EXPECT_FALSE(parse_number<double>(bad)) << bad;
+  }
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("99999999999999999999"));
+  EXPECT_FALSE(parse_number<std::int32_t>("2147483648"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("1e3"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("2.5"));
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1e999"})
+    EXPECT_FALSE(parse_number<double>(bad)) << bad;
+}
+
+TEST(ExperimentSpec, MeshGeometryIsStrict) {
+  using procsim::core::parse_mesh_geometry;
+  const auto g = parse_mesh_geometry("16x22");
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->width(), 16);
+  EXPECT_EQ(g->length(), 22);
+  EXPECT_TRUE(parse_mesh_geometry("4096X1").has_value());
+  for (const char* bad : {"", "x", "16x", "x22", "16x22x", "+16x22", " 16x22", "16x 22",
+                          "0x5", "5x0", "-4x4", "4097x1", "16.5x22", "1e1x2",
+                          "99999999999x2"})
+    EXPECT_FALSE(parse_mesh_geometry(bad).has_value()) << bad;
 }
 
 TEST(FigureRunner, UnknownMetricThrows) {

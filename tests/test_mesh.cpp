@@ -158,32 +158,6 @@ TEST(MeshState, ClearRestoresPristine) {
   EXPECT_EQ(m.free_count(), 16);
 }
 
-TEST(MeshState, FreeNodesIntoRetainsCapacityAcrossCalls) {
-  // Paging(0) calls free_nodes_into on every scheduling pass with one reused
-  // buffer; at a 512×512 mesh (262,144 nodes) a per-call reallocation would
-  // be a malloc/free of a megabyte per event. The contract: after a first
-  // call sized the buffer, later calls never reallocate (clear() + reserve()
-  // within existing capacity keep the same heap block).
-  MeshState m(Geometry(512, 512));
-  ASSERT_EQ(m.geometry().nodes(), 262144);
-  std::vector<NodeId> buf;
-  m.free_nodes_into(buf);
-  ASSERT_EQ(buf.size(), 262144u);
-  const std::size_t cap = buf.capacity();
-  const NodeId* data = buf.data();
-  // Churn occupancy between calls so the free list genuinely changes size.
-  m.allocate(SubMesh{0, 0, 255, 255});
-  m.free_nodes_into(buf);
-  EXPECT_EQ(buf.size(), 262144u - 65536u);
-  EXPECT_EQ(buf.capacity(), cap);
-  EXPECT_EQ(buf.data(), data);
-  m.release(SubMesh{0, 0, 255, 255});
-  m.free_nodes_into(buf);
-  EXPECT_EQ(buf.size(), 262144u);
-  EXPECT_EQ(buf.capacity(), cap);
-  EXPECT_EQ(buf.data(), data);
-}
-
 TEST(MeshState, SubMeshOpsMatchPerNodeLoops) {
   // The row-wise allocate/release/all_free must agree with the single-node
   // path on every span alignment (start/middle/end of a row, full rows).

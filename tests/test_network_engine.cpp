@@ -30,9 +30,9 @@ using procsim::network::NetEngine;
 using procsim::network::NetworkParams;
 using procsim::network::WormholeNetwork;
 
-/// One injection of a churn schedule: packet `tag` enters at absolute
-/// integer time `t` (integer times on purpose — they collide, exercising
-/// the same-timestamp arbitration that decides FIFO order).
+/// One injection of a churn schedule: packet `tag` enters at absolute time
+/// `t`. The churn schedules use integer times on purpose — they collide,
+/// exercising the same-timestamp arbitration that decides FIFO order.
 struct Injection {
   double t{0};
   NodeId src{0};
@@ -208,6 +208,16 @@ TEST(EngineEquivalence, AdversarialHeadOfLineTruncatesReservations) {
   expect_engines_agree(schedule, geom, p);
 }
 
+TEST(EngineEquivalence, FractionalInjectionTimes) {
+  // Jobs start at continuous arrival times, so packets enter off the cycle
+  // grid; reservation times must still match the stepped oracle's bit for
+  // bit, under contention and in verify's lock-step state check.
+  const Geometry geom(8, 8);
+  auto schedule = uniform_churn(geom, 300, 120, 0xF4AC);
+  for (Injection& in : schedule) in.t += static_cast<double>(in.tag % 7) / 7.0;
+  expect_engines_agree(schedule, geom, NetworkParams{3, 8, false, NetEngine::kStepped});
+}
+
 // ------------------------------------------------------- FIFO order pins
 
 TEST(EngineEquivalence, WaiterFifoOrderIsInjectionOrder) {
@@ -355,6 +365,30 @@ TEST(CycleArithmetic, DegenerateParamsDeliverExactly) {
     EXPECT_DOUBLE_EQ(r.deliveries[0].time, 16.0);
   }
   expect_engines_agree(schedule, geom, NetworkParams{0, 1, false});
+}
+
+TEST(CycleArithmetic, NonIntegerInjectionTimeMatchesStepped) {
+  // At this start time, t + 15*(1+st) in one rounding differs in the last
+  // bit from 15 additions of 1+st, and the difference survives the drain.
+  // The stepped engine adds hop by hop; the batched run's reservations must
+  // do the same.
+  const Geometry geom(8, 8);
+  const double t0 = 1.4369731757143045;
+  const std::vector<Injection> schedule{
+      {t0, geom.id(Coord{0, 0}), geom.id(Coord{7, 7}), 1}};
+  double eject = t0;  // 16 channels: acquisitions 1..15 after the first
+  for (int k = 0; k < 15; ++k) eject += 4.0;
+  ASSERT_NE(eject + 8.0, (t0 + 15 * 4.0) + 8.0);  // the input separates the sums
+  NetworkParams p{3, 8, false, NetEngine::kStepped};
+  const RunResult stepped = run_schedule(schedule, geom, p);
+  p.engine = NetEngine::kBatched;
+  const RunResult batched = run_schedule(schedule, geom, p);
+  ASSERT_EQ(stepped.deliveries.size(), 1u);
+  ASSERT_EQ(batched.deliveries.size(), 1u);
+  EXPECT_EQ(stepped.deliveries[0].time, eject + 8.0);
+  EXPECT_EQ(batched.deliveries[0].time, stepped.deliveries[0].time);
+  EXPECT_EQ(batched.deliveries[0].latency, stepped.deliveries[0].latency);
+  expect_engines_agree(schedule, geom, NetworkParams{3, 8, false});
 }
 
 // ------------------------------------------------------- engine registry

@@ -16,6 +16,7 @@ using procsim::mesh::Coord;
 using procsim::mesh::FreeSubmeshScan;
 using procsim::mesh::Geometry;
 using procsim::mesh::MeshState;
+using procsim::mesh::NodeId;
 using procsim::mesh::OccupancyIndex;
 using procsim::mesh::SubMesh;
 
@@ -101,6 +102,7 @@ TEST_P(IndexEquivalence, MatchesLegacyScanUnderChurn) {
   MeshState state(g);
   OccupancyIndex idx(g);
   std::vector<SubMesh> live;
+  std::vector<NodeId> free;  // reused across steps, as Random reuses it
 
   const std::int32_t side_cap_w = std::max(1, g.width() / 2);
   const std::int32_t side_cap_l = std::max(1, g.length() / 2);
@@ -130,6 +132,8 @@ TEST_P(IndexEquivalence, MatchesLegacyScanUnderChurn) {
     // Compare every query family against the oracle on the mutated state.
     const FreeSubmeshScan oracle(state);
     ASSERT_EQ(idx.free_count(), state.free_count()) << "step " << step;
+    idx.free_nodes_into(free);
+    ASSERT_EQ(free, state.free_nodes()) << "step " << step;
     const auto qa =
         static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, g.width()));
     const auto qb =
@@ -161,6 +165,32 @@ TEST_P(IndexEquivalence, MatchesLegacyScanUnderChurn) {
 INSTANTIATE_TEST_SUITE_P(RandomChurn, IndexEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
+TEST(OccupancyIndex, FreeNodesIntoRetainsCapacityAcrossCalls) {
+  // Random rebuilds its free list on every allocation with one reused
+  // buffer; at a 512×512 mesh (262,144 nodes) a per-call reallocation would
+  // be a malloc/free of a megabyte per event. The contract: after a first
+  // call sized the buffer, later calls never reallocate (clear() + reserve()
+  // within existing capacity keep the same heap block).
+  OccupancyIndex idx(Geometry(512, 512));
+  std::vector<NodeId> buf;
+  idx.free_nodes_into(buf);
+  ASSERT_EQ(buf.size(), 262144u);
+  const std::size_t cap = buf.capacity();
+  const NodeId* data = buf.data();
+  // Churn occupancy between calls so the free list genuinely changes size.
+  idx.allocate(SubMesh{0, 0, 255, 255});
+  idx.free_nodes_into(buf);
+  EXPECT_EQ(buf.size(), 262144u - 65536u);
+  EXPECT_EQ(buf.front(), 256);  // row 0 resumes past the busy block
+  EXPECT_EQ(buf.capacity(), cap);
+  EXPECT_EQ(buf.data(), data);
+  idx.release(SubMesh{0, 0, 255, 255});
+  idx.free_nodes_into(buf);
+  EXPECT_EQ(buf.size(), 262144u);
+  EXPECT_EQ(buf.capacity(), cap);
+  EXPECT_EQ(buf.data(), data);
+}
+
 /// 512-scale word-boundary widths: 511 (eight words with a 63-bit tail) and
 /// 512 (exactly eight full words, tail_mask all ones). Lengths stay small so
 /// the quadratic legacy oracle stays affordable per step — the *width* is
@@ -174,6 +204,7 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
   MeshState state(g);
   OccupancyIndex idx(g);
   std::vector<SubMesh> live;
+  std::vector<NodeId> free;
 
   for (int step = 0; step < 150; ++step) {
     const auto a = static_cast<std::int32_t>(
@@ -198,6 +229,8 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
 
     const FreeSubmeshScan oracle(state);
     ASSERT_EQ(idx.free_count(), state.free_count()) << "step " << step;
+    idx.free_nodes_into(free);
+    ASSERT_EQ(free, state.free_nodes()) << "step " << step;
     const auto qa = static_cast<std::int32_t>(
         procsim::des::sample_uniform_int(rng, 1, g.width()));
     const auto qb = static_cast<std::int32_t>(

@@ -10,12 +10,11 @@
 #include "core/experiment.hpp"
 #include "core/figure_runner.hpp"
 #include "des/rng.hpp"
-#include "stats/parallel_replication.hpp"
+#include "stats/replication.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
-using procsim::core::AggregateResult;
 using procsim::core::ExperimentConfig;
 using procsim::core::FigureSpec;
 using procsim::core::paper_series;
@@ -23,8 +22,6 @@ using procsim::core::run_figure;
 using procsim::core::run_replicated;
 using procsim::core::RunOptions;
 using procsim::core::WorkloadKind;
-using procsim::stats::ParallelReplicationRunner;
-using procsim::stats::ReplicationController;
 using procsim::stats::ReplicationPolicy;
 using procsim::util::parallel_for;
 using procsim::util::resolve_threads;
@@ -83,82 +80,31 @@ TEST(SubstreamSeed, DistinctStreamsAndBases) {
   EXPECT_EQ(procsim::des::substream_seed(7, 3), procsim::des::substream_seed(7, 3));
 }
 
-// A cheap deterministic "replication": observations are pure functions of the
-// replication index, mimicking a simulation seeded by substream_seed(rep).
-std::unordered_map<std::string, double> fake_rep(std::uint64_t rep) {
-  const auto x = static_cast<double>(procsim::des::substream_seed(99, rep) >> 11);
-  return {{"metric_a", 100.0 + x * 0x1.0p-53}, {"metric_b", 5.0 + rep * 0.001}};
-}
-
-ReplicationController run_with_threads(std::size_t threads, ReplicationPolicy policy) {
-  if (threads <= 1) {
-    const ParallelReplicationRunner runner(policy, nullptr);
-    return runner.run(fake_rep);
-  }
-  ThreadPool pool(threads);
-  const ParallelReplicationRunner runner(policy, &pool);
-  return runner.run(fake_rep);
-}
-
-TEST(ParallelReplicationRunner, BitIdenticalAcrossThreadCounts) {
-  ReplicationPolicy policy;
-  policy.min_replications = 3;
-  policy.max_replications = 12;
-  const ReplicationController serial = run_with_threads(1, policy);
-  for (const std::size_t threads : {2, 4, 7}) {
-    const ReplicationController par = run_with_threads(threads, policy);
-    EXPECT_EQ(par.replications(), serial.replications()) << threads << " threads";
-    for (const std::string& m : serial.metric_names()) {
-      // Bit-identical, not approximately equal: the parallel runner must feed
-      // the controller the exact serial prefix of replications.
-      EXPECT_EQ(par.interval(m).mean, serial.interval(m).mean) << m;
-      EXPECT_EQ(par.interval(m).half_width, serial.interval(m).half_width) << m;
-      EXPECT_EQ(par.interval(m).samples, serial.interval(m).samples) << m;
-    }
-  }
-}
-
-TEST(ParallelReplicationRunner, MinAboveMaxStillRunsMinLikeSerialLoop) {
-  // done() never fires below min_replications even past max_replications, so
-  // the serial loop runs min reps for this (degenerate) policy; the parallel
-  // runner must match rather than stop at max.
-  ReplicationPolicy policy;
-  policy.min_replications = 5;
-  policy.max_replications = 3;
-  EXPECT_EQ(run_with_threads(1, policy).replications(), 5u);
-  EXPECT_EQ(run_with_threads(4, policy).replications(), 5u);
-}
-
-TEST(ParallelReplicationRunner, HonorsReplicationCap) {
-  ReplicationPolicy policy;
-  policy.min_replications = 2;
-  policy.max_replications = 4;
-  policy.max_relative_error = 0.0;  // unattainable: always runs to the cap
-  ThreadPool pool(8);               // more speculation width than the cap allows
-  const ParallelReplicationRunner runner(policy, &pool);
-  const ReplicationController c = runner.run(fake_rep);
-  EXPECT_EQ(c.replications(), 4u);
-}
-
-TEST(ParallelReplicationRunner, MatchesRunReplicated) {
+// run_replicated is the serial sequential-stopping loop: it never stops
+// below min_replications, and stops at max_replications when the precision
+// target is out of reach.
+ExperimentConfig tiny_experiment() {
   ExperimentConfig cfg;
   cfg.sys.target_completions = 30;
   cfg.workload.job_count = 30;
   cfg.workload.stochastic.load = 0.02;
   cfg.seed = 5;
+  return cfg;
+}
+
+TEST(RunReplicated, MinAboveMaxStillRunsMin) {
+  ReplicationPolicy policy;
+  policy.min_replications = 5;
+  policy.max_replications = 3;
+  EXPECT_EQ(run_replicated(tiny_experiment(), policy).replications, 5u);
+}
+
+TEST(RunReplicated, HonorsReplicationCap) {
   ReplicationPolicy policy;
   policy.min_replications = 2;
-  policy.max_replications = 3;
-  const AggregateResult serial = run_replicated(cfg, policy, nullptr);
-  ThreadPool pool(4);
-  const AggregateResult par = run_replicated(cfg, policy, &pool);
-  EXPECT_EQ(par.replications, serial.replications);
-  ASSERT_EQ(par.metrics.size(), serial.metrics.size());
-  for (const auto& [name, iv] : serial.metrics) {
-    ASSERT_TRUE(par.metrics.contains(name)) << name;
-    EXPECT_EQ(par.metrics.at(name).mean, iv.mean) << name;
-    EXPECT_EQ(par.metrics.at(name).half_width, iv.half_width) << name;
-  }
+  policy.max_replications = 4;
+  policy.max_relative_error = 0.0;  // unattainable: always runs to the cap
+  EXPECT_EQ(run_replicated(tiny_experiment(), policy).replications, 4u);
 }
 
 FigureSpec small_figure() {

@@ -221,10 +221,14 @@ TEST(SystemSim, NetEngineSelectionPreservesTrajectory) {
   };
   // 8x8 SSD with immediate sends; then the paper's 16x22 GABL/FCFS mesh with
   // think time 50, where every delivery re-injects the source's next message
-  // from SystemSim::on_delivery after the pause.
+  // from SystemSim::on_delivery after the pause. The 8x8 load-0.2 seed-19
+  // input starts packets at non-integer times, where t + k*(1+st) in one
+  // rounding differs in the last bit from k additions of 1+st; verify's
+  // state check sees any reservation time that takes the former.
   for (const Input& in :
        {Input{Geometry(8, 8), Policy::kSsd, 0, 0.05, 50, 7},
-        Input{Geometry(16, 22), Policy::kFcfs, 50, 0.01, 150, 0xF14}}) {
+        Input{Geometry(16, 22), Policy::kFcfs, 50, 0.01, 150, 0xF14},
+        Input{Geometry(8, 8), Policy::kFcfs, 0, 0.2, 40, 19}}) {
     SCOPED_TRACE(std::to_string(in.geom.width()) + "x" + std::to_string(in.geom.length()));
     SystemConfig cfg;
     cfg.geom = in.geom;
@@ -495,6 +499,65 @@ TEST(SystemSim, GoldenTrajectoryStealingFleet) {
   EXPECT_EQ(m.cluster.migrations, 26u);
   expect_golden(m, Golden{8616, 0x1.a49a4916d465p+11, 0x1.1691e852901d5p+7,
                           0x1.99ffa8ad4824fp+5});
+}
+
+// The allocators whose bookkeeping moved onto the occupancy index: Random
+// draws from the index's row-major free list, Paging skips pages whose base
+// node the index marks busy, MBS keeps its buddy tiling beside the index.
+// Recorded before that change; any changed placement moves the trajectory.
+TEST(SystemSim, GoldenTrajectoryRandomTraceCell) {
+  procsim::core::ExperimentConfig cfg;
+  cfg.sys.geom = Geometry(16, 22);
+  cfg.sys.net = procsim::network::NetworkParams{3, 8, false};
+  cfg.sys.think_time = 50;
+  cfg.sys.target_completions = 200;
+  cfg.workload.kind = procsim::core::WorkloadKind::kTrace;
+  cfg.workload.replay.prefix = 200;
+  cfg.workload.load = 0.005;
+  cfg.allocator = procsim::core::AllocatorSpec("Random");
+  cfg.scheduler = Policy::kFcfs;
+  cfg.seed = 42;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 200u);
+  expect_golden(m, Golden{306584, 0x1.d43a6025dd8ddp+15, 0x1.03da903ecbca7p+11,
+                          0x1.90c314225c4a2p+6});
+}
+
+procsim::core::ExperimentConfig saturated_stochastic_cell(
+    procsim::workload::SideDistribution dist, const char* alloc, Policy policy,
+    std::uint64_t seed) {
+  // 200 jobs at load 0.08 on 16x22: the queue stays long, so most
+  // allocations find earlier jobs still holding nodes.
+  procsim::core::ExperimentConfig cfg;
+  cfg.sys.geom = Geometry(16, 22);
+  cfg.sys.net = procsim::network::NetworkParams{3, 8, false};
+  cfg.sys.target_completions = 0;
+  cfg.workload.kind = procsim::core::WorkloadKind::kStochastic;
+  cfg.workload.job_count = 200;
+  cfg.workload.stochastic.side_dist = dist;
+  cfg.workload.stochastic.load = 0.08;
+  cfg.allocator = procsim::core::AllocatorSpec(alloc);
+  cfg.scheduler = policy;
+  cfg.seed = seed;
+  return cfg;
+}
+
+TEST(SystemSim, GoldenTrajectoryShuffledSnakePaging) {
+  procsim::core::ExperimentConfig cfg = saturated_stochastic_cell(
+      procsim::workload::SideDistribution::kUniform, "Paging(1)", Policy::kSsd, 11);
+  cfg.allocator.paging_indexing = procsim::mesh::PageIndexing::kShuffledSnake;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 200u);
+  expect_golden(m, Golden{6380, 0x1.a142b3d919bfap+12, 0x1.9907f34965a7bp+10,
+                          0x1.e4226291f38ffp+5});
+}
+
+TEST(SystemSim, GoldenTrajectoryMbs) {
+  const RunMetrics m = procsim::core::run_once(saturated_stochastic_cell(
+      procsim::workload::SideDistribution::kExponential, "MBS", Policy::kFcfs, 5));
+  EXPECT_EQ(m.completed, 200u);
+  expect_golden(m, Golden{5739, 0x1.4ef0c88eeea78p+12, 0x1.1dc00d89f537ep+10,
+                          0x1.9d39b1ffec557p+5});
 }
 
 TEST(SystemSim, AllProcessorsReleasedAtEnd) {

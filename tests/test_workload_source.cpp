@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/figure_runner.hpp"
 #include "des/rng.hpp"
 #include "mesh/coord.hpp"
 #include "stats/welford.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/source.hpp"
 #include "workload/source_registry.hpp"
 
@@ -129,6 +130,15 @@ TEST(SourceRegistry, MakeSourceFailsFastListingKnownKinds) {
                std::invalid_argument);
   EXPECT_THROW((void)make_source("saturation;n=2.5", Geometry(8, 8)),
                std::invalid_argument);
+  // Non-finite and out-of-range numbers fail like malformed ones: a NaN or
+  // infinite load or burst ratio would hang or abort the stream.
+  for (const char* spec :
+       {"uniform;load=inf", "uniform;load=nan", "uniform;load=1e999",
+        "bursty;b=inf", "bursty;phase=nan", "real;f=inf", "real;f=nan",
+        "uniform;mes=inf", "uniform;jobs=1e3", "uniform;jobs=-1",
+        "saturation;n=99999999999999999999"})
+    EXPECT_THROW((void)make_source(spec, Geometry(8, 8)), std::invalid_argument)
+        << spec;
   EXPECT_THROW((void)make_source("swf:/nonexistent/trace.swf", Geometry(8, 8)),
                std::runtime_error);
 }
@@ -391,29 +401,38 @@ TEST(VectorSource, RewindsWithoutReseeding) {
 // --------------------------------- replication determinism across threads
 
 TEST(SourceWorkloads, ReplicatedRunsAreThreadCountInvariant) {
-  // The ParallelReplicationRunner contract extended to registry sources:
-  // replication k seeds its source with substream_seed(seed, k) whether the
-  // replications run serially or on a pool, so the aggregates match bitwise.
-  for (const char* spec : {"saturation;n=150", "bursty;jobs=150", "exponential"}) {
+  // Replication k seeds its source with substream_seed(seed, k) in every
+  // cell, so run_grid's cell farm, the one concurrency path, prints the
+  // same bytes for registry sources at 1 and 3 threads.
+  const std::vector<std::string> specs{"saturation;n=150", "bursty;jobs=150",
+                                       "exponential"};
+  const std::vector<std::string> allocs{"GABL", "MBS"};
+  procsim::core::GridSpec grid;
+  grid.corner = "workload";
+  grid.rows = specs;
+  grid.cols = allocs;
+  grid.cell = [&](std::size_t r, std::size_t c) {
     procsim::core::ExperimentConfig cfg;
     cfg.sys.geom = Geometry(16, 22);
     cfg.sys.target_completions = 150;
-    cfg.workload.source_spec = spec;
+    cfg.workload.source_spec = specs[r];
     cfg.workload.job_count = 150;
     cfg.workload.load = 0.02;
-    cfg.seed = 31;
-    procsim::stats::ReplicationPolicy policy;
-    policy.min_replications = 3;
-    policy.max_replications = 3;
-    const auto serial = procsim::core::run_replicated(cfg, policy, nullptr);
-    procsim::util::ThreadPool pool(3);
-    const auto parallel = procsim::core::run_replicated(cfg, policy, &pool);
-    ASSERT_EQ(serial.replications, parallel.replications) << spec;
-    for (const auto& [name, interval] : serial.metrics) {
-      const auto& other = parallel.metrics.at(name);
-      EXPECT_DOUBLE_EQ(interval.mean, other.mean) << spec << " " << name;
-      EXPECT_DOUBLE_EQ(interval.half_width, other.half_width) << spec << " " << name;
-    }
+    cfg.allocator = procsim::core::AllocatorSpec(allocs[c]);
+    return cfg;
+  };
+  procsim::core::RunOptions opts;
+  opts.min_reps = opts.max_reps = 3;
+  opts.seed = 31;
+  for (const char* metric : {"turnaround", "latency"}) {
+    grid.metric = metric;
+    std::ostringstream serial;
+    std::ostringstream threaded;
+    opts.threads = 1;
+    procsim::core::run_grid(grid, opts, serial, /*with_ci=*/true);
+    opts.threads = 3;
+    procsim::core::run_grid(grid, opts, threaded, /*with_ci=*/true);
+    EXPECT_EQ(threaded.str(), serial.str()) << metric;
   }
 }
 
