@@ -6,17 +6,22 @@
 // first row.
 //
 //   ./mesh_animation [gabl|paging|mbs|random] [frames]
+//
+// frames is a whole number in 1..1000 (default 6). An unknown strategy or a
+// bad frame count prints one line to stderr and exits with status 2.
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/figure_runner.hpp"
 #include "des/distributions.hpp"
 #include "des/simulator.hpp"
+#include "util/strings.hpp"
 #include "workload/shape.hpp"
 
 namespace {
@@ -103,16 +108,36 @@ struct Animation {
   char next_letter{'A'};
 };
 
+constexpr const char* kProg = "mesh_animation";
+constexpr int kMaxFrames = 1000;
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 3)
+    core::usage_error(kProg, "too many arguments (expected [gabl|paging|mbs|random] [frames])");
   core::AllocatorSpec spec;  // defaults to GABL
   if (argc > 1) {
-    if (std::strcmp(argv[1], "paging") == 0) spec = core::AllocatorSpec{"Paging(0)"};
-    if (std::strcmp(argv[1], "mbs") == 0) spec = core::AllocatorSpec{"MBS"};
-    if (std::strcmp(argv[1], "random") == 0) spec = core::AllocatorSpec{"Random"};
+    const std::string_view name = argv[1];
+    if (name == "paging")
+      spec = core::AllocatorSpec{"Paging(0)"};
+    else if (name == "mbs")
+      spec = core::AllocatorSpec{"MBS"};
+    else if (name == "random")
+      spec = core::AllocatorSpec{"Random"};
+    else if (name != "gabl")
+      core::usage_error(kProg, "unknown strategy '" + std::string(name) +
+                                   "' (expected gabl, paging, mbs or random)");
   }
-  const int frames = argc > 2 ? std::atoi(argv[2]) : 6;
+  int frames = 6;
+  if (argc > 2) {
+    const auto parsed = util::parse_number<int>(argv[2]);
+    if (!parsed || *parsed < 1 || *parsed > kMaxFrames)
+      core::usage_error(kProg, "bad frame count '" + std::string(argv[2]) +
+                                   "' (expected a whole number in 1.." +
+                                   std::to_string(kMaxFrames) + ")");
+    frames = *parsed;
+  }
 
   Animation a(spec, mesh::Geometry(16, 22));
   std::printf("strategy: %s — '.' free, letters = jobs\n\n", a.allocator->name().c_str());

@@ -31,9 +31,10 @@ bool ContiguousAllocator::can_allocate(const Request& req) const {
   const std::int32_t a = std::min(req.width, geometry().width());
   const std::int32_t b = std::min(req.length, geometry().length());
   // Feasibility is rotation-symmetric and policy-independent: a best-fit
-  // placement exists iff a first-fit one does, so the cheaper query answers
-  // for both policies.
-  return index().first_fit_rotatable(a, b).has_value();
+  // placement exists iff a first-fit one does, so one existence query
+  // answers for both policies. It reads the index's cached frontier, so
+  // every probe between two occupancy changes shares one pass.
+  return index().fits_rotatable(a, b);
 }
 
 bool ContiguousAllocator::can_allocate_with_free(
@@ -43,7 +44,7 @@ bool ContiguousAllocator::can_allocate_with_free(
   const std::int32_t a = std::min(req.width, geometry().width());
   const std::int32_t b = std::min(req.length, geometry().length());
   // Same rotation-symmetric feasibility as can_allocate, on the bitmap with
-  // the released blocks OR-ed back in.
+  // the released blocks OR-ed back in (built once for both orientations).
   return index().first_fit_rotatable_assuming_free(a, b, released).has_value();
 }
 

@@ -208,6 +208,18 @@ void OccupancyIndex::compute_run_row(const std::uint64_t* bits, std::int32_t y,
   // x .. x+a-1 of the row are all free.
   const std::uint64_t* src = bits + static_cast<std::size_t>(y) * words_;
   std::uint64_t* r = runs_.data() + static_cast<std::size_t>(y) * words_;
+  if (words_ == 1) {
+    // One-word row (width <= 64): the same steps in a register. a <= 64,
+    // so every shift t <= 32 stays defined.
+    std::uint64_t v = *src;
+    for (std::int32_t have = 1; have < a;) {
+      const std::int32_t t = std::min(have, a - have);
+      v &= v >> t;
+      have += t;
+    }
+    *r = v;
+    return;
+  }
   std::copy(src, src + words_, r);
   std::int32_t have = 1;
   while (have < a) {
@@ -495,6 +507,15 @@ void OccupancyIndex::ensure_frontier() const {
   // suffix max afterwards turns that into H[w] = tallest free w-wide
   // rectangle for every w. Heights reach the stack already clipped by the
   // tail mask (bits past the width read busy), so spans clip at the edge.
+  // A busy cell zeroes its column and closes every open rectangle; the rest
+  // of its busy run finds the stack empty, so the whole run is one flush
+  // plus a fill of zero heights.
+  const auto flush = [&](std::int32_t& sp, std::int32_t x) {
+    while (sp > 0) {
+      --sp;
+      if (sh[sp] > H[x - sx[sp]]) H[x - sx[sp]] = sh[sp];
+    }
+  };
   bool ht_zero = true;
   for (std::int32_t y = 0; y < L; ++y) {
     const std::uint64_t* r = row(y);
@@ -514,9 +535,19 @@ void OccupancyIndex::ensure_frontier() const {
     std::int32_t x = 0;
     for (std::size_t i = 0; i < words_; ++i) {
       std::uint64_t bits = r[i];
-      const std::int32_t lim = std::min<std::int32_t>(64, W - x);
-      for (std::int32_t j = 0; j < lim; ++j, ++x, bits >>= 1) {
-        const std::int32_t h = (bits & 1u) ? ht[x] + 1 : 0;
+      const std::int32_t end = x + std::min<std::int32_t>(64, W - x);
+      while (x < end) {
+        if ((bits & 1u) == 0) {
+          // Busy run up to the next free bit; bits past the width are zero,
+          // so an empty remainder runs to the end of the word's span.
+          flush(sp, x);
+          const std::int32_t run = bits == 0 ? end - x : std::countr_zero(bits);
+          std::fill(ht + x, ht + x + run, 0);
+          x += run;
+          if (bits != 0) bits >>= run;
+          continue;
+        }
+        const std::int32_t h = ht[x] + 1;
         ht[x] = h;
         std::int32_t start = x;
         while (sp > 0 && sh[sp - 1] >= h) {
@@ -524,17 +555,14 @@ void OccupancyIndex::ensure_frontier() const {
           if (sh[sp] > H[x - sx[sp]]) H[x - sx[sp]] = sh[sp];
           start = sx[sp];
         }
-        if (h > 0 && (sp == 0 || sh[sp - 1] < h)) {
-          sx[sp] = start;
-          sh[sp] = h;
-          ++sp;
-        }
+        sx[sp] = start;  // everything left on the stack is lower than h
+        sh[sp] = h;
+        ++sp;
+        ++x;
+        bits >>= 1;
       }
     }
-    while (sp > 0) {
-      --sp;
-      if (sh[sp] > H[W - sx[sp]]) H[W - sx[sp]] = sh[sp];
-    }
+    flush(sp, W);
   }
   for (std::int32_t w = W - 1; w >= 1; --w) H[w] = std::max(H[w], H[w + 1]);
   lf_frontier_gen_ = gen_counter_;
@@ -708,9 +736,7 @@ std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b)
   return got;
 }
 
-std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
-    std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
-  ++qstats_.first_fit_queries;
+void OccupancyIndex::build_assume(const std::vector<SubMesh>& extra_free) const {
   assume_ = free_;
   for (const SubMesh& s : extra_free) {
     check_inside(s);
@@ -722,6 +748,11 @@ std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
         r[w] |= bit_range(w == w1 ? s.x1 % 64 : 0, w == w2 ? s.x2 % 64 : 63);
     }
   }
+}
+
+std::optional<SubMesh> OccupancyIndex::first_fit_on_assume(std::int32_t a,
+                                                           std::int32_t b) const {
+  ++qstats_.first_fit_queries;
   const auto got = first_fit_impl(assume_.data(), a, b);
   if (cross_check_enabled()) {
     // Oracle on the same hypothetical occupancy, rebuilt per node.
@@ -739,10 +770,17 @@ std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
   return got;
 }
 
+std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
+    std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
+  build_assume(extra_free);
+  return first_fit_on_assume(a, b);
+}
+
 std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
     std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
-  if (auto s = first_fit_assuming_free(a, b, extra_free)) return s;
-  if (a != b) return first_fit_assuming_free(b, a, extra_free);
+  build_assume(extra_free);
+  if (auto s = first_fit_on_assume(a, b)) return s;
+  if (a != b) return first_fit_on_assume(b, a);
   return std::nullopt;
 }
 
@@ -751,6 +789,25 @@ std::optional<SubMesh> OccupancyIndex::first_fit_rotatable(std::int32_t a,
   if (auto s = first_fit(a, b)) return s;
   if (a != b) return first_fit(b, a);
   return std::nullopt;
+}
+
+bool OccupancyIndex::fits_rotatable(std::int32_t a, std::int32_t b) const {
+  if (a <= 0 || b <= 0) throw std::invalid_argument("fits_rotatable: non-positive request");
+  ensure_frontier();
+  const std::int32_t W = geom_.width();
+  const std::int32_t* H = lf_frontier_.data();
+  const bool got = (a <= W && H[a] >= b) || (b <= W && H[b] >= a);
+  if (cross_check_enabled()) {
+    const bool want =
+        FreeSubmeshScan(to_mesh_state()).first_fit_rotatable(a, b).has_value();
+    if (got != want)
+      throw std::logic_error("OccupancyIndex cross-check: fits_rotatable(" +
+                             std::to_string(a) + "," + std::to_string(b) +
+                             ") diverged from FreeSubmeshScan: index=" +
+                             (got ? "true" : "false") +
+                             " oracle=" + (want ? "true" : "false"));
+  }
+  return got;
 }
 
 std::optional<SubMesh> OccupancyIndex::best_fit(std::int32_t a, std::int32_t b) const {

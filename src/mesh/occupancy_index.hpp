@@ -91,6 +91,15 @@ class OccupancyIndex {
   [[nodiscard]] std::optional<SubMesh> first_fit_rotatable(std::int32_t a,
                                                            std::int32_t b) const;
 
+  /// Equal to first_fit_rotatable(a, b).has_value() — "does an a×b or b×a
+  /// free sub-mesh exist?" — answered from the feasibility frontier H that
+  /// largest_free caches per occupancy generation (see there): true iff
+  /// (a ≤ W and H[a] ≥ b) or (b ≤ W and H[b] ≥ a). Every probe between two
+  /// occupancy changes shares one O(W·L) pass and then costs O(1), which is
+  /// what a scheduling pass probing a deep queue wants. Non-positive sides
+  /// throw std::invalid_argument, as first_fit does.
+  [[nodiscard]] bool fits_rotatable(std::int32_t a, std::int32_t b) const;
+
   /// First-fit on a *hypothetical* occupancy: the current bitmap with every
   /// node of `extra_free` additionally marked free (blocks may be busy, free
   /// or overlapping — the union is what counts). This is the scheduler's
@@ -102,7 +111,8 @@ class OccupancyIndex {
   [[nodiscard]] std::optional<SubMesh> first_fit_assuming_free(
       std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
 
-  /// Rotatable variant of the hypothetical-occupancy first fit.
+  /// Rotatable variant of the hypothetical-occupancy first fit; the
+  /// hypothetical bitmap is built once and serves both orientations.
   [[nodiscard]] std::optional<SubMesh> first_fit_rotatable_assuming_free(
       std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
 
@@ -162,12 +172,17 @@ class OccupancyIndex {
   /// Observability: how often each query family ran and which largest_free
   /// path answered. Monotone per run (clear() resets); bumping them is the
   /// only side effect queries have on this struct, so attaching a reader
-  /// can never change an answer.
+  /// can never change an answer. fits_rotatable has no tally of its own: it
+  /// shows up only as the frontier passes it triggers.
   struct QueryStats {
-    std::uint64_t first_fit_queries{0};   ///< first_fit + rotatable + assuming
+    /// first_fit scans: first_fit, rotatable and assuming_free, one per
+    /// orientation tried (fits_rotatable probes are not scans).
+    std::uint64_t first_fit_queries{0};
     std::uint64_t best_fit_queries{0};
     std::uint64_t largest_free_queries{0};
-    std::uint64_t frontier_passes{0};     ///< full maximal-rectangle passes
+    /// Full maximal-rectangle passes, whether a largest_free or a
+    /// fits_rotatable found the frontier stale.
+    std::uint64_t frontier_passes{0};
     std::uint64_t frontier_hits{0};       ///< largest_free served by a valid frontier
     std::uint64_t descent_queries{0};     ///< cap-bounded stale-path answers
   };
@@ -210,6 +225,11 @@ class OccupancyIndex {
   [[nodiscard]] std::optional<SubMesh> first_fit_impl(const std::uint64_t* bits,
                                                       std::int32_t a,
                                                       std::int32_t b) const;
+  /// assume_ = the real bitmap with every node of `extra_free` set free.
+  void build_assume(const std::vector<SubMesh>& extra_free) const;
+  /// One counted (and cross-checked) first fit on the assume_ bitmap.
+  [[nodiscard]] std::optional<SubMesh> first_fit_on_assume(std::int32_t a,
+                                                           std::int32_t b) const;
   [[nodiscard]] std::optional<SubMesh> best_fit_impl(std::int32_t a,
                                                      std::int32_t b) const;
   [[nodiscard]] std::optional<SubMesh> largest_free_impl(std::int32_t max_w,
@@ -220,9 +240,9 @@ class OccupancyIndex {
   /// max runs), recomputing only rows whose generation stamp is stale.
   void ensure_summaries() const;
 
-  /// Validates the largest_free feasibility frontier: one maximal-rectangle
-  /// pass (per-column heights + monotonic stack) whenever any occupancy
-  /// changed since the last pass.
+  /// Validates the feasibility frontier shared by largest_free and
+  /// fits_rotatable: one maximal-rectangle pass (per-column heights +
+  /// monotonic stack) whenever any occupancy changed since the last pass.
   void ensure_frontier() const;
 
   /// Winner selection over a *fresh* frontier (caller ensures validity).
@@ -275,7 +295,8 @@ class OccupancyIndex {
   mutable std::vector<std::uint64_t> rows_any_free_;  ///< bit y ⇒ row y has a free node
   mutable std::vector<std::int32_t> blk_max_run_;   ///< max row_max_run_ per block
 
-  // largest_free feasibility frontier + maximal-rectangle pass scratch.
+  // Feasibility frontier (largest_free, fits_rotatable) + maximal-rectangle
+  // pass scratch.
   mutable std::vector<std::int32_t> lf_frontier_;  ///< H[w]: tallest free w-wide rect
   mutable std::uint64_t lf_frontier_gen_{0};       ///< gen_counter_ at last pass
   mutable std::uint64_t lf_last_query_gen_{0};     ///< burst detection

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "alloc/registry.hpp"
@@ -34,6 +35,10 @@ TEST(OccupancyIndex, ValidationMirrorsLegacyScan) {
   EXPECT_FALSE(idx.first_fit(1, 7).has_value());
   EXPECT_THROW((void)idx.first_fit(0, 1), std::invalid_argument);
   EXPECT_THROW((void)idx.best_fit(1, -1), std::invalid_argument);
+  EXPECT_THROW((void)idx.fits_rotatable(0, 3), std::invalid_argument);
+  EXPECT_THROW((void)idx.fits_rotatable(3, -1), std::invalid_argument);
+  EXPECT_FALSE(idx.fits_rotatable(9, 7));
+  EXPECT_TRUE(idx.fits_rotatable(6, 8));  // only the rotated 8×6 fits
   EXPECT_THROW((void)idx.busy_in(SubMesh{0, 0, 8, 5}), std::invalid_argument);
 }
 
@@ -84,6 +89,17 @@ TEST(OccupancyIndex, ToMeshStateRoundTrips) {
     for (std::int32_t x = 0; x < 9; ++x)
       EXPECT_EQ(state.is_busy(Coord{x, y}), idx.is_busy(Coord{x, y}));
 }
+
+/// fits_rotatable reads the feasibility frontier that largest_free caches
+/// per occupancy generation, so the equivalence tests ask it on both sides
+/// of a narrow-cap largest_free (the descent path, which leaves the frontier
+/// stale) and of a wide-cap one (the frontier path). Per step one of these
+/// orders runs ('f' fits_rotatable, 'n' narrow, 'w' wide): fits_rotatable
+/// builds the frontier both largest_free calls then read; the descent runs
+/// first and fits_rotatable must build the frontier after it; the wide call
+/// builds it and fits_rotatable reads it.
+constexpr char kFitOrders[3][4] = {
+    {'f', 'n', 'w', 'f'}, {'n', 'f', 'w', 'f'}, {'w', 'f', 'n', 'f'}};
 
 /// Satellite: thousands of allocate/release steps on random geometries, with
 /// the index's first/best/largest-fit answers checked against the legacy
@@ -144,12 +160,27 @@ TEST_P(IndexEquivalence, MatchesLegacyScanUnderChurn) {
         << "step " << step;
     ASSERT_EQ(idx.best_fit(qa, qb), oracle.best_fit(qa, qb))
         << "step " << step << " q=" << qa << "x" << qb;
-    const auto cw = static_cast<std::int32_t>(
-        procsim::des::sample_uniform_int(rng, 1, std::min(g.width(), 8)));
+    // Narrow caps (max_w <= W/4) take the descent on a stale frontier, wide
+    // caps the frontier pass; the wide range stays within 8 widths so the
+    // oracle's scan stays affordable.
+    const std::int32_t quarter = std::max(1, g.width() / 4);
+    const auto nw = static_cast<std::int32_t>(
+        procsim::des::sample_uniform_int(rng, 1, std::min(quarter, 8)));
+    const auto ww = static_cast<std::int32_t>(procsim::des::sample_uniform_int(
+        rng, std::min(quarter + 1, g.width()), std::min(quarter + 8, g.width())));
     const auto cl = static_cast<std::int32_t>(
         procsim::des::sample_uniform_int(rng, 1, std::min(g.length(), 8)));
-    ASSERT_EQ(idx.largest_free(cw, cl), oracle.largest_free(cw, cl))
-        << "step " << step << " caps=" << cw << "x" << cl;
+    const bool want_fit = oracle.first_fit_rotatable(qa, qb).has_value();
+    for (const char q : kFitOrders[step % 3]) {
+      if (q == 'f') {
+        ASSERT_EQ(idx.fits_rotatable(qa, qb), want_fit)
+            << "step " << step << " q=" << qa << "x" << qb;
+      } else {
+        const std::int32_t cw = q == 'n' ? nw : ww;
+        ASSERT_EQ(idx.largest_free(cw, cl), oracle.largest_free(cw, cl))
+            << "step " << step << " caps=" << cw << "x" << cl;
+      }
+    }
     // Uncapped largest_free is the *oracle's* quadratic worst case, so it is
     // sampled rather than run every step; the capped variant above already
     // covers the index's search loop each step.
@@ -160,6 +191,9 @@ TEST_P(IndexEquivalence, MatchesLegacyScanUnderChurn) {
           << "step " << step << " area_cap=" << area_cap;
     }
   }
+  // Both largest_free paths and the shared frontier actually ran.
+  EXPECT_GT(idx.query_stats().descent_queries, 0u);
+  EXPECT_GT(idx.query_stats().frontier_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomChurn, IndexEquivalence,
@@ -239,14 +273,26 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
         << "step " << step << " q=" << qa << "x" << qb;
     ASSERT_EQ(idx.best_fit(qa, qb), oracle.best_fit(qa, qb))
         << "step " << step << " q=" << qa << "x" << qb;
-    // Narrow caps take the descent path, wide caps the frontier pass; both
-    // must reproduce the oracle at these widths.
-    const auto cw = static_cast<std::int32_t>(
-        procsim::des::sample_uniform_int(rng, 1, std::min(g.width(), 16)));
+    // Narrow caps take the descent path, wide caps (past W/4) the frontier
+    // pass; both must reproduce the oracle at these widths, with
+    // fits_rotatable asked around them as in IndexEquivalence.
+    const auto nw = static_cast<std::int32_t>(
+        procsim::des::sample_uniform_int(rng, 1, 16));
+    const auto ww = static_cast<std::int32_t>(
+        procsim::des::sample_uniform_int(rng, g.width() / 4 + 1, g.width() / 4 + 8));
     const auto cl = static_cast<std::int32_t>(
         procsim::des::sample_uniform_int(rng, 1, 8));
-    ASSERT_EQ(idx.largest_free(cw, cl), oracle.largest_free(cw, cl))
-        << "step " << step << " caps=" << cw << "x" << cl;
+    const bool want_fit = oracle.first_fit_rotatable(qa, qb).has_value();
+    for (const char q : kFitOrders[step % 3]) {
+      if (q == 'f') {
+        ASSERT_EQ(idx.fits_rotatable(qa, qb), want_fit)
+            << "step " << step << " q=" << qa << "x" << qb;
+      } else {
+        const std::int32_t cw = q == 'n' ? nw : ww;
+        ASSERT_EQ(idx.largest_free(cw, cl), oracle.largest_free(cw, cl))
+            << "step " << step << " caps=" << cw << "x" << cl;
+      }
+    }
     if (step % 25 == 0) {
       const auto area_cap = procsim::des::sample_uniform_int(rng, 1, g.nodes());
       ASSERT_EQ(idx.largest_free(g.width(), g.length(), area_cap),
@@ -254,6 +300,8 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
           << "step " << step << " area_cap=" << area_cap;
     }
   }
+  EXPECT_GT(idx.query_stats().descent_queries, 0u);
+  EXPECT_GT(idx.query_stats().frontier_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(WordBoundary512, WideIndexEquivalence,
@@ -312,6 +360,33 @@ TEST(OccupancyIndex, LargestFreeTieBreaksMatchDocumentedOrder) {
     EXPECT_EQ(*t, SubMesh::from_base(Coord{4, 4}, 2, 5));
     EXPECT_TRUE(oracle_agrees(idx, 2, 16,
                               std::numeric_limits<std::int64_t>::max()));
+  }
+}
+
+/// The frontier pass consumes a busy run in one step (flush the stack at its
+/// first cell, zero its heights, jump to the next free bit). Pin it where
+/// runs meet word edges: one busy run crosses the 64-bit word boundary,
+/// another runs into the tail bits past the width, a third straddles the
+/// boundary by one cell each side.
+TEST(OccupancyIndex, LargestFreeWithBusyRunsAtWordEdges) {
+  for (const std::int32_t w : {65, 128}) {
+    const Geometry g(w, 6);
+    OccupancyIndex idx(g);
+    idx.allocate(SubMesh{10, 0, 20, 0});
+    idx.allocate(SubMesh{60, 1, std::min(67, w - 1), 2});  // crosses bit 63|64
+    idx.allocate(SubMesh{w - 3, 3, w - 1, 4});             // runs into the tail
+    idx.allocate(SubMesh{63, 5, 64, 5});
+    const FreeSubmeshScan oracle(idx.to_mesh_state());
+    for (const auto& [cw, cl] : {std::pair{w, 6}, std::pair{w / 2, 3}, std::pair{64, 6},
+                                 std::pair{w - 2, 2}, std::pair{3, 6}}) {
+      ASSERT_EQ(idx.largest_free(cw, cl), oracle.largest_free(cw, cl))
+          << "width " << w << " caps=" << cw << "x" << cl;
+    }
+    EXPECT_GT(idx.query_stats().frontier_passes, 0u) << "width " << w;
+    for (std::int32_t a = 1; a <= w; ++a)
+      for (std::int32_t b = 1; b <= 6; ++b)
+        ASSERT_EQ(idx.fits_rotatable(a, b), oracle.first_fit_rotatable(a, b).has_value())
+            << "width " << w << " q=" << a << "x" << b;
   }
 }
 
@@ -384,18 +459,29 @@ TEST(OccupancyIndex, CrossCheckModeCleanOnAllocatorChurn) {
   ASSERT_TRUE(OccupancyIndex::cross_check_enabled());
 
   procsim::des::Xoshiro256SS rng(7);
+  std::vector<SubMesh> released;
   for (const std::string name : {"FirstFit", "BestFit", "GABL"}) {
     const auto allocator =
         procsim::alloc::make_allocator(name, Geometry(12, 10), {.seed = 7});
+    const bool contiguous = name != "GABL";
     std::vector<procsim::alloc::Placement> live;
     for (int step = 0; step < 120; ++step) {
+      const auto a = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 6));
+      const auto b = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 5));
+      const procsim::alloc::Request req{a, b, a * b};
+      if (contiguous) {
+        // The scheduler's probes: now, and once a random subset of the
+        // running jobs' blocks were released.
+        released.clear();
+        for (const procsim::alloc::Placement& p : live)
+          if (procsim::des::sample_bernoulli(rng, 0.5))
+            released.insert(released.end(), p.blocks.begin(), p.blocks.end());
+        const bool now = allocator->can_allocate(req);
+        const bool later = allocator->can_allocate_with_free(req, released);
+        EXPECT_TRUE(!now || later) << name << " step " << step;
+      }
       if (live.empty() || procsim::des::sample_bernoulli(rng, 0.6)) {
-        const auto a =
-            static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 6));
-        const auto b =
-            static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 5));
-        if (auto p = allocator->allocate(procsim::alloc::Request{a, b, a * b}))
-          live.push_back(std::move(*p));
+        if (auto p = allocator->allocate(req)) live.push_back(std::move(*p));
       } else {
         allocator->release(live.back());
         live.pop_back();

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "alloc/gabl.hpp"
 #include "alloc/paging.hpp"
@@ -15,6 +17,7 @@
 #include "core/job_record_store.hpp"
 #include "core/system_sim.hpp"
 #include "sched/ordered_scheduler.hpp"
+#include "sched/registry.hpp"
 #include "workload/stochastic.hpp"
 
 namespace {
@@ -524,8 +527,8 @@ TEST(SystemSim, GoldenTrajectoryRandomTraceCell) {
 }
 
 procsim::core::ExperimentConfig saturated_stochastic_cell(
-    procsim::workload::SideDistribution dist, const char* alloc, Policy policy,
-    std::uint64_t seed) {
+    procsim::workload::SideDistribution dist, const char* alloc,
+    procsim::sched::SchedSpec policy, std::uint64_t seed) {
   // 200 jobs at load 0.08 on 16x22: the queue stays long, so most
   // allocations find earlier jobs still holding nodes.
   procsim::core::ExperimentConfig cfg;
@@ -537,7 +540,7 @@ procsim::core::ExperimentConfig saturated_stochastic_cell(
   cfg.workload.stochastic.side_dist = dist;
   cfg.workload.stochastic.load = 0.08;
   cfg.allocator = procsim::core::AllocatorSpec(alloc);
-  cfg.scheduler = policy;
+  cfg.scheduler = std::move(policy);
   cfg.seed = seed;
   return cfg;
 }
@@ -558,6 +561,55 @@ TEST(SystemSim, GoldenTrajectoryMbs) {
   EXPECT_EQ(m.completed, 200u);
   expect_golden(m, Golden{5739, 0x1.4ef0c88eeea78p+12, 0x1.1dc00d89f537ep+10,
                           0x1.9d39b1ffec557p+5});
+}
+
+// Schedules driven by allocator probes: backfilling and lookahead ask the
+// contiguous allocators can_allocate / can_allocate_with_free for queued
+// jobs before committing, so a probe answering differently reorders starts.
+// Recorded while can_allocate still ran a first-fit scan per probe, so they
+// pin the frontier-answered probes to that independent implementation.
+procsim::sched::SchedSpec sched_spec(const char* text) {
+  const auto spec = procsim::sched::parse_sched_spec(text);
+  if (!spec) throw std::invalid_argument(text);
+  return *spec;
+}
+
+TEST(SystemSim, GoldenTrajectoryShapeBackfillSwfReplay) {
+  procsim::core::ExperimentConfig cfg;
+  cfg.sys.geom = Geometry(16, 16);
+  cfg.sys.think_time = 50;
+  cfg.sys.target_completions = 0;
+  cfg.workload.kind = procsim::core::WorkloadKind::kTrace;
+  cfg.workload.swf_path = std::string(PROCSIM_TEST_DATA_DIR) + "/mini.swf";
+  cfg.workload.load = 0.05;
+  cfg.allocator = procsim::core::AllocatorSpec("FirstFit");
+  cfg.scheduler = sched_spec("backfill;shape");
+  cfg.seed = 3;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 6u);
+  expect_golden(m, Golden{191, 0x1.ep+7, 0x1.8cp+5, 0x1.bec4ec4ec4ec6p+4});
+}
+
+TEST(SystemSim, GoldenTrajectoryConservativeShapeBackfillBestFit) {
+  procsim::core::ExperimentConfig cfg = saturated_stochastic_cell(
+      procsim::workload::SideDistribution::kUniform, "BestFit",
+      sched_spec("backfill:conservative;shape"), 13);
+  cfg.sys.geom = Geometry(64, 64);
+  cfg.workload.job_count = 150;
+  cfg.workload.stochastic.load = 0.02;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 150u);
+  expect_golden(m, Golden{12167, 0x1.8c30919c34c97p+13, 0x1.69e2cbb0b639fp+10,
+                          0x1.6808b3da49f86p+7});
+}
+
+TEST(SystemSim, GoldenTrajectoryLookaheadFirstFit) {
+  const RunMetrics m = procsim::core::run_once(saturated_stochastic_cell(
+      procsim::workload::SideDistribution::kUniform, "FirstFit", sched_spec("lookahead:4"),
+      17));
+  EXPECT_EQ(m.completed, 200u);
+  expect_golden(m, Golden{6075, 0x1.cba610eb9b359p+12, 0x1.033980831ac07p+11,
+                          0x1.f62ce98b3a631p+5});
 }
 
 TEST(SystemSim, AllProcessorsReleasedAtEnd) {
