@@ -66,11 +66,11 @@ class Allocator {
   /// The scheduler's transactional probe: true iff allocate(req) would
   /// return a placement at this instant. Exact for every shipped strategy
   /// and side-effect free — non-contiguous strategies answer from the free
-  /// count, the contiguous baselines from the occupancy index's cached
-  /// feasibility frontier (OccupancyIndex::fits_rotatable: one pass per
-  /// occupancy change, shared by every probe) — so a scheduling pass may
-  /// probe many queued jobs without perturbing allocator state (Random's
-  /// RNG included).
+  /// count, the contiguous baselines from one occupancy-index existence
+  /// query (OccupancyIndex::fits_rotatable: first-fit scans for the first
+  /// probes at an occupancy, then its cached feasibility frontier) — so a
+  /// scheduling pass may probe many queued jobs without perturbing
+  /// allocator state (Random's RNG included).
   [[nodiscard]] virtual bool can_allocate(const Request& req) const = 0;
 
   /// The probe-at-instant: true iff allocate(req) would succeed once every

@@ -32,8 +32,8 @@ bool ContiguousAllocator::can_allocate(const Request& req) const {
   const std::int32_t b = std::min(req.length, geometry().length());
   // Feasibility is rotation-symmetric and policy-independent: a best-fit
   // placement exists iff a first-fit one does, so one existence query
-  // answers for both policies. It reads the index's cached frontier, so
-  // every probe between two occupancy changes shares one pass.
+  // answers for both policies. A deep probe stream between two occupancy
+  // changes shares one frontier pass, a light one pays first-fit scans.
   return index().fits_rotatable(a, b);
 }
 

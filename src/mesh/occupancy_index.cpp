@@ -329,7 +329,7 @@ std::optional<SubMesh> OccupancyIndex::first_fit_impl(const std::uint64_t* bits,
   ++runs_epoch_;
 
   if (bits != free_.data()) {
-    // Hypothetical occupancy (first_fit_assuming_free): the summaries
+    // Hypothetical occupancy (first_fit_rotatable_assuming_free): the summaries
     // describe the real bitmap, so fall back to the plain lazy descent. Run
     // masks are computed as the scan reaches their rows — a hit in the first
     // rows never touches the rest of the mesh.
@@ -765,15 +765,10 @@ std::optional<SubMesh> OccupancyIndex::first_fit_on_assume(std::int32_t a,
           state.allocate(geom_.id(Coord{x, y}));
     const FreeSubmeshScan oracle(state);
     const auto want = oracle.first_fit(a, b);
-    if (got != want) report_divergence("first_fit_assuming_free", a, b, got, want);
+    if (got != want)
+      report_divergence("first_fit_rotatable_assuming_free", a, b, got, want);
   }
   return got;
-}
-
-std::optional<SubMesh> OccupancyIndex::first_fit_assuming_free(
-    std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
-  build_assume(extra_free);
-  return first_fit_on_assume(a, b);
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
@@ -792,11 +787,26 @@ std::optional<SubMesh> OccupancyIndex::first_fit_rotatable(std::int32_t a,
 }
 
 bool OccupancyIndex::fits_rotatable(std::int32_t a, std::int32_t b) const {
-  if (a <= 0 || b <= 0) throw std::invalid_argument("fits_rotatable: non-positive request");
-  ensure_frontier();
-  const std::int32_t W = geom_.width();
-  const std::int32_t* H = lf_frontier_.data();
-  const bool got = (a <= W && H[a] >= b) || (b <= W && H[b] >= a);
+  if (a <= 0 || b <= 0)
+    throw std::invalid_argument("fits_rotatable: non-positive request");
+  // Ski rental: scan until the scans made at this occupancy cost about what
+  // one frontier pass would. A scan skips rows and busy blocks through the
+  // summaries (about a step per row, less when it fits early); the pass
+  // takes about a step per free node, as busy runs go a word at a time.
+  if (lf_scan_gen_ != gen_counter_) {
+    lf_scan_gen_ = gen_counter_;
+    lf_scans_ = 0;
+  }
+  bool got;
+  if (lf_frontier_gen_ != gen_counter_ && lf_scans_ * geom_.length() < free_count_) {
+    ++lf_scans_;
+    got = first_fit_rotatable(a, b).has_value();
+  } else {
+    ensure_frontier();
+    const std::int32_t W = geom_.width();
+    const std::int32_t* H = lf_frontier_.data();
+    got = (a <= W && H[a] >= b) || (b <= W && H[b] >= a);
+  }
   if (cross_check_enabled()) {
     const bool want =
         FreeSubmeshScan(to_mesh_state()).first_fit_rotatable(a, b).has_value();

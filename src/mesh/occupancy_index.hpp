@@ -92,27 +92,27 @@ class OccupancyIndex {
                                                            std::int32_t b) const;
 
   /// Equal to first_fit_rotatable(a, b).has_value() — "does an a×b or b×a
-  /// free sub-mesh exist?" — answered from the feasibility frontier H that
-  /// largest_free caches per occupancy generation (see there): true iff
-  /// (a ≤ W and H[a] ≥ b) or (b ≤ W and H[b] ≥ a). Every probe between two
-  /// occupancy changes shares one O(W·L) pass and then costs O(1), which is
-  /// what a scheduling pass probing a deep queue wants. Non-positive sides
-  /// throw std::invalid_argument, as first_fit does.
+  /// free sub-mesh exist?" — for a scheduling pass that probes its queue
+  /// between two occupancy changes. The first free_count / length probes at
+  /// one occupancy are first_fit scans, which stop at the first fit; the
+  /// next one builds the feasibility frontier H that largest_free caches per
+  /// occupancy generation (see there), and it and every later probe read
+  /// (a ≤ W and H[a] ≥ b) or (b ≤ W and H[b] ≥ a) in O(1). A frontier pass
+  /// costs about one step per free node and a scan about one per row, so a
+  /// light probe stream pays scans and a deep one a single pass. Which path
+  /// answers shows only in query_stats(). Non-positive sides throw
+  /// std::invalid_argument, as first_fit does.
   [[nodiscard]] bool fits_rotatable(std::int32_t a, std::int32_t b) const;
 
-  /// First-fit on a *hypothetical* occupancy: the current bitmap with every
-  /// node of `extra_free` additionally marked free (blocks may be busy, free
-  /// or overlapping — the union is what counts). This is the scheduler's
-  /// probe-at-instant: "would an a×b sub-mesh fit once these running jobs'
-  /// blocks are released?" answered without mutating the index, in one
-  /// bitmap copy + the standard scan. Same scan order and tie-breaking as
-  /// first_fit on a real occupancy (the shape-aware backfill tests replay
-  /// the releases for real and compare).
-  [[nodiscard]] std::optional<SubMesh> first_fit_assuming_free(
-      std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
-
-  /// Rotatable variant of the hypothetical-occupancy first fit; the
-  /// hypothetical bitmap is built once and serves both orientations.
+  /// First-fit trying a×b then b×a on a *hypothetical* occupancy: the
+  /// current bitmap with every node of `extra_free` additionally marked free
+  /// (blocks may be busy, free or overlapping — the union is what counts).
+  /// This is the scheduler's probe-at-instant: "would the job fit once these
+  /// running jobs' blocks are released?" answered without mutating the
+  /// index, in one bitmap copy (shared by both orientations) + the standard
+  /// scan. Same scan order and tie-breaking as first_fit_rotatable on a real
+  /// occupancy (the shape-aware backfill tests replay the releases for real
+  /// and compare).
   [[nodiscard]] std::optional<SubMesh> first_fit_rotatable_assuming_free(
       std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
 
@@ -173,10 +173,10 @@ class OccupancyIndex {
   /// path answered. Monotone per run (clear() resets); bumping them is the
   /// only side effect queries have on this struct, so attaching a reader
   /// can never change an answer. fits_rotatable has no tally of its own: it
-  /// shows up only as the frontier passes it triggers.
+  /// shows up as the scans and frontier passes it runs.
   struct QueryStats {
-    /// first_fit scans: first_fit, rotatable and assuming_free, one per
-    /// orientation tried (fits_rotatable probes are not scans).
+    /// first_fit scans, one per orientation tried: first_fit, rotatable,
+    /// assuming_free and the fits_rotatable probes that scan.
     std::uint64_t first_fit_queries{0};
     std::uint64_t best_fit_queries{0};
     std::uint64_t largest_free_queries{0};
@@ -300,6 +300,8 @@ class OccupancyIndex {
   mutable std::vector<std::int32_t> lf_frontier_;  ///< H[w]: tallest free w-wide rect
   mutable std::uint64_t lf_frontier_gen_{0};       ///< gen_counter_ at last pass
   mutable std::uint64_t lf_last_query_gen_{0};     ///< burst detection
+  mutable std::uint64_t lf_scan_gen_{0};           ///< occupancy lf_scans_ counts at
+  mutable std::int32_t lf_scans_{0};               ///< fits_rotatable scans there
   mutable std::vector<std::int32_t> lf_ht_;        ///< per-column free-run heights
   mutable std::vector<std::int32_t> lf_stack_x_;   ///< monotonic stack: start col
   mutable std::vector<std::int32_t> lf_stack_h_;   ///< monotonic stack: height

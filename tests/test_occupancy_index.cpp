@@ -42,6 +42,34 @@ TEST(OccupancyIndex, ValidationMirrorsLegacyScan) {
   EXPECT_THROW((void)idx.busy_in(SubMesh{0, 0, 8, 5}), std::invalid_argument);
 }
 
+/// fits_rotatable makes free_count / length first-fit scans at one
+/// occupancy, then builds the frontier and reads it; an occupancy change
+/// restarts the scans. Both paths must see rotation-only fits.
+TEST(OccupancyIndex, FitsRotatableScansThenReadsTheFrontier) {
+  OccupancyIndex idx(Geometry(8, 6));
+  idx.allocate(SubMesh{0, 0, 7, 1});  // 32 free nodes: 6 scans (6 * 6 >= 32)
+  const OccupancyIndex::QueryStats& st = idx.query_stats();
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(idx.fits_rotatable(4, 8)) << "scan " << i;
+  EXPECT_EQ(st.frontier_passes, 0u);
+  const std::uint64_t scans = st.first_fit_queries;
+  EXPECT_EQ(scans, 12u);  // 4×8 fails, the rotated 8×4 fits
+  EXPECT_TRUE(idx.fits_rotatable(4, 8));  // builds the frontier
+  EXPECT_EQ(st.frontier_passes, 1u);
+  const FreeSubmeshScan oracle(idx.to_mesh_state());
+  for (std::int32_t a = 1; a <= 9; ++a)
+    for (std::int32_t b = 1; b <= 9; ++b)
+      EXPECT_EQ(idx.fits_rotatable(a, b), oracle.first_fit_rotatable(a, b).has_value())
+          << "q=" << a << "x" << b;
+  EXPECT_EQ(st.first_fit_queries, scans);
+  EXPECT_EQ(st.frontier_passes, 1u);
+
+  idx.allocate(SubMesh{0, 2, 0, 2});  // a new occupancy: scans again
+  EXPECT_FALSE(idx.fits_rotatable(4, 8));
+  EXPECT_TRUE(idx.fits_rotatable(3, 8));
+  EXPECT_EQ(st.first_fit_queries, scans + 4);
+  EXPECT_EQ(st.frontier_passes, 1u);
+}
+
 TEST(OccupancyIndex, AllocateReleaseRoundTripUpdatesCounts) {
   OccupancyIndex idx(Geometry(10, 4));
   const SubMesh s{2, 1, 5, 3};
@@ -90,16 +118,30 @@ TEST(OccupancyIndex, ToMeshStateRoundTrips) {
       EXPECT_EQ(state.is_busy(Coord{x, y}), idx.is_busy(Coord{x, y}));
 }
 
-/// fits_rotatable reads the feasibility frontier that largest_free caches
-/// per occupancy generation, so the equivalence tests ask it on both sides
-/// of a narrow-cap largest_free (the descent path, which leaves the frontier
-/// stale) and of a wide-cap one (the frontier path). Per step one of these
-/// orders runs ('f' fits_rotatable, 'n' narrow, 'w' wide): fits_rotatable
-/// builds the frontier both largest_free calls then read; the descent runs
-/// first and fits_rotatable must build the frontier after it; the wide call
-/// builds it and fits_rotatable reads it.
+/// fits_rotatable scans for the first free_count / length probes at one
+/// occupancy and then reads the feasibility frontier that largest_free
+/// caches per occupancy generation, so the equivalence tests ask it on both
+/// sides of a narrow-cap largest_free (the descent path, which leaves the
+/// frontier stale) and of a wide-cap one (the frontier path). Per step one
+/// of these orders runs ('F' fits_rotatable until it has built the
+/// frontier, 'f' fits_rotatable once, 'n' narrow, 'w' wide): the probes
+/// scan, then build the frontier both largest_free calls read; the descent
+/// runs first, a probe scans after it and the wide call builds the frontier;
+/// the wide call builds it and the probes read it.
 constexpr char kFitOrders[3][4] = {
-    {'f', 'n', 'w', 'f'}, {'n', 'f', 'w', 'f'}, {'w', 'f', 'n', 'f'}};
+    {'F', 'n', 'w', 'f'}, {'n', 'f', 'w', 'f'}, {'w', 'f', 'n', 'f'}};
+
+/// Asks fits_rotatable(a, b) once ('f') or often enough to exhaust its scan
+/// budget and build the frontier ('F'), expecting `want` every time.
+::testing::AssertionResult fits_as_expected(const OccupancyIndex& idx, char q,
+                                            std::int32_t a, std::int32_t b, bool want) {
+  const std::int32_t asks =
+      q == 'F' ? idx.free_count() / idx.geometry().length() + 2 : 1;
+  for (std::int32_t i = 0; i < asks; ++i)
+    if (idx.fits_rotatable(a, b) != want)
+      return ::testing::AssertionFailure() << "ask " << i << " q=" << a << "x" << b;
+  return ::testing::AssertionSuccess();
+}
 
 /// Satellite: thousands of allocate/release steps on random geometries, with
 /// the index's first/best/largest-fit answers checked against the legacy
@@ -172,9 +214,8 @@ TEST_P(IndexEquivalence, MatchesLegacyScanUnderChurn) {
         procsim::des::sample_uniform_int(rng, 1, std::min(g.length(), 8)));
     const bool want_fit = oracle.first_fit_rotatable(qa, qb).has_value();
     for (const char q : kFitOrders[step % 3]) {
-      if (q == 'f') {
-        ASSERT_EQ(idx.fits_rotatable(qa, qb), want_fit)
-            << "step " << step << " q=" << qa << "x" << qb;
+      if (q == 'f' || q == 'F') {
+        ASSERT_TRUE(fits_as_expected(idx, q, qa, qb, want_fit)) << "step " << step;
       } else {
         const std::int32_t cw = q == 'n' ? nw : ww;
         ASSERT_EQ(idx.largest_free(cw, cl), oracle.largest_free(cw, cl))
@@ -284,9 +325,8 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
         procsim::des::sample_uniform_int(rng, 1, 8));
     const bool want_fit = oracle.first_fit_rotatable(qa, qb).has_value();
     for (const char q : kFitOrders[step % 3]) {
-      if (q == 'f') {
-        ASSERT_EQ(idx.fits_rotatable(qa, qb), want_fit)
-            << "step " << step << " q=" << qa << "x" << qb;
+      if (q == 'f' || q == 'F') {
+        ASSERT_TRUE(fits_as_expected(idx, q, qa, qb, want_fit)) << "step " << step;
       } else {
         const std::int32_t cw = q == 'n' ? nw : ww;
         ASSERT_EQ(idx.largest_free(cw, cl), oracle.largest_free(cw, cl))
@@ -422,8 +462,6 @@ TEST(OccupancyIndex, AssumingFreeAgreesWithBruteForceReplayOn8x8) {
     for (int q = 0; q < 12; ++q) {
       const auto a = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 8));
       const auto b = static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, 1, 8));
-      ASSERT_EQ(idx.first_fit_assuming_free(a, b, released), future.first_fit(a, b))
-          << "round " << round << " q=" << a << "x" << b;
       ASSERT_EQ(idx.first_fit_rotatable_assuming_free(a, b, released),
                 future.first_fit_rotatable(a, b))
           << "round " << round << " q=" << a << "x" << b;
@@ -442,10 +480,12 @@ TEST(OccupancyIndex, AssumingFreeWithNoExtrasEqualsPlainFirstFit) {
   const Geometry g(9, 7);
   OccupancyIndex idx(g);
   idx.allocate(SubMesh{0, 0, 4, 3});
-  EXPECT_EQ(idx.first_fit_assuming_free(3, 3, {}), idx.first_fit(3, 3));
+  EXPECT_EQ(idx.first_fit_rotatable_assuming_free(3, 3, {}), idx.first_fit(3, 3));
+  EXPECT_EQ(idx.first_fit_rotatable_assuming_free(4, 7, {}),
+            idx.first_fit_rotatable(4, 7));  // only the rotated 7×4 fits
   // Overlapping / already-free extras are tolerated (the union counts).
   const std::vector<SubMesh> extras{{0, 0, 4, 3}, {0, 0, 2, 2}, {5, 0, 6, 1}};
-  EXPECT_EQ(idx.first_fit_assuming_free(5, 4, extras)->base(),
+  EXPECT_EQ(idx.first_fit_rotatable_assuming_free(5, 4, extras)->base(),
             (procsim::mesh::Coord{0, 0}));
 }
 
