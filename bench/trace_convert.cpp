@@ -11,7 +11,8 @@
 // Chrome output is a one-way visualization export for chrome://tracing /
 // Perfetto.
 //
-// Exit codes: 0 ok, 1 usage, 2 unreadable/malformed input, 3 unwritable
+// Exit codes: 0 ok; 2 usage error (an unknown flag, no input or two, no
+// output; one stderr line) or unreadable/malformed input; 3 unwritable
 // output.
 
 #include <cstring>
@@ -20,16 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "core/figure_runner.hpp"
 #include "obs/trace.hpp"
 
 namespace {
 
-int usage(const char* msg) {
-  if (msg != nullptr) std::cerr << "error: " << msg << "\n";
-  std::cerr << "usage: trace_convert (--in=trace.bin | --in-jsonl=trace.jsonl)"
-               " [--jsonl=PATH] [--chrome=PATH] [--binary=PATH]\n";
-  return 1;
-}
+constexpr const char* kProg = "trace_convert";
 
 }  // namespace
 
@@ -48,13 +45,15 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--binary=", 9) == 0) {
       out_bin = arg + 9;
     } else {
-      return usage(("unknown option " + std::string(arg)).c_str());
+      procsim::core::usage_error(
+          kProg, "unknown option '" + std::string(arg) +
+                     "' (expected --in, --in-jsonl, --jsonl, --chrome or --binary)");
     }
   }
   if (in_bin.empty() == in_jsonl.empty())
-    return usage("exactly one of --in / --in-jsonl is required");
+    procsim::core::usage_error(kProg, "exactly one of --in / --in-jsonl is required");
   if (out_jsonl.empty() && out_chrome.empty() && out_bin.empty())
-    return usage("no output requested (--jsonl / --chrome / --binary)");
+    procsim::core::usage_error(kProg, "no output requested (--jsonl / --chrome / --binary)");
 
   std::vector<procsim::obs::TraceRecord> records;
   std::string error;

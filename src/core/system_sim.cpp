@@ -131,7 +131,6 @@ void SystemSim::finalize_run(bool own_clock,
     const mesh::OccupancyIndex::QueryStats& qs = allocator_.index().query_stats();
     c.index_frontier_passes += qs.frontier_passes;
     c.index_frontier_hits += qs.frontier_hits;
-    c.index_descent_queries += qs.descent_queries;
     c.index_first_fit_queries += qs.first_fit_queries;
     c.index_best_fit_queries += qs.best_fit_queries;
     if (own_clock) {

@@ -40,19 +40,6 @@ void and_shr(std::uint64_t* r, std::size_t words, std::int32_t t) {
   }
 }
 
-/// dst = src >> t over a multi-word little-endian bit span.
-void shr_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t words,
-              std::int32_t t) {
-  const std::size_t word_off = static_cast<std::size_t>(t) / 64;
-  const int bit_off = t % 64;
-  for (std::size_t i = 0; i < words; ++i) {
-    const std::size_t j = i + word_off;
-    std::uint64_t v = j < words ? src[j] >> bit_off : 0;
-    if (bit_off != 0 && j + 1 < words) v |= src[j + 1] << (64 - bit_off);
-    dst[i] = v;
-  }
-}
-
 /// Column of the lowest set bit of a row span; caller guarantees one exists.
 [[nodiscard]] std::int32_t lowest_bit(const std::uint64_t* r, std::size_t words) {
   for (std::size_t i = 0; i < words; ++i)
@@ -568,102 +555,6 @@ void OccupancyIndex::ensure_frontier() const {
   lf_frontier_gen_ = gen_counter_;
 }
 
-const std::uint64_t* OccupancyIndex::ensure_lf_level(std::int32_t w) const {
-  const std::size_t li = static_cast<std::size_t>(w) - 1;
-  if (lf_levels_.size() <= li) {
-    lf_levels_.resize(li + 1);
-    lf_level_gen_.resize(li + 1);
-    lf_level_nz_.resize(li + 1);
-  }
-  std::vector<std::uint64_t>& block = lf_levels_[li];
-  std::vector<std::uint64_t>& gens = lf_level_gen_[li];
-  std::vector<std::uint8_t>& nz = lf_level_nz_[li];
-  if (block.empty()) {
-    block.assign(free_.size(), 0);
-    gens.assign(static_cast<std::size_t>(geom_.length()), 0);  // 0 = never valid
-    nz.assign(static_cast<std::size_t>(geom_.length()), 0);
-  }
-  const std::uint64_t* prev = li == 0 ? nullptr : lf_levels_[li - 1].data();
-  for (std::int32_t y = 0; y < geom_.length(); ++y) {
-    const std::size_t yi = static_cast<std::size_t>(y);
-    if (gens[yi] == row_gen_[yi]) continue;
-    std::uint64_t* dst = block.data() + yi * words_;
-    const std::uint64_t* src = row(y);
-    std::uint64_t any = 0;
-    if (w == 1) {
-      for (std::size_t i = 0; i < words_; ++i) any |= (dst[i] = src[i]);
-    } else {
-      // R_w[y] = R_{w-1}[y] & (row >> (w-1)): a run of w starts at x iff a
-      // run of w-1 does and bit x+w-1 is also free.
-      shr_into(dst, src, words_, w - 1);
-      const std::uint64_t* p = prev + yi * words_;
-      for (std::size_t i = 0; i < words_; ++i) any |= (dst[i] &= p[i]);
-    }
-    nz[yi] = any != 0;
-    gens[yi] = row_gen_[yi];
-  }
-  return block.data();
-}
-
-std::optional<SubMesh> OccupancyIndex::largest_free_descent(
-    std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const {
-  const std::int32_t L = geom_.length();
-  lf_c_.resize(free_.size());
-
-  // The search ascends widths; each level's R_w masks (width-w run starts
-  // per row) come from the generation-stamped cache, so a carving loop's
-  // repeated queries recompute only the rows its own allocations dirtied.
-  // lf_c_ holds the height-l window AND within each w.
-  std::optional<SubMesh> best;
-  std::int64_t best_area = 0;
-  for (std::int32_t w = 1; w <= max_w; ++w) {
-    const std::uint64_t* level = ensure_lf_level(w);
-
-    // Seed the height-1 windows and the active-row list from the level's
-    // cached nonzero flags: only rows that actually hold a width-w run are
-    // copied or ever touched again. Rows whose window has gone empty can
-    // never come back as l grows, so each taller step touches only the
-    // surviving rows — on a busy mesh windows die fast and the l ascent
-    // costs next to nothing. The list is kept in ascending y, so its front
-    // is the legacy scan's "first base" row.
-    lf_active_.clear();
-    const std::vector<std::uint8_t>& nz = lf_level_nz_[static_cast<std::size_t>(w) - 1];
-    for (std::int32_t y = 0; y < L; ++y) {
-      if (!nz[static_cast<std::size_t>(y)]) continue;
-      const std::uint64_t* src = level + static_cast<std::size_t>(y) * words_;
-      std::uint64_t* dst = lf_c_.data() + static_cast<std::size_t>(y) * words_;
-      std::copy(src, src + words_, dst);
-      lf_active_.push_back(y);
-    }
-    if (lf_active_.empty()) break;  // no width-w free run ⇒ none wider either
-
-    for (std::int32_t l = 1; l <= max_l; ++l) {
-      if (l > 1) {
-        std::size_t out = 0;
-        for (const std::int32_t y : lf_active_) {
-          if (y + l > L) continue;  // window would stick out the bottom
-          std::uint64_t* c = lf_c_.data() + static_cast<std::size_t>(y) * words_;
-          const std::uint64_t* r = level + static_cast<std::size_t>(y + l - 1) * words_;
-          bool nonzero = false;
-          for (std::size_t i = 0; i < words_; ++i) nonzero |= (c[i] &= r[i]) != 0;
-          if (nonzero) lf_active_[out++] = y;
-        }
-        lf_active_.resize(out);
-      }
-      if (lf_active_.empty()) break;  // taller windows only lose candidates
-
-      const std::int64_t area = static_cast<std::int64_t>(w) * l;
-      if (area > max_area) break;     // area grows with l for fixed w
-      if (area <= best_area) continue;  // same skip rule as the legacy scan
-      const std::int32_t y = lf_active_.front();
-      const std::uint64_t* c = lf_c_.data() + static_cast<std::size_t>(y) * words_;
-      best = SubMesh::from_base(Coord{lowest_bit(c, words_), y}, w, l);
-      best_area = area;
-    }
-  }
-  return best;
-}
-
 std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
                                                          std::int32_t max_l,
                                                          std::int64_t max_area) const {
@@ -671,30 +562,13 @@ std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
   max_l = std::min(max_l, geom_.length());
   if (max_w <= 0 || max_l <= 0 || max_area <= 0) return std::nullopt;
 
-  // Dispatch (see the header): a fresh frontier answers in O(max_w); a
-  // stale one is recomputed unless the query is narrow and the occupancy
-  // changed since the previous query — the carving shape — in which case
-  // the stamped-level descent only touches dirtied rows. "Narrow" is capped
-  // both relatively (max_w ≤ W/4) and absolutely (max_w ≤ 48): the descent
-  // builds one run-mask level per candidate width, so past a few dozen
-  // widths the single maximal-rectangle pass is cheaper even when it scans
-  // the whole bitmap (measured crossover on the 512×512 sweep profile).
-  if (lf_frontier_gen_ != gen_counter_) {
-    const bool burst = lf_last_query_gen_ == gen_counter_;
-    lf_last_query_gen_ = gen_counter_;
-    if (!burst && max_w * 4 <= geom_.width() && max_w <= 48) {
-      ++qstats_.descent_queries;
-      return largest_free_descent(max_w, max_l, max_area);
-    }
-    ensure_frontier();
-  } else {
+  // A fresh frontier answers in O(max_w); a stale one costs one
+  // maximal-rectangle pass first (see the header).
+  if (lf_frontier_gen_ == gen_counter_)
     ++qstats_.frontier_hits;
-  }
-  return largest_free_from_frontier(max_w, max_l, max_area);
-}
+  else
+    ensure_frontier();
 
-std::optional<SubMesh> OccupancyIndex::largest_free_from_frontier(
-    std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const {
   // Winner selection over the feasibility frontier, reproducing the oracle's
   // (width asc, length asc) scan: for width w the best feasible capped
   // length is l_w = min(H[w], max_l, max_area/w); the oracle's answer is the

@@ -135,25 +135,17 @@ class OccupancyIndex {
   /// optionally area <= max_area; ties resolve to the first candidate in
   /// deterministic (width, length, base) scan order (GABL's inner search).
   ///
-  /// Primary algorithm: a maximal-rectangle computation. One pass over the
-  /// bitmap maintains per-column free-run heights and runs a monotonic
-  /// stack per row, recording every maximal free rectangle into the
-  /// *feasibility frontier* H — H[w] is the tallest l such that a free w×l
-  /// sub-mesh exists, non-increasing in w. The frontier is cached under the
-  /// index generation counter, so any number of queries between occupancy
-  /// changes share one O(W·L) pass and each cost O(max_w) to pick the
-  /// winner plus one first_fit for its base.
-  ///
-  /// Cap-bounded staleness path: when the frontier is stale, the caps are
-  /// narrow (max_w ≤ W/4) and the previous query saw a different occupancy
-  /// (no burst), a full-mesh pass would mostly measure rectangles the caps
-  /// exclude — GABL's carving loop is exactly this shape, one narrowing
-  /// query per carved piece. Those queries run a per-width descent over
-  /// generation-stamped run-mask levels instead, recomputing only rows the
-  /// carving itself dirtied. A second query on the *same* occupancy (a
-  /// burst) or wide caps promote to the frontier pass, so repeated queries
-  /// always end up amortized O(max_w). Both paths reproduce the oracle
-  /// answer bit for bit; which one runs is never observable.
+  /// Algorithm: a maximal-rectangle computation. One pass over the bitmap
+  /// maintains per-column free-run heights and runs a monotonic stack per
+  /// row, recording every maximal free rectangle into the *feasibility
+  /// frontier* H — H[w] is the tallest l such that a free w×l sub-mesh
+  /// exists, non-increasing in w. The frontier is cached under the index
+  /// generation counter: a query on a changed occupancy pays one pass, which
+  /// costs about a step per free node (busy runs go a word at a time), and
+  /// every query between occupancy changes shares it. Each query then costs
+  /// O(max_w) to pick the winner under its caps plus one first_fit for the
+  /// winner's base. GABL's carving loop asks once per carved piece, each on
+  /// the occupancy its previous piece changed, so it pays one pass per piece.
   ///
   /// Tie-breaking semantics (bit-identical to FreeSubmeshScan::largest_free,
   /// see README "Allocators & the occupancy index"): maximum capped area
@@ -169,11 +161,11 @@ class OccupancyIndex {
   /// only stale rows, so steady churn pays O(rows touched).
   [[nodiscard]] std::int32_t max_free_run() const;
 
-  /// Observability: how often each query family ran and which largest_free
-  /// path answered. Monotone per run (clear() resets); bumping them is the
-  /// only side effect queries have on this struct, so attaching a reader
-  /// can never change an answer. fits_rotatable has no tally of its own: it
-  /// shows up as the scans and frontier passes it runs.
+  /// Observability: how often each query family ran and how often the
+  /// frontier had to be rebuilt. Monotone per run (clear() resets); bumping
+  /// them is the only side effect queries have on this struct, so attaching
+  /// a reader can never change an answer. fits_rotatable has no tally of its
+  /// own: it shows up as the scans and frontier passes it runs.
   struct QueryStats {
     /// first_fit scans, one per orientation tried: first_fit, rotatable,
     /// assuming_free and the fits_rotatable probes that scan.
@@ -184,7 +176,9 @@ class OccupancyIndex {
     /// fits_rotatable found the frontier stale.
     std::uint64_t frontier_passes{0};
     std::uint64_t frontier_hits{0};       ///< largest_free served by a valid frontier
-    std::uint64_t descent_queries{0};     ///< cap-bounded stale-path answers
+    /// Always 0: largest_free has one path. The field stays only while
+    /// perfbench/ still reads it.
+    std::uint64_t descent_queries{0};
   };
   [[nodiscard]] const QueryStats& query_stats() const noexcept { return qstats_; }
 
@@ -245,22 +239,6 @@ class OccupancyIndex {
   /// monotonic stack) whenever any occupancy changed since the last pass.
   void ensure_frontier() const;
 
-  /// Winner selection over a *fresh* frontier (caller ensures validity).
-  [[nodiscard]] std::optional<SubMesh> largest_free_from_frontier(
-      std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const;
-
-  /// Cap-bounded per-width descent for stale-frontier narrow queries; exact
-  /// and oracle-identical for any caps, but only profitable when max_w is
-  /// small against the mesh width.
-  [[nodiscard]] std::optional<SubMesh> largest_free_descent(
-      std::int32_t max_w, std::int32_t max_l, std::int64_t max_area) const;
-
-  /// Validates (against per-row stamps) and returns the width-`w` run-mask
-  /// level block for the descent: bit x of row y ⇒ a horizontal run of `w`
-  /// free nodes starts at (x, y). Levels build incrementally (level w reads
-  /// level w-1), so callers ascend w from 1.
-  [[nodiscard]] const std::uint64_t* ensure_lf_level(std::int32_t w) const;
-
   /// Marks row `y`'s cached summaries stale (occupancy changed).
   void dirty_row(std::int32_t y) { row_gen_[static_cast<std::size_t>(y)] = ++gen_counter_; }
 
@@ -299,20 +277,11 @@ class OccupancyIndex {
   // pass scratch.
   mutable std::vector<std::int32_t> lf_frontier_;  ///< H[w]: tallest free w-wide rect
   mutable std::uint64_t lf_frontier_gen_{0};       ///< gen_counter_ at last pass
-  mutable std::uint64_t lf_last_query_gen_{0};     ///< burst detection
   mutable std::uint64_t lf_scan_gen_{0};           ///< occupancy lf_scans_ counts at
   mutable std::int32_t lf_scans_{0};               ///< fits_rotatable scans there
   mutable std::vector<std::int32_t> lf_ht_;        ///< per-column free-run heights
   mutable std::vector<std::int32_t> lf_stack_x_;   ///< monotonic stack: start col
   mutable std::vector<std::int32_t> lf_stack_h_;   ///< monotonic stack: height
-
-  // largest_free descent path (stale-frontier narrow queries): per-width
-  // run-mask levels with per-row stamps, window AND scratch, live-row list.
-  mutable std::vector<std::uint64_t> lf_c_;  ///< descent: window AND
-  mutable std::vector<std::int32_t> lf_active_;  ///< rows with live windows
-  mutable std::vector<std::vector<std::uint64_t>> lf_levels_;    ///< R_w blocks
-  mutable std::vector<std::vector<std::uint64_t>> lf_level_gen_; ///< stamps
-  mutable std::vector<std::vector<std::uint8_t>> lf_level_nz_;   ///< row has runs?
 
   // best_fit scoring cache: per-row within-row free-count prefix sums,
   // valid iff the row's stamp matches row_gen_ (so allocate/release keep it

@@ -49,7 +49,6 @@ void Counters::write_json(std::ostream& out) const {
   field(out, "telemetry_samples", telemetry_samples, first);
   field(out, "index_frontier_passes", index_frontier_passes, first);
   field(out, "index_frontier_hits", index_frontier_hits, first);
-  field(out, "index_descent_queries", index_descent_queries, first);
   field(out, "index_first_fit_queries", index_first_fit_queries, first);
   field(out, "index_best_fit_queries", index_best_fit_queries, first);
   field(out, "sim_events", sim_events, first);

@@ -37,11 +37,12 @@ struct Counters {
   // Pulled from subsystem tallies at the end of each run (SystemSim::run).
   std::uint64_t index_frontier_passes{0};  ///< full maximal-rectangle sweeps
   std::uint64_t index_frontier_hits{0};    ///< largest_free answered from frontier
-  std::uint64_t index_descent_queries{0};  ///< stale-narrow fast-path queries
   std::uint64_t index_first_fit_queries{0};
   std::uint64_t index_best_fit_queries{0};
-  /// Always 0 and not in write_json: the calendar queue is gone, and the
-  /// field stays only while perfbench/ still reads it.
+  /// Always 0 and not in write_json: largest_free's descent path and the
+  /// calendar queue are gone, and the fields stay only while perfbench/
+  /// still reads them.
+  std::uint64_t index_descent_queries{0};
   std::uint64_t calendar_rebuckets{0};
   std::uint64_t sim_events{0};
   std::uint64_t net_runs_batched{0};       ///< batched-engine maximal runs started

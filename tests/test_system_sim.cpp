@@ -563,6 +563,23 @@ TEST(SystemSim, GoldenTrajectoryMbs) {
                           0x1.9d39b1ffec557p+5});
 }
 
+// GABL carving at a scale where its caps are wide: on 128x128 a saturated
+// queue sends 85 of 440 allocations down the carving loop, 571
+// largest_free queries each on an occupancy the previous piece changed.
+// Recorded while 401 of them ran a per-width run-mask descent, so it pins
+// the frontier-only carving to that independent implementation.
+TEST(SystemSim, GoldenTrajectoryGablCarving128) {
+  procsim::core::ExperimentConfig cfg = saturated_stochastic_cell(
+      procsim::workload::SideDistribution::kUniform, "GABL", Policy::kFcfs, 1);
+  cfg.sys.geom = Geometry(128, 128);
+  cfg.workload.job_count = 150;
+  cfg.workload.stochastic.load = 0.02;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 150u);
+  expect_golden(m, Golden{27691, 0x1.0c81bfbf37b2ep+14, 0x1.542966337fad8p+12,
+                          0x1.2674050b59897p+8});
+}
+
 // Schedules driven by allocator probes: backfilling and lookahead ask the
 // contiguous allocators can_allocate / can_allocate_with_free for queued
 // jobs before committing, so a probe answering differently reorders starts.
