@@ -145,6 +145,9 @@ void SystemSim::finalize_run(bool own_clock,
       c.net_run_len_hist[i] += ns.run_len_hist[i];
     c.net_truncations += ns.truncations;
     c.net_analytic_packets += ns.analytic_packets;
+    c.net_batches += ns.batches;
+    c.net_passes += ns.passes;
+    c.net_inline_passes += ns.inline_passes;
     scheduler_.export_counters(c.extras);
     if (own_clock && rec_->timers_enabled()) {
       const std::chrono::duration<double> wall =

@@ -42,7 +42,8 @@ mesh::NodeId ChannelMap::neighbour(mesh::NodeId n, Direction dir) const noexcept
   return geom_.contains(c) ? geom_.id(c) : -1;
 }
 
-std::vector<ChannelId> ChannelMap::route(mesh::NodeId src, mesh::NodeId dst) const {
+void ChannelMap::route(mesh::NodeId src, mesh::NodeId dst,
+                       std::vector<ChannelId>& path) const {
   if (src == dst) throw std::invalid_argument("ChannelMap::route: src == dst");
   const mesh::Coord a = geom_.coord(src);
   const mesh::Coord b = geom_.coord(dst);
@@ -51,7 +52,7 @@ std::vector<ChannelId> ChannelMap::route(mesh::NodeId src, mesh::NodeId dst) con
   const AxisPlan py =
       plan_axis(a.y, b.y, geom_.length(), torus_, Direction::kNorth, Direction::kSouth);
 
-  std::vector<ChannelId> path;
+  path.clear();
   path.reserve(static_cast<std::size_t>(px.steps + py.steps) + 2);
   path.push_back(injection(src));
 
@@ -78,7 +79,6 @@ std::vector<ChannelId> ChannelMap::route(mesh::NodeId src, mesh::NodeId dst) con
   walk_axis(py);
 
   path.push_back(ejection(dst));
-  return path;
 }
 
 std::int32_t ChannelMap::hop_count(mesh::NodeId src, mesh::NodeId dst) const noexcept {

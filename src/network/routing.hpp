@@ -55,10 +55,12 @@ class ChannelMap {
   /// Neighbour of `n` in direction `dir`; -1 when the mesh edge blocks it.
   [[nodiscard]] mesh::NodeId neighbour(mesh::NodeId n, Direction dir) const noexcept;
 
-  /// XY dimension-ordered route: full channel path from src's injection port
-  /// to dst's ejection port, dateline VCs applied on the torus.
+  /// XY dimension-ordered route: fills `path` with the full channel path from
+  /// src's injection port to dst's ejection port, dateline VCs applied on the
+  /// torus. `path` is overwritten and keeps its capacity, so a caller that
+  /// routes into the same vector again allocates only for a longer path.
   /// Precondition: src != dst.
-  [[nodiscard]] std::vector<ChannelId> route(mesh::NodeId src, mesh::NodeId dst) const;
+  void route(mesh::NodeId src, mesh::NodeId dst, std::vector<ChannelId>& path) const;
 
   /// Number of links an XY-routed packet traverses (torus: shorter way).
   [[nodiscard]] std::int32_t hop_count(mesh::NodeId src, mesh::NodeId dst) const noexcept;

@@ -57,11 +57,10 @@ WormholeNetwork::WormholeNetwork(des::Simulator& sim, mesh::Geometry geom,
   if (params.st < 0 || params.packet_len < 1)
     throw std::invalid_argument("WormholeNetwork: bad parameters");
   kind_pass_ = sim_.add_handler(&on_pass, this);
-  kind_grant_ = sim_.add_handler(&on_grant, this);
-  kind_attempt_ = sim_.add_handler(&on_attempt, this);
-  kind_eject_ = sim_.add_handler(&on_eject, this);
+  kind_bucket_ = sim_.add_handler(&on_bucket, this);
   kind_deliver_ = sim_.add_handler(&on_deliver, this);
   kind_analytic_ = sim_.add_handler(&on_analytic, this);
+  bucket_index_.fill(-1);
   const auto n_channels = static_cast<std::size_t>(map_.channel_count());
   if (params_.engine == NetEngine::kAnalytic) {
     busy_cycles_.assign(n_channels, 0.0);
@@ -79,9 +78,7 @@ WormholeNetwork::WormholeNetwork(des::Simulator& sim, mesh::Geometry geom,
 }
 
 // ---------------------------------------------------------------------------
-// Event handlers. The grant, attempt and eject continuations carry the
-// channel or packet epoch they were scheduled under and do nothing once a
-// truncation has moved it on.
+// Event handlers.
 // ---------------------------------------------------------------------------
 
 void WormholeNetwork::on_pass(void* ctx, std::uint32_t, std::uint64_t b) {
@@ -89,30 +86,8 @@ void WormholeNetwork::on_pass(void* ctx, std::uint32_t, std::uint64_t b) {
   self->run_pass(self->state_of(b));
 }
 
-void WormholeNetwork::on_grant(void* ctx, std::uint32_t cid, std::uint64_t b) {
-  auto* self = static_cast<WormholeNetwork*>(ctx);
-  EngineState& st = self->state_of(b);
-  Channel& c = st.channels[cid];
-  if (c.epoch != epoch_of(b)) return;
-  c.grant_scheduled = false;
-  self->mark_dirty(st, static_cast<ChannelId>(cid));
-  self->ensure_arbitration(st);
-}
-
-void WormholeNetwork::on_attempt(void* ctx, std::uint32_t pkt, std::uint64_t b) {
-  auto* self = static_cast<WormholeNetwork*>(ctx);
-  EngineState& st = self->state_of(b);
-  if (st.pool[pkt].run_epoch != epoch_of(b)) return;
-  self->register_attempt(st, static_cast<std::int32_t>(pkt), self->sim_.now());
-}
-
-void WormholeNetwork::on_eject(void* ctx, std::uint32_t pkt, std::uint64_t b) {
-  auto* self = static_cast<WormholeNetwork*>(ctx);
-  EngineState& st = self->state_of(b);
-  const Packet& p = st.pool[pkt];
-  if (p.run_epoch != epoch_of(b)) return;
-  st.ejections.push_back({static_cast<std::int32_t>(pkt), p.path.back(), p.run_epoch});
-  self->ensure_arbitration(st);
+void WormholeNetwork::on_bucket(void* ctx, std::uint32_t bucket, std::uint64_t) {
+  static_cast<WormholeNetwork*>(ctx)->fire_bucket(bucket);
 }
 
 void WormholeNetwork::on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t b) {
@@ -143,13 +118,13 @@ std::int32_t WormholeNetwork::alloc_packet(EngineState& st, mesh::NodeId src,
     st.pool.emplace_back();
   }
   Packet& p = st.pool[static_cast<std::size_t>(idx)];
-  p.path = map_.route(src, dst);  // reuses pool slot; vector realloc amortises
+  map_.route(src, dst, p.path);  // into the pooled slot's path capacity
   p.next = 0;
   p.res_end = 0;
   p.next_waiter = -1;
   p.seq = st.next_seq++;
   // run_epoch deliberately not reset: a recycled slot keeps growing it so any
-  // straggler event stamped for the previous occupant can never match.
+  // straggler work filed for the previous occupant can never match.
   p.inject_time = sim_.now();
   p.attempt_time = 0;
   p.blocked = 0;
@@ -171,9 +146,11 @@ void WormholeNetwork::inject(mesh::NodeId src, mesh::NodeId dst, std::uint64_t t
                         static_cast<std::int32_t>(dst));
   const std::int32_t p = alloc_packet(*primary_, src, dst, tag);
   register_attempt(*primary_, p, sim_.now());
+  ensure_arbitration(*primary_);
   if (shadow_ != nullptr) {
     const std::int32_t s = alloc_packet(*shadow_, src, dst, tag);
     register_attempt(*shadow_, s, sim_.now());
+    ensure_arbitration(*shadow_);
   }
 }
 
@@ -190,39 +167,48 @@ struct FifoKey {
 };
 }  // namespace
 
+// Queues the packet's attempt at its next path channel for the pass at `t`.
+// The caller arms that pass: inject() through ensure_arbitration, a bucket
+// after applying all of its work.
 void WormholeNetwork::register_attempt(EngineState& st, std::int32_t pkt, double t) {
   Packet& p = st.pool[static_cast<std::size_t>(pkt)];
   p.attempt_time = t;
   p.fresh_block = true;
   const ChannelId cid = p.path[static_cast<std::size_t>(p.next)];
-  Channel& ch = st.channels[static_cast<std::size_t>(cid)];
+  enqueue_waiter(st, st.channels[static_cast<std::size_t>(cid)], pkt);
+  mark_dirty(st, cid);
+}
+
+// Sorted insertion by the packet's (attempt_time, seq), so the final FIFO
+// does not depend on the order attempts are queued in.
+void WormholeNetwork::enqueue_waiter(EngineState& st, Channel& ch, std::int32_t pkt) {
+  Packet& p = st.pool[static_cast<std::size_t>(pkt)];
+  const FifoKey key{p.attempt_time, p.seq};
   p.next_waiter = -1;
   if (ch.wait_tail < 0) {
     ch.wait_head = ch.wait_tail = pkt;
-  } else {
-    Packet& tail = st.pool[static_cast<std::size_t>(ch.wait_tail)];
-    if (FifoKey{tail.attempt_time, tail.seq}.before(t, p.seq)) {
-      tail.next_waiter = pkt;
-      ch.wait_tail = pkt;
-    } else {
-      std::int32_t prev = -1;
-      std::int32_t cur = ch.wait_head;
-      while (cur >= 0) {
-        const Packet& w = st.pool[static_cast<std::size_t>(cur)];
-        if (FifoKey{t, p.seq}.before(w.attempt_time, w.seq)) break;
-        prev = cur;
-        cur = w.next_waiter;
-      }
-      p.next_waiter = cur;
-      if (prev < 0)
-        ch.wait_head = pkt;
-      else
-        st.pool[static_cast<std::size_t>(prev)].next_waiter = pkt;
-      if (cur < 0) ch.wait_tail = pkt;
-    }
+    return;
   }
-  mark_dirty(st, cid);
-  ensure_arbitration(st);
+  Packet& tail = st.pool[static_cast<std::size_t>(ch.wait_tail)];
+  if (FifoKey{tail.attempt_time, tail.seq}.before(key.t, key.seq)) {
+    tail.next_waiter = pkt;
+    ch.wait_tail = pkt;
+    return;
+  }
+  std::int32_t prev = -1;
+  std::int32_t cur = ch.wait_head;
+  while (cur >= 0) {
+    const Packet& w = st.pool[static_cast<std::size_t>(cur)];
+    if (key.before(w.attempt_time, w.seq)) break;
+    prev = cur;
+    cur = w.next_waiter;
+  }
+  p.next_waiter = cur;
+  if (prev < 0)
+    ch.wait_head = pkt;
+  else
+    st.pool[static_cast<std::size_t>(prev)].next_waiter = pkt;
+  if (cur < 0) ch.wait_tail = pkt;
 }
 
 void WormholeNetwork::mark_dirty(EngineState& st, ChannelId cid) {
@@ -237,7 +223,102 @@ void WormholeNetwork::ensure_arbitration(EngineState& st) {
   const double now = sim_.now();
   if (st.arb_time == now) return;
   st.arb_time = now;
-  sim_.schedule_at(now, kind_pass_, 0, stamp(st, 0));
+  sim_.schedule_at(now, kind_pass_, 0, state_bit(st));
+}
+
+// Files work for time `t` (always later than now) into t's bucket. The first
+// filing for a timestamp opens the bucket and schedules its one event, which
+// so takes the (time, seq) slot a per-work event for that filing would have.
+void WormholeNetwork::file(const EngineState& st, Work work, std::uint32_t id,
+                           std::uint32_t epoch, double t) {
+  std::int32_t& slot = bucket_index_[bucket_slot(t)];
+  if (slot < 0 || buckets_[static_cast<std::size_t>(slot)].time != t) {
+    std::uint32_t b;
+    if (free_buckets_.empty()) {
+      b = static_cast<std::uint32_t>(buckets_.size());
+      buckets_.emplace_back();
+    } else {
+      b = free_buckets_.back();
+      free_buckets_.pop_back();
+    }
+    buckets_[b].time = t;
+    sim_.schedule_at(t, kind_bucket_, b);
+    slot = static_cast<std::int32_t>(b);
+  }
+  buckets_[static_cast<std::size_t>(slot)].regs.push_back(
+      Registration{id, epoch, work, st.shadow});
+}
+
+// Applies one filed work item unless a truncation made it stale; returns
+// whether it fed this timestamp's pass.
+bool WormholeNetwork::apply(EngineState& st, const Registration& r, double t) {
+  switch (r.work) {
+    case Work::kAttempt:
+      if (st.pool[r.id].run_epoch != r.epoch) return false;
+      register_attempt(st, static_cast<std::int32_t>(r.id), t);
+      return true;
+    case Work::kEject: {
+      const Packet& p = st.pool[r.id];
+      if (p.run_epoch != r.epoch) return false;
+      st.ejections.push_back({static_cast<std::int32_t>(r.id), p.path.back(), r.epoch});
+      return true;
+    }
+    case Work::kGrant: {
+      Channel& c = st.channels[r.id];
+      if (c.epoch != r.epoch) return false;
+      c.grant_scheduled = false;
+      mark_dirty(st, static_cast<ChannelId>(r.id));
+      return true;
+    }
+  }
+  return false;
+}
+
+// One bucket event: apply everything filed for this timestamp in filing
+// order, then run or queue the passes it fed, in the order the states first
+// asked for one. This reproduces a kernel event per work item exactly:
+//  * work only feeds the pass at its own timestamp;
+//  * that pass runs after every heap event at the timestamp anyway (it sits
+//    on the same-time lane), so applying later work early changes nothing
+//    it reads;
+//  * epochs change only inside passes, so the staleness checks give the
+//    answers they would have given at each item's own slot;
+//  * the pass runs inline only when nothing else is due at this timestamp,
+//    i.e. exactly when its lane event would have been the next one popped.
+// Otherwise the pass is queued where the first work item's event would have
+// queued it. The one case that moves a pass: when the bucket's first items
+// went stale, it is queued at the bucket's slot instead of at the first live
+// item's, earlier than per-item events would have put it. The only lane
+// events it can then move ahead of are same-time arrivals and zero-latency
+// migrations, whose fresh packets contend only for their own injection
+// channels, where the larger seq loses every tie either way.
+void WormholeNetwork::fire_bucket(std::uint32_t id) {
+  const double t = sim_.now();
+  ++stats_.batches;
+  std::int32_t& slot = bucket_index_[bucket_slot(t)];
+  if (slot == static_cast<std::int32_t>(id)) slot = -1;
+  EngineState* fed[2]{};
+  int n_fed = 0;
+  std::vector<Registration>& regs = buckets_[id].regs;
+  for (const Registration& r : regs) {
+    EngineState& st = r.shadow ? *shadow_ : *primary_;
+    if (apply(st, r, t) && st.arb_time != t) {
+      st.arb_time = t;
+      fed[n_fed++] = &st;
+    }
+  }
+  regs.clear();
+  free_buckets_.push_back(id);
+  if (n_fed == 0) return;
+  if (sim_.queue().empty() || sim_.queue().next_time() > t) {
+    for (int i = 0; i < n_fed; ++i) {
+      if (!fed[i]->shadow) ++stats_.inline_passes;
+      run_pass(*fed[i]);
+    }
+  } else {
+    for (int i = 0; i < n_fed; ++i)
+      sim_.schedule_at(t, kind_pass_, 0, state_bit(*fed[i]));
+  }
 }
 
 // The canonical arbitration pass: runs once per network-active timestamp
@@ -248,6 +329,7 @@ void WormholeNetwork::ensure_arbitration(EngineState& st) {
 void WormholeNetwork::run_pass(EngineState& st) {
   const double t = sim_.now();
   st.arb_time = -1.0;  // later registrations at this timestamp re-arm
+  if (!st.shadow) ++stats_.passes;
   std::sort(st.dirty.begin(), st.dirty.end());
   for (std::size_t i = 0; i < st.dirty.size(); ++i) arbitrate(st, st.dirty[i], t);
   st.dirty.clear();
@@ -310,8 +392,7 @@ void WormholeNetwork::arbitrate(EngineState& st, ChannelId cid, double t) {
   if (ch.holder >= 0 && ch.wait_head >= 0 && ch.rel_time != kNoRelease &&
       !ch.grant_scheduled) {
     ch.grant_scheduled = true;
-    sim_.schedule_at(ch.rel_time, kind_grant_, static_cast<std::uint32_t>(cid),
-                     stamp(st, ch.epoch));
+    file(st, Work::kGrant, static_cast<std::uint32_t>(cid), ch.epoch, ch.rel_time);
   }
 }
 
@@ -322,8 +403,8 @@ void WormholeNetwork::grant(EngineState& st, std::int32_t pkt, double t) {
     start_run(st, pkt, t);
 }
 
-// Stepped (oracle) continuation: acquire exactly one channel and schedule
-// the next attempt 1 + st cycles ahead — O(hops) events per packet.
+// Stepped (oracle) continuation: acquire exactly one channel and file the
+// next attempt 1 + st cycles ahead — O(hops) attempts per packet.
 void WormholeNetwork::step_acquire(EngineState& st, std::int32_t pkt, double t) {
   Packet& p = st.pool[static_cast<std::size_t>(pkt)];
   const std::int32_t i = p.next;
@@ -342,19 +423,19 @@ void WormholeNetwork::step_acquire(EngineState& st, std::int32_t pkt, double t) 
   if (static_cast<std::size_t>(i) + 1 == p.path.size()) {
     st.ejections.push_back({pkt, cid, p.run_epoch});  // flushed by this pass
   } else {
-    sim_.schedule_at(t + static_cast<double>(1 + params_.st), kind_attempt_,
-                     static_cast<std::uint32_t>(pkt), stamp(st, p.run_epoch));
+    file(st, Work::kAttempt, static_cast<std::uint32_t>(pkt), p.run_epoch,
+         t + static_cast<double>(1 + params_.st));
   }
 }
 
 // Batched continuation: acquire the maximal run of currently-free consecutive
 // path channels in one shot. Channels past the first are reservations with
 // future acquisition times; worm-slide releases inside the run are computed
-// arithmetically. One event total: the virtual arrival at the first non-free
-// channel (or the ejection completion). The k-th acquisition time is built
-// by adding 1+st k times, exactly as the stepped engine's per-hop attempts
-// do: t + k*(1+st) rounds once and can differ in the last bit when t (a
-// job's start time) is not an integer.
+// arithmetically. One filed work item total: the virtual arrival at the
+// first non-free channel (or the ejection completion). The k-th acquisition
+// time is built by adding 1+st k times, exactly as the stepped engine's
+// per-hop attempts do: t + k*(1+st) rounds once and can differ in the last
+// bit when t (a job's start time) is not an integer.
 void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
   Packet& p = st.pool[static_cast<std::size_t>(pkt)];
   const auto len = static_cast<std::int32_t>(p.path.size());
@@ -403,11 +484,10 @@ void WormholeNetwork::start_run(EngineState& st, std::int32_t pkt, double t) {
     if (vt == t) {  // flushed by this pass
       st.ejections.push_back({pkt, p.path[static_cast<std::size_t>(len - 1)], e});
     } else {
-      sim_.schedule_at(vt, kind_eject_, static_cast<std::uint32_t>(pkt), stamp(st, e));
+      file(st, Work::kEject, static_cast<std::uint32_t>(pkt), e, vt);
     }
   } else {
-    sim_.schedule_at(vt + step, kind_attempt_, static_cast<std::uint32_t>(pkt),
-                     stamp(st, e));
+    file(st, Work::kAttempt, static_cast<std::uint32_t>(pkt), e, vt + step);
   }
 }
 
@@ -442,7 +522,7 @@ void WormholeNetwork::truncate(EngineState& st, ChannelId cid, double t) {
       ch.grant_scheduled = false;
     }
   }
-  ++p.run_epoch;  // cancels the pending arrival / ejection event
+  ++p.run_epoch;  // cancels the filed arrival / ejection
   p.next = cut;
   p.res_end = cut;
   ++stats_.truncations;
@@ -450,29 +530,9 @@ void WormholeNetwork::truncate(EngineState& st, ChannelId cid, double t) {
     // Re-attempt right now: joins this very arbitration with its true key.
     p.attempt_time = t;
     p.fresh_block = true;
-    p.next_waiter = -1;
-    Channel& ch = target;
-    if (ch.wait_tail < 0) {
-      ch.wait_head = ch.wait_tail = victim;
-    } else {
-      std::int32_t prev = -1;
-      std::int32_t cur = ch.wait_head;
-      while (cur >= 0) {
-        const Packet& w = st.pool[static_cast<std::size_t>(cur)];
-        if (FifoKey{t, p.seq}.before(w.attempt_time, w.seq)) break;
-        prev = cur;
-        cur = w.next_waiter;
-      }
-      p.next_waiter = cur;
-      if (prev < 0)
-        ch.wait_head = victim;
-      else
-        st.pool[static_cast<std::size_t>(prev)].next_waiter = victim;
-      if (cur < 0) ch.wait_tail = victim;
-    }
+    enqueue_waiter(st, target, victim);
   } else {
-    sim_.schedule_at(arrive, kind_attempt_, static_cast<std::uint32_t>(victim),
-                     stamp(st, p.run_epoch));
+    file(st, Work::kAttempt, static_cast<std::uint32_t>(victim), p.run_epoch, arrive);
   }
 }
 
@@ -481,7 +541,7 @@ void WormholeNetwork::set_release(EngineState& st, ChannelId cid, double when) {
   ch.rel_time = when;
   if (ch.wait_head >= 0 && !ch.grant_scheduled) {
     ch.grant_scheduled = true;
-    sim_.schedule_at(when, kind_grant_, static_cast<std::uint32_t>(cid), stamp(st, ch.epoch));
+    file(st, Work::kGrant, static_cast<std::uint32_t>(cid), ch.epoch, when);
   }
 }
 
@@ -495,7 +555,7 @@ void WormholeNetwork::complete(EngineState& st, std::int32_t pkt, double t_eject
   for (std::int32_t d = h - 1; d >= 0; --d)
     set_release(st, p.path[static_cast<std::size_t>(len - 1 - d)],
                 t_done - static_cast<double>(d));
-  sim_.schedule_at(t_done, kind_deliver_, static_cast<std::uint32_t>(pkt), stamp(st, 0));
+  sim_.schedule_at(t_done, kind_deliver_, static_cast<std::uint32_t>(pkt), state_bit(st));
 }
 
 void WormholeNetwork::deliver(EngineState& st, std::int32_t pkt) {
@@ -525,8 +585,7 @@ void WormholeNetwork::deliver(EngineState& st, std::int32_t pkt) {
 }
 
 void WormholeNetwork::recycle(EngineState& st, std::int32_t pkt) {
-  st.pool[static_cast<std::size_t>(pkt)].path.clear();
-  st.free_pool.push_back(pkt);
+  st.free_pool.push_back(pkt);  // the path keeps its capacity for the next route
 }
 
 // Analytic fast mode: one event per packet. Latency is the contention-free
@@ -542,7 +601,8 @@ void WormholeNetwork::inject_analytic(mesh::NodeId src, mesh::NodeId dst,
   if (rec_ != nullptr)
     rec_->packet_inject(sim_.now(), tag, static_cast<std::int32_t>(src),
                         static_cast<std::int32_t>(dst));
-  const std::vector<ChannelId> path = map_.route(src, dst);
+  std::vector<ChannelId> path;
+  map_.route(src, dst, path);
   const auto hops = static_cast<std::int32_t>(path.size()) - 2;
   const double service = static_cast<double>(channel_hold_cycles());
   const double elapsed = std::max(sim_.now(), 1.0);
@@ -658,6 +718,9 @@ void WormholeNetwork::reset() {
   analytic_.clear();
   analytic_free_.clear();
   verify_pending_.clear();
+  buckets_.clear();
+  free_buckets_.clear();
+  bucket_index_.fill(-1);
   verify_cmp_armed_ = false;
   stats_.reset();
 }

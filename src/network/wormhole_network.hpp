@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -19,13 +21,13 @@ namespace procsim::network {
 
 /// Network advancement engines.
 ///
-///  * kStepped  — the original per-hop oracle: one simulator event per
-///    channel acquisition (`1 + st` cycles each), O(hops) events per packet.
+///  * kStepped  — the original per-hop oracle: one attempt per channel
+///    acquisition (`1 + st` cycles each), O(hops) attempts per packet.
 ///  * kBatched  — hop-run advancement: a header acquires the maximal run of
-///    currently-free consecutive path channels in one event and schedules a
+///    currently-free consecutive path channels in one grant and files a
 ///    single arrival `run_len * (1 + st)` ahead, with the worm-slide releases
-///    computed arithmetically. An uncontended packet costs O(1) events; a
-///    contended one pays one event per blocking point. Delivery times,
+///    computed arithmetically. An uncontended packet costs O(1) attempts; a
+///    contended one pays one attempt per blocking point. Delivery times,
 ///    blocked times, hop counts and waiter-FIFO order are bit-identical to
 ///    kStepped (both engines share one canonical arbitration core).
 ///  * kVerify   — runs kBatched as primary and kStepped as an in-process
@@ -77,6 +79,9 @@ struct NetStats {
   std::uint64_t run_len_hist[6]{};
   std::uint64_t truncations{0};       ///< reservations stolen by earlier attempts
   std::uint64_t analytic_packets{0};
+  std::uint64_t batches{0};        ///< bucket events fired (one per filed timestamp)
+  std::uint64_t passes{0};         ///< arbitration passes (verify: the primary's)
+  std::uint64_t inline_passes{0};  ///< of those, run inside their bucket's event
 
   void reset() { *this = NetStats{}; }
 };
@@ -97,10 +102,17 @@ struct NetStats {
 ///    back-to-front.
 ///
 /// Arbitration is canonical and engine-independent: all acquisition attempts
-/// at one timestamp are collected and resolved by a single arbitration event
+/// at one timestamp are collected and resolved by a single arbitration pass
 /// that runs after every other event at that timestamp, channels in ascending
 /// id order, winner = min (attempt_time, injection_seq). Both cycle engines
 /// share this core, which is what makes kBatched bit-identical to kStepped.
+///
+/// Work the network files for a later timestamp (a header's next attempt, an
+/// ejection, a grant at a channel's release) is not one kernel event each:
+/// it goes into that timestamp's bucket, and the bucket is one event, taking
+/// the (time, seq) slot of the first work filed for it. The bucket applies
+/// its work in filing order and runs the pass inline when nothing else is
+/// due at its timestamp, since the pass would be the very next event.
 ///
 /// Latency and blocking are accumulated per packet and reported through the
 /// delivery sink.
@@ -179,11 +191,11 @@ class WormholeNetwork {
     std::int32_t wait_tail{-1};
     double acq_time{0};          // holder's (possibly future) acquisition time
     double rel_time{kNoRelease};  // known release time, +inf until learned
-    std::uint32_t epoch{0};       // cancels stale grant events on truncation
+    std::uint32_t epoch{0};       // cancels stale filed grants on truncation
     bool reserved{false};         // held by a batched run's virtual (future)
                                   // acquisition, not a realized one — only
                                   // reservations can be truncated
-    bool grant_scheduled{false};  // a grant event targets rel_time
+    bool grant_scheduled{false};  // a grant is filed for rel_time
     bool dirty{false};            // queued for arbitration this timestamp
   };
 
@@ -193,7 +205,7 @@ class WormholeNetwork {
     std::int32_t res_end{0};       // one past the last reserved path index
     std::int32_t next_waiter{-1};  // FIFO link while blocked on a channel
     std::uint64_t seq{0};          // injection order; arbitration tie-break
-    std::uint32_t run_epoch{0};    // cancels stale arrival/run-end events
+    std::uint32_t run_epoch{0};    // cancels stale filed attempts/ejections
     double inject_time{0};
     double attempt_time{0};        // when the pending attempt was made
     double blocked{0};
@@ -221,8 +233,35 @@ class WormholeNetwork {
     std::vector<Ejection> ejections;   // completions this timestamp
     std::vector<ChannelId> touched;    // verify: channels to cross-check
     std::uint64_t next_seq{0};
-    double arb_time{-1.0};  // timestamp with a scheduled arbitration event
+    double arb_time{-1.0};  // timestamp whose pass is armed (queued or running)
   };
+
+  // Work filed for a later timestamp. `epoch` is the packet's run_epoch
+  // (attempt, eject) or the channel's epoch (grant) when it was filed; a
+  // truncation moves the epoch on, and the stale work then does nothing.
+  enum class Work : std::uint8_t { kAttempt, kEject, kGrant };
+  struct Registration {
+    std::uint32_t id;  // packet pool index; channel id for kGrant
+    std::uint32_t epoch;
+    Work work;
+    bool shadow;  // filed by verify's shadow state
+  };
+
+  // Everything filed for one timestamp, fired by one kernel event.
+  struct Bucket {
+    double time{0};
+    std::vector<Registration> regs;  // in filing order
+  };
+
+  // Direct-mapped time -> open bucket index, slot = Fibonacci hash of the
+  // time's bits. A collision only opens a second bucket (and event) for the
+  // displaced time; the order of work is unchanged.
+  static constexpr int kBucketBits = 10;
+  static constexpr std::size_t kBucketSlots = std::size_t{1} << kBucketBits;
+  [[nodiscard]] static std::size_t bucket_slot(double t) noexcept {
+    return static_cast<std::size_t>(
+        (std::bit_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ULL) >> (64 - kBucketBits));
+  }
 
   struct VerifyRec {
     double time{0};
@@ -232,30 +271,28 @@ class WormholeNetwork {
     bool from_shadow{false};
   };
 
-  // Event payloads: `a` is a packet pool index or a channel id, `b` is
-  // stamp(st, epoch) — the epoch that cancels stale events, shifted past the
-  // bit that says which engine state (primary or verify shadow) owns it.
-  [[nodiscard]] static std::uint64_t stamp(const EngineState& st, std::uint32_t epoch) noexcept {
-    return std::uint64_t{epoch} << 1 | (st.shadow ? 1U : 0U);
-  }
-  [[nodiscard]] static std::uint32_t epoch_of(std::uint64_t b) noexcept {
-    return static_cast<std::uint32_t>(b >> 1);
+  // Pass and delivery events carry the owning state in their payload `b`.
+  [[nodiscard]] static std::uint64_t state_bit(const EngineState& st) noexcept {
+    return st.shadow ? 1U : 0U;
   }
   [[nodiscard]] EngineState& state_of(std::uint64_t b) noexcept {
-    return (b & 1U) != 0 ? *shadow_ : *primary_;
+    return b != 0 ? *shadow_ : *primary_;
   }
   // Event handlers (one registered kind each).
   static void on_pass(void* ctx, std::uint32_t, std::uint64_t b);
-  static void on_grant(void* ctx, std::uint32_t cid, std::uint64_t b);
-  static void on_attempt(void* ctx, std::uint32_t pkt, std::uint64_t b);
-  static void on_eject(void* ctx, std::uint32_t pkt, std::uint64_t b);
+  static void on_bucket(void* ctx, std::uint32_t bucket, std::uint64_t);
   static void on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t b);
   static void on_analytic(void* ctx, std::uint32_t slot, std::uint64_t);
 
   [[nodiscard]] std::int32_t alloc_packet(EngineState& st, mesh::NodeId src,
                                           mesh::NodeId dst, std::uint64_t tag);
   void register_attempt(EngineState& st, std::int32_t pkt, double t);
+  void enqueue_waiter(EngineState& st, Channel& ch, std::int32_t pkt);
   void ensure_arbitration(EngineState& st);
+  void file(const EngineState& st, Work work, std::uint32_t id, std::uint32_t epoch,
+            double t);
+  [[nodiscard]] bool apply(EngineState& st, const Registration& r, double t);
+  void fire_bucket(std::uint32_t id);
   void mark_dirty(EngineState& st, ChannelId ch);
   void run_pass(EngineState& st);
   void arbitrate(EngineState& st, ChannelId ch, double t);
@@ -282,10 +319,11 @@ class WormholeNetwork {
   std::vector<Delivery> analytic_;       // kAnalytic deliveries in flight
   std::vector<std::uint32_t> analytic_free_;  // reusable analytic_ slots
   std::unordered_map<std::uint64_t, VerifyRec> verify_pending_;
+  std::vector<Bucket> buckets_;               // open and recycled buckets
+  std::vector<std::uint32_t> free_buckets_;   // recycled buckets_ slots
+  std::array<std::int32_t, kBucketSlots> bucket_index_;  // -1 = none open
   des::EventKind kind_pass_{0};
-  des::EventKind kind_grant_{0};
-  des::EventKind kind_attempt_{0};
-  des::EventKind kind_eject_{0};
+  des::EventKind kind_bucket_{0};
   des::EventKind kind_deliver_{0};
   des::EventKind kind_analytic_{0};
   bool verify_cmp_armed_{false};

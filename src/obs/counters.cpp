@@ -61,6 +61,9 @@ void Counters::write_json(std::ostream& out) const {
   field(out, "net_run_len_32_plus", net_run_len_hist[5], first);
   field(out, "net_truncations", net_truncations, first);
   field(out, "net_analytic_packets", net_analytic_packets, first);
+  field(out, "net_batches", net_batches, first);
+  field(out, "net_passes", net_passes, first);
+  field(out, "net_inline_passes", net_inline_passes, first);
   out << ",\n  \"extras\": {";
   for (std::size_t i = 0; i < extras.size(); ++i) {
     char line[160];

@@ -42,7 +42,8 @@ TEST(Routing, TorusWrapsAround) {
 TEST(Routing, XYRouteGoesXThenY) {
   const ChannelMap map(Geometry(8, 8));
   const Geometry& g = map.geometry();
-  const auto path = map.route(g.id(Coord{1, 1}), g.id(Coord{4, 5}));
+  std::vector<procsim::network::ChannelId> path;
+  map.route(g.id(Coord{1, 1}), g.id(Coord{4, 5}), path);
   // injection + 3 east + 4 north + ejection
   ASSERT_EQ(path.size(), 9u);
   EXPECT_EQ(path.front(), map.injection(g.id(Coord{1, 1})));
@@ -68,9 +69,27 @@ TEST(Routing, TorusTakesShorterWay) {
   EXPECT_EQ(map.hop_count(g.id(Coord{0, 0}), g.id(Coord{8, 0})), 8);
 }
 
+TEST(Routing, RouteReusesTheCallersBuffer) {
+  // A pooled packet routes into the path vector its slot's last occupant
+  // left behind: a shorter path must reuse that storage, not reallocate.
+  const ChannelMap map(Geometry(8, 8));
+  const Geometry& g = map.geometry();
+  std::vector<procsim::network::ChannelId> path;
+  map.route(g.id(Coord{0, 0}), g.id(Coord{7, 7}), path);
+  ASSERT_EQ(path.size(), 16u);
+  const auto* storage = path.data();
+  map.route(g.id(Coord{2, 2}), g.id(Coord{3, 2}), path);
+  ASSERT_EQ(path.size(), 3u);
+  EXPECT_EQ(path.data(), storage);
+  EXPECT_EQ(path.front(), map.injection(g.id(Coord{2, 2})));
+  EXPECT_EQ(path[1], map.link(g.id(Coord{2, 2}), Direction::kEast));
+  EXPECT_EQ(path.back(), map.ejection(g.id(Coord{3, 2})));
+}
+
 TEST(Routing, SelfRouteThrows) {
   const ChannelMap map(Geometry(4, 4));
-  EXPECT_THROW((void)map.route(3, 3), std::invalid_argument);
+  std::vector<procsim::network::ChannelId> path;
+  EXPECT_THROW(map.route(3, 3, path), std::invalid_argument);
 }
 
 TEST(Routing, ChannelIdsAreDisjointRanges) {
@@ -236,6 +255,49 @@ TEST(Wormhole, MetricsAccumulate) {
   EXPECT_EQ(h.net.stats().delivered, 1u);
   ASSERT_EQ(h.deliveries.size(), 1u);
   EXPECT_EQ(h.deliveries[0].hops, 7);
+}
+
+TEST(Wormhole, UncontendedPacketCostsFourKernelEvents) {
+  // The injecting event, the pass it arms, one bucket for the ejection with
+  // its pass run inline (nothing else is due then), and the delivery. One
+  // kernel event per filed work item would make it five.
+  Harness h(Geometry(8, 8), NetworkParams{3, 8, false, NetEngine::kBatched});
+  const auto inject = h.sim.add_handler(
+      [](void* c, std::uint32_t, std::uint64_t) {
+        auto* x = static_cast<Harness*>(c);
+        const Geometry& g = x->net.channels().geometry();
+        x->net.inject(g.id(Coord{0, 0}), g.id(Coord{3, 4}), 1);
+      },
+      &h);
+  h.sim.schedule_at(0.0, inject);
+  EXPECT_EQ(h.sim.run(), 4u);
+  ASSERT_EQ(h.deliveries.size(), 1u);
+  EXPECT_DOUBLE_EQ(h.deliveries[0].latency, h.net.base_latency(7));
+  EXPECT_EQ(h.net.stats().batches, 1u);
+  EXPECT_EQ(h.net.stats().passes, 2u);
+  EXPECT_EQ(h.net.stats().inline_passes, 1u);
+}
+
+TEST(Wormhole, SameTimeWorkSharesOneBucket) {
+  // Two disjoint packets of equal length eject at the same timestamp: their
+  // two ejections share one bucket, so the second packet adds only its
+  // delivery to the four events of a lone packet.
+  Harness h(Geometry(8, 8), NetworkParams{3, 8, false, NetEngine::kBatched});
+  const auto inject = h.sim.add_handler(
+      [](void* c, std::uint32_t, std::uint64_t) {
+        auto* x = static_cast<Harness*>(c);
+        const Geometry& g = x->net.channels().geometry();
+        x->net.inject(g.id(Coord{0, 0}), g.id(Coord{3, 4}), 1);
+        x->net.inject(g.id(Coord{7, 7}), g.id(Coord{4, 3}), 2);
+      },
+      &h);
+  h.sim.schedule_at(0.0, inject);
+  EXPECT_EQ(h.sim.run(), 5u);
+  ASSERT_EQ(h.deliveries.size(), 2u);
+  for (const auto& d : h.deliveries) EXPECT_DOUBLE_EQ(d.blocked, 0.0);
+  EXPECT_EQ(h.net.stats().batches, 1u);
+  EXPECT_EQ(h.net.stats().passes, 2u);
+  EXPECT_EQ(h.net.stats().inline_passes, 1u);
 }
 
 TEST(Wormhole, ResetMidFlightDropsPacketsAndStartsClean) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -253,6 +254,167 @@ TEST(EngineEquivalence, EarlierAttemptBeatsLaterAtSharedLink) {
   schedule.push_back({0.0, g.id(Coord{0, 2}), g.id(Coord{6, 2}), 1});
   schedule.push_back({2.0, g.id(Coord{2, 0}), g.id(Coord{2, 6}), 2});
   expect_engines_agree(schedule, geom, NetworkParams{3, 8, false});
+}
+
+// ------------------------------------------------------- golden trajectory
+
+/// FNV-1a over the raw bytes of each value: times, latencies and blocked
+/// times enter as bit patterns, so a last-bit difference changes the sum.
+struct StreamHash {
+  std::uint64_t h{0xcbf29ce484222325ULL};
+  template <typename T>
+  void add(const T& v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (const unsigned char c : bytes) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+struct GoldenRun {
+  std::uint64_t checksum{0};
+  std::size_t deliveries{0};
+  std::size_t injected{0};
+  std::uint64_t truncations{0};
+};
+
+/// Adversarial churn interleaved with test-owned events. Long worms cross
+/// whole rows in waves, and crossers enter one cycle behind their headers to
+/// steal the batched runs' reservations; uniform churn fills the gaps. A
+/// chain of marker events lands on the network's own integer timestamps,
+/// each scheduling the next one to three cycles ahead from inside the event
+/// order, and every fourth marker schedules a same-time follow-up that
+/// injects one more packet. Each marker also schedules an echo P_len cycles
+/// ahead, the time at which a pass at the marker's timestamp schedules the
+/// deliveries it completes: the echo fires before those deliveries only if
+/// the marker ran before that pass. The checksum covers the interleaved
+/// stream of deliveries, markers, echoes and follow-ups in the order the
+/// kernel fired them.
+GoldenRun run_golden(NetEngine engine) {
+  const Geometry geom(16, 4);
+  std::vector<Injection> schedule;
+  std::uint64_t tag = 0;
+  for (int wave = 0; wave < 6; ++wave) {
+    const double t0 = 40.0 * wave;
+    for (int row = 0; row < 4; ++row) {
+      const int dir = (wave + row) % 2;  // alternate east and west worms
+      const NodeId a = geom.id(Coord{dir == 0 ? 0 : 15, row});
+      const NodeId b = geom.id(Coord{dir == 0 ? 15 : 0, (row + wave) % 4});
+      schedule.push_back({t0, a, b, tag++});
+      for (const int x : {3, 7, 11})
+        schedule.push_back({t0 + 1.0, geom.id(Coord{dir == 0 ? x : 15 - x, row}), b,
+                            tag++});
+    }
+  }
+  for (Injection in : uniform_churn(geom, 160, 260, 0x601D)) {
+    in.tag = tag++;
+    schedule.push_back(in);
+  }
+
+  Simulator sim;
+  WormholeNetwork net(sim, geom, NetworkParams{3, 8, false, engine});
+  struct Ctx {
+    Simulator* sim{nullptr};
+    WormholeNetwork* net{nullptr};
+    const std::vector<Injection>* schedule{nullptr};
+    Xoshiro256SS rng{0x3A7C};
+    StreamHash hash;
+    std::size_t deliveries{0};
+    std::size_t followups{0};
+    std::uint32_t markers{0};
+    std::uint64_t next_tag{0};
+    std::uint32_t marker_kind{0};
+    std::uint32_t followup_kind{0};
+    std::uint32_t echo_kind{0};
+  };
+  Ctx ctx;
+  ctx.sim = &sim;
+  ctx.net = &net;
+  ctx.schedule = &schedule;
+  ctx.next_tag = tag;
+  net.set_delivery_sink(
+      [](void* c, const Delivery& d) {
+        auto* x = static_cast<Ctx*>(c);
+        ++x->deliveries;
+        x->hash.add('D');
+        x->hash.add(x->sim->now());
+        x->hash.add(d.latency);
+        x->hash.add(d.blocked);
+        x->hash.add(d.hops);
+        x->hash.add(d.tag);
+      },
+      &ctx);
+  const auto inject = sim.add_handler(
+      [](void* c, std::uint32_t a, std::uint64_t) {
+        auto* x = static_cast<Ctx*>(c);
+        const Injection& in = (*x->schedule)[a];
+        x->net->inject(in.src, in.dst, in.tag);
+      },
+      &ctx);
+  ctx.followup_kind = sim.add_handler(
+      [](void* c, std::uint32_t a, std::uint64_t) {
+        auto* x = static_cast<Ctx*>(c);
+        const auto nodes =
+            static_cast<std::uint32_t>(x->net->channels().geometry().nodes());
+        const auto src = static_cast<NodeId>(a % nodes);
+        const auto dst = static_cast<NodeId>((a * 7 + 3) % nodes);
+        x->hash.add('F');
+        x->hash.add(x->sim->now());
+        x->hash.add(a);
+        ++x->followups;
+        x->net->inject(src, dst == src ? (src + 1) % static_cast<NodeId>(nodes) : dst,
+                       x->next_tag++);
+      },
+      &ctx);
+  ctx.echo_kind = sim.add_handler(
+      [](void* c, std::uint32_t a, std::uint64_t) {
+        auto* x = static_cast<Ctx*>(c);
+        x->hash.add('E');
+        x->hash.add(x->sim->now());
+        x->hash.add(a);
+      },
+      &ctx);
+  ctx.marker_kind = sim.add_handler(
+      [](void* c, std::uint32_t a, std::uint64_t) {
+        auto* x = static_cast<Ctx*>(c);
+        const double now = x->sim->now();
+        x->hash.add('M');
+        x->hash.add(now);
+        x->hash.add(a);
+        ++x->markers;
+        if (a % 4 == 0) x->sim->schedule_at(now, x->followup_kind, a);
+        x->sim->schedule_at(now + 8.0, x->echo_kind, a);
+        if (now < 320.0)
+          x->sim->schedule_at(now + static_cast<double>(1 + x->rng() % 3), x->marker_kind,
+                              a + 1);
+      },
+      &ctx);
+  for (std::size_t i = 0; i < schedule.size(); ++i)
+    sim.schedule_at(schedule[i].t, inject, static_cast<std::uint32_t>(i));
+  sim.schedule_at(1.0, ctx.marker_kind, 0);
+  sim.run();
+  EXPECT_EQ(net.in_flight(), 0u);
+  EXPECT_GT(ctx.markers, 100u);
+  return GoldenRun{ctx.hash.h, ctx.deliveries, schedule.size() + ctx.followups,
+                   net.stats().truncations};
+}
+
+// Recorded with one kernel event per attempt, ejection and grant. The
+// network's event structure may change freely; the trajectory it produces
+// beside same-time events it does not own may not.
+TEST(EngineGolden, ChurnBesideSameTimeTestEvents) {
+  for (const NetEngine engine :
+       {NetEngine::kBatched, NetEngine::kStepped, NetEngine::kVerify}) {
+    SCOPED_TRACE(procsim::network::net_engine_name(engine));
+    const GoldenRun r = run_golden(engine);
+    EXPECT_EQ(r.deliveries, r.injected);
+    EXPECT_EQ(r.checksum, 0x576d31a6983f2daaULL);
+    if (engine == NetEngine::kBatched) {
+      EXPECT_GT(r.truncations, 0u);
+    }
+  }
 }
 
 // ------------------------------------------------------- verify lock-step
