@@ -1,16 +1,17 @@
 // bench_swf_replay: multi-million-job SWF replay on a large mesh — the
 // nightly soak of the event kernel and the arena job storage.
 //
-// Each replication streams the whole trace through its own SystemSim
-// (coalesced per-timestamp scheduling passes by default), seeded with
-// des::substream_seed(base, rep) — the derivation run_replicated uses — so
-// the per-rep metric rows, and the per-job record CSV of replication 0, are
-// byte-identical no matter how many worker threads drain the replications.
+// Each replication streams the whole trace through its own FirstFit/FCFS
+// SystemSim (one scheduling pass per arrival and per completion, as in every
+// figure), seeded with des::substream_seed(base, rep) — the derivation
+// run_replicated uses — so the per-rep metric rows, and the per-job record
+// CSV of replication 0, are byte-identical no matter how many worker threads
+// drain the replications.
 // The nightly workflow runs this twice (--threads=1, --threads=2) and `cmp`s
 // the CSVs.
 //
 //   bench_swf_replay --swf=trace.swf [--mesh=256] [--reps=2] [--threads=1]
-//                    [--load=0.02] [--prefix=N] [--seed=S] [--coalesce=0|1]
+//                    [--load=0.02] [--prefix=N] [--seed=S]
 //                    [--out=REPLAY_metrics.csv] [--records=REPLAY_jobs.csv]
 //
 // A malformed, signed, trailing or out-of-range flag value exits 2 with one
@@ -50,7 +51,6 @@ struct Options {
   double load{0.02};
   std::size_t prefix{0};
   std::uint64_t seed{0x5EEDULL};
-  bool coalesce{true};
   std::string out{"REPLAY_metrics.csv"};
   std::string records;
 };
@@ -89,8 +89,6 @@ Options parse_options(int argc, char** argv) {
       opt.prefix = count();
     } else if (arg.starts_with("--seed=")) {
       opt.seed = count();
-    } else if (arg == "--coalesce=0" || arg == "--coalesce=1") {
-      opt.coalesce = arg.back() == '1';
     } else if (arg.starts_with("--out=")) {
       opt.out = value();
     } else if (arg.starts_with("--records=")) {
@@ -112,7 +110,6 @@ RepResult run_rep(const Options& opt,
   core::SystemConfig cfg;
   cfg.geom = geom;
   cfg.target_completions = 0;  // the whole trace
-  cfg.coalesce_passes = opt.coalesce;
   cfg.seed = des::substream_seed(opt.seed, rep);
 
   const auto allocator = alloc::make_allocator("FirstFit", geom, {.seed = 99});
@@ -166,7 +163,7 @@ int main(int argc, char** argv) {
       opt.prefix != 0 && opt.prefix < trace->size() ? opt.prefix : trace->size();
   std::cout << "trace: " << trace->size() << " records, replaying " << njobs
             << " per rep x " << opt.reps << " reps on " << opt.mesh << "x"
-            << opt.mesh << " (coalesce " << (opt.coalesce ? "on" : "off") << ")\n";
+            << opt.mesh << "\n";
 
   // Replication 0 additionally streams its per-job records into the columnar
   // store; the sink is observation-only, so rep 0's trajectory matches the

@@ -19,7 +19,7 @@
 //                          util_spread|util_min|util_max|util_stddev|
 //                          migrations|migration_latency|stale_errors]
 //                 [--loads=0.005,0.01,...]
-//                 [--net=stepped|batched|verify|analytic]
+//                 [--net=stepped|batched|verify]
 //                 [--fast] [--jobs=N] [--reps=N] [--seed=N] [--threads=N]
 //                 [--telemetry=PATH[;dt=X]] [--counters[=PATH]]
 //                 [--trace=PATH] [--job-records=PATH[.jsonl|.csv]]

@@ -23,7 +23,7 @@ struct ExperimentSpecStrings {
   std::string alloc;     ///< allocator registry name (alloc::known_allocators)
   std::string sched;     ///< scheduler registry spec (sched::known_schedulers)
   std::string workload;  ///< workload::make_source registry spec
-  std::string net;       ///< network engine name (stepped|batched|verify|analytic)
+  std::string net;       ///< network engine name (stepped|batched|verify)
 };
 
 /// "WxL" with both sides in 1..4096; nullopt when malformed. The shared

@@ -101,7 +101,6 @@ void SystemSim::begin_run() {
   completed_ = 0;
   seq_ = 0;
   measure_start_ = 0;
-  pass_pending_ = false;
   busy_procs_ = stats::TimeWeighted{};
   queue_len_ = stats::TimeWeighted{};
   rng_ = des::Xoshiro256SS{cfg_.seed};
@@ -144,7 +143,6 @@ void SystemSim::finalize_run(bool own_clock,
     for (std::size_t i = 0; i < 6; ++i)
       c.net_run_len_hist[i] += ns.run_len_hist[i];
     c.net_truncations += ns.truncations;
-    c.net_analytic_packets += ns.analytic_packets;
     c.net_batches += ns.batches;
     c.net_passes += ns.passes;
     c.net_inline_passes += ns.inline_passes;
@@ -204,24 +202,7 @@ void SystemSim::on_arrival(workload::Job job) {
   queue_len_.set(sim_->now(), static_cast<double>(scheduler_.size()));
 
   (void)arena_.acquire(std::move(job));  // queued; placed at start
-  request_schedule();
-}
-
-void SystemSim::request_schedule() {
-  if (!cfg_.coalesce_passes) {
-    try_schedule();
-    return;
-  }
-  if (pass_pending_) return;
-  pass_pending_ = true;
-  // One pass per timestamp: every same-time trigger after the first folds
-  // into the already-registered batch-end action. The flag clears before the
-  // pass runs so job starts *inside* the pass (which may complete instantly
-  // at the same timestamp) can re-request and extend the batch.
-  sim_->at_batch_end([this] {
-    pass_pending_ = false;
-    try_schedule();
-  });
+  try_schedule();
 }
 
 const workload::Job& SystemSim::queued_job(std::uint64_t job_id) const {
@@ -407,7 +388,7 @@ void SystemSim::complete_job(JobArena::Slot slot) {
     sim_->stop();
     return;
   }
-  request_schedule();
+  try_schedule();
   // The cluster hook runs last: the completion is fully accounted, the slot
   // released, and any same-time scheduling pass done, so the hook sees this
   // mesh's post-completion state (migration decisions key off it).

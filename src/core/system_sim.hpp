@@ -37,15 +37,6 @@ struct SystemConfig {
   std::size_t warmup_completions{0};     ///< completions excluded from statistics
   std::uint64_t seed{1};                 ///< run-local randomness (random traffic)
   std::uint64_t max_events{2'000'000'000};  ///< runaway guard
-  /// Run one scheduling pass per simulated timestamp instead of one per
-  /// triggering event: a burst of same-time completions or arrivals defers a
-  /// single pass to the end of the batch. Trajectory-identical whenever job
-  /// boundaries never share a timestamp, but the cycle-quantized network
-  /// makes same-time completion bursts real, and a pass that sees several
-  /// releases at once can place jobs differently (still deterministically).
-  /// Off by default so every figure reproduces its published bytes; the
-  /// nightly multi-million-job replay (bench_swf_replay) opts in.
-  bool coalesce_passes{false};
   /// Unused: kept only for perfbench/ (see des::EventEngine).
   des::EventEngine event_engine{des::EventEngine::kHeap};
   /// Observability attach point (null = off). Observation-only like the
@@ -211,11 +202,9 @@ class SystemSim {
   void on_arrival(workload::Job job);
   /// The waiting job behind a queue entry; throws if the record is missing.
   [[nodiscard]] const workload::Job& queued_job(std::uint64_t job_id) const;
-  /// One transactional scheduling pass (see Scheduler::select).
+  /// One transactional scheduling pass (see Scheduler::select), run after
+  /// every arrival and every completion.
   void try_schedule();
-  /// Requests a pass: immediate when `coalesce_passes` is off, otherwise
-  /// deferred (once) to the end of the current timestamp batch.
-  void request_schedule();
   void start_job(JobArena::Slot slot, alloc::Placement placement);
   void on_delivery(const network::Delivery& d);
   void complete_job(JobArena::Slot slot);
@@ -256,7 +245,6 @@ class SystemSim {
   std::uint64_t completed_{0};
   std::uint64_t seq_{0};
   double measure_start_{0};
-  bool pass_pending_{false};  ///< a coalesced scheduling pass is queued
 };
 
 }  // namespace procsim::core

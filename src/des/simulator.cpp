@@ -2,21 +2,6 @@
 
 namespace procsim::des {
 
-void Simulator::flush_batch() {
-  // An action may defer further actions (batch_end_ refills) or schedule new
-  // events at now_ (the caller's loop keeps the batch open); the swap keeps
-  // iteration valid either way. batch_scratch_ recycles the vector capacity.
-  while (!batch_end_.empty() && !stopped_ &&
-         (queue_.empty() || queue_.next_time() > now_)) {
-    batch_scratch_.clear();
-    std::swap(batch_scratch_, batch_end_);
-    for (std::function<void()>& action : batch_scratch_) {
-      action();
-      if (stopped_) break;
-    }
-  }
-}
-
 void Simulator::step() {
   const Event ev = queue_.pop();
   now_ = ev.time;
@@ -24,10 +9,6 @@ void Simulator::step() {
   const HandlerEntry h = handlers_[ev.kind];
   h.fn(h.ctx, ev.a, ev.b);
   ++executed_;
-  // Timestamp exhausted: run the deferred batch-end work before the clock
-  // advances. flush_batch re-checks, since an action may extend the batch.
-  if (!batch_end_.empty() && (queue_.empty() || queue_.next_time() > now_))
-    flush_batch();
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "des/event_queue.hpp"
@@ -20,7 +18,10 @@ namespace procsim::des {
 /// order through `fn(ctx, a, b)` until the queue drains, `stop()` is called,
 /// or an event horizon is reached. The kernel itself holds no model state,
 /// which keeps every substrate (network, allocator, workload) independently
-/// testable against a bare Simulator.
+/// testable against a bare Simulator. It holds no closures either: work that
+/// must wait for the rest of its timestamp is a typed event at the current
+/// time, which lands on the same-time lane behind everything already due
+/// then and can queue itself there again (see WormholeNetwork's verify mode).
 class Simulator {
  public:
   /// Fires one event of a registered kind with the event's payload.
@@ -52,18 +53,6 @@ class Simulator {
     schedule_at(now_ + delay, kind, a, b);
   }
 
-  /// Defers `action` to the end of the current timestamp batch: it runs once
-  /// every pending event at the current time has fired (before the clock
-  /// advances), in registration order. Deferred actions may schedule new
-  /// events — including at the current time, which keeps the batch open —
-  /// and may defer further actions. This is how a burst of same-timestamp
-  /// completions triggers one scheduling pass instead of N: the model
-  /// registers the pass once per timestamp instead of running it per event.
-  /// Actions still pending when `stop()` ends a run are dropped, matching
-  /// the pre-batching behaviour of work that never got to run. A cold path
-  /// (coalesced passes, network verify mode), hence the closure.
-  void at_batch_end(std::function<void()> action) { batch_end_.push_back(std::move(action)); }
-
   /// Runs until the event queue is empty, `stop()` is called, or more than
   /// `max_events` events have fired (guard against runaway models).
   /// Returns the number of events executed.
@@ -84,7 +73,6 @@ class Simulator {
   /// Resets clock, queue and counters for a fresh replication.
   void reset() {
     queue_.clear();
-    batch_end_.clear();
     now_ = 0;
     executed_ = 0;
     stopped_ = false;
@@ -96,17 +84,11 @@ class Simulator {
     void* ctx;
   };
 
-  /// Pops the earliest event, advances the clock, fires the handler, and
-  /// runs the deferred batch-end work once the timestamp is exhausted.
+  /// Pops the earliest event, advances the clock and fires the handler.
   void step();
-  /// Runs deferred batch-end actions until none remain or the batch reopens
-  /// (an action scheduled a new event at the current time).
-  void flush_batch();
 
   EventQueue queue_;
   std::vector<HandlerEntry> handlers_;
-  std::vector<std::function<void()>> batch_end_;
-  std::vector<std::function<void()>> batch_scratch_;  ///< swap target during a flush
   SimTime now_{0};
   std::uint64_t executed_{0};
   bool stopped_{false};

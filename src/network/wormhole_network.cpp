@@ -1,6 +1,7 @@
 #include "network/wormhole_network.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -26,7 +27,16 @@ NetEngine default_net_engine() {
   static const NetEngine parsed = [] {
     const char* env = std::getenv("PROCSIM_NET_ENGINE");
     if (env == nullptr || *env == '\0') return NetEngine::kBatched;
-    return parse_net_engine(env);
+    try {
+      return parse_net_engine(env);
+    } catch (const std::invalid_argument& e) {
+      // First read by NetworkParams' default member initializer, where no
+      // caller can catch, possibly on a worker thread: a usage error without
+      // the static destructors std::exit would run under live threads.
+      std::fprintf(stderr, "PROCSIM_NET_ENGINE: %s\n", e.what());
+      std::fflush(stdout);
+      std::_Exit(2);
+    }
   }();
   return parsed;
 }
@@ -35,10 +45,8 @@ NetEngine parse_net_engine(std::string_view name) {
   if (name == "stepped") return NetEngine::kStepped;
   if (name == "batched") return NetEngine::kBatched;
   if (name == "verify") return NetEngine::kVerify;
-  if (name == "analytic") return NetEngine::kAnalytic;
-  throw std::invalid_argument(
-      "net engine must be stepped, batched, verify or analytic (got '" +
-      std::string(name) + "')");
+  throw std::invalid_argument("net engine must be stepped, batched or verify (got '" +
+                              std::string(name) + "')");
 }
 
 const char* net_engine_name(NetEngine engine) noexcept {
@@ -46,7 +54,6 @@ const char* net_engine_name(NetEngine engine) noexcept {
     case NetEngine::kStepped: return "stepped";
     case NetEngine::kBatched: return "batched";
     case NetEngine::kVerify: return "verify";
-    case NetEngine::kAnalytic: return "analytic";
   }
   return "?";
 }
@@ -59,16 +66,11 @@ WormholeNetwork::WormholeNetwork(des::Simulator& sim, mesh::Geometry geom,
   kind_pass_ = sim_.add_handler(&on_pass, this);
   kind_bucket_ = sim_.add_handler(&on_bucket, this);
   kind_deliver_ = sim_.add_handler(&on_deliver, this);
-  kind_analytic_ = sim_.add_handler(&on_analytic, this);
+  kind_compare_ = sim_.add_handler(&on_compare, this);
   bucket_index_.fill(-1);
   const auto n_channels = static_cast<std::size_t>(map_.channel_count());
-  if (params_.engine == NetEngine::kAnalytic) {
-    busy_cycles_.assign(n_channels, 0.0);
-    return;
-  }
-  primary_ = std::make_unique<EngineState>();
-  primary_->stepped = (params_.engine == NetEngine::kStepped);
-  primary_->channels.resize(n_channels);
+  primary_.stepped = (params_.engine == NetEngine::kStepped);
+  primary_.channels.resize(n_channels);
   if (params_.engine == NetEngine::kVerify) {
     shadow_ = std::make_unique<EngineState>();
     shadow_->stepped = true;
@@ -95,16 +97,22 @@ void WormholeNetwork::on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t b) 
   self->deliver(self->state_of(b), static_cast<std::int32_t>(pkt));
 }
 
-void WormholeNetwork::on_analytic(void* ctx, std::uint32_t slot, std::uint64_t) {
+// Verify's state comparison runs once neither engine has a pass armed at
+// this timestamp. While one has (a same-time injection re-armed an engine
+// whose pass already ran, queueing that pass behind this event), it queues
+// itself again behind that pass. It waits for nothing else, so the
+// comparisons of several networks on one clock never queue behind each
+// other forever. An injection from a later same-time event re-arms both
+// engines, and their first pass queues a fresh comparison.
+void WormholeNetwork::on_compare(void* ctx, std::uint32_t, std::uint64_t) {
   auto* self = static_cast<WormholeNetwork*>(ctx);
-  const Delivery d = self->analytic_[slot];
-  self->analytic_free_.push_back(slot);
-  ++self->stats_.delivered;
-  if (self->rec_ != nullptr)
-    self->rec_->packet_deliver(self->sim_.now(), d.tag, static_cast<std::int32_t>(d.src),
-                               static_cast<std::int32_t>(d.dst), d.hops, d.latency,
-                               d.blocked);
-  if (self->sink_ != nullptr) self->sink_(self->sink_ctx_, d);
+  const double now = self->sim_.now();
+  if (self->primary_.arb_time == now || self->shadow_->arb_time == now) {
+    self->sim_.schedule_at(now, self->kind_compare_);
+    return;
+  }
+  self->verify_cmp_armed_ = false;
+  self->verify_compare_states();
 }
 
 std::int32_t WormholeNetwork::alloc_packet(EngineState& st, mesh::NodeId src,
@@ -136,17 +144,13 @@ std::int32_t WormholeNetwork::alloc_packet(EngineState& st, mesh::NodeId src,
 }
 
 void WormholeNetwork::inject(mesh::NodeId src, mesh::NodeId dst, std::uint64_t tag) {
-  if (params_.engine == NetEngine::kAnalytic) {
-    inject_analytic(src, dst, tag);
-    return;
-  }
   ++stats_.injected;
   if (rec_ != nullptr)
     rec_->packet_inject(sim_.now(), tag, static_cast<std::int32_t>(src),
                         static_cast<std::int32_t>(dst));
-  const std::int32_t p = alloc_packet(*primary_, src, dst, tag);
-  register_attempt(*primary_, p, sim_.now());
-  ensure_arbitration(*primary_);
+  const std::int32_t p = alloc_packet(primary_, src, dst, tag);
+  register_attempt(primary_, p, sim_.now());
+  ensure_arbitration(primary_);
   if (shadow_ != nullptr) {
     const std::int32_t s = alloc_packet(*shadow_, src, dst, tag);
     register_attempt(*shadow_, s, sim_.now());
@@ -301,7 +305,7 @@ void WormholeNetwork::fire_bucket(std::uint32_t id) {
   int n_fed = 0;
   std::vector<Registration>& regs = buckets_[id].regs;
   for (const Registration& r : regs) {
-    EngineState& st = r.shadow ? *shadow_ : *primary_;
+    EngineState& st = r.shadow ? *shadow_ : primary_;
     if (apply(st, r, t) && st.arb_time != t) {
       st.arb_time = t;
       fed[n_fed++] = &st;
@@ -343,10 +347,7 @@ void WormholeNetwork::run_pass(EngineState& st) {
   st.ejections.clear();
   if (params_.engine == NetEngine::kVerify && !verify_cmp_armed_) {
     verify_cmp_armed_ = true;
-    sim_.at_batch_end([this] {
-      verify_cmp_armed_ = false;
-      verify_compare_states();
-    });
+    sim_.schedule_at(t, kind_compare_);
   }
 }
 
@@ -588,46 +589,6 @@ void WormholeNetwork::recycle(EngineState& st, std::int32_t pkt) {
   st.free_pool.push_back(pkt);  // the path keeps its capacity for the next route
 }
 
-// Analytic fast mode: one event per packet. Latency is the contention-free
-// base plus an M/M/1-style waiting term rho/(1-rho) * S per path channel,
-// where rho is the channel's running utilization (busy cycles / elapsed
-// time, capped at 0.95) and S = channel_hold_cycles(). Trend-accurate only:
-// cross-validated against the cycle model with a tolerance band, never
-// byte-compared.
-void WormholeNetwork::inject_analytic(mesh::NodeId src, mesh::NodeId dst,
-                                      std::uint64_t tag) {
-  ++stats_.injected;
-  ++stats_.analytic_packets;
-  if (rec_ != nullptr)
-    rec_->packet_inject(sim_.now(), tag, static_cast<std::int32_t>(src),
-                        static_cast<std::int32_t>(dst));
-  std::vector<ChannelId> path;
-  map_.route(src, dst, path);
-  const auto hops = static_cast<std::int32_t>(path.size()) - 2;
-  const double service = static_cast<double>(channel_hold_cycles());
-  const double elapsed = std::max(sim_.now(), 1.0);
-  double wait = 0;
-  for (const ChannelId cid : path) {
-    const double rho =
-        std::min(busy_cycles_[static_cast<std::size_t>(cid)] / elapsed, 0.95);
-    wait += rho / (1.0 - rho) * service;
-  }
-  for (const ChannelId cid : path)
-    busy_cycles_[static_cast<std::size_t>(cid)] += service;
-  const double latency = static_cast<double>(base_latency_cycles(hops)) + wait;
-  // The delivery waits in a slot-reused side table; the event carries the slot.
-  std::uint32_t slot;
-  if (analytic_free_.empty()) {
-    slot = static_cast<std::uint32_t>(analytic_.size());
-    analytic_.emplace_back();
-  } else {
-    slot = analytic_free_.back();
-    analytic_free_.pop_back();
-  }
-  analytic_[slot] = Delivery{tag, src, dst, latency, wait, hops};
-  sim_.schedule_at(sim_.now() + latency, kind_analytic_, slot);
-}
-
 void WormholeNetwork::verify_match(std::uint64_t id, const VerifyRec& rec) {
   auto it = verify_pending_.find(id);
   if (it == verify_pending_.end()) {
@@ -649,18 +610,19 @@ void WormholeNetwork::verify_match(std::uint64_t id, const VerifyRec& rec) {
   verify_pending_.erase(it);
 }
 
-// Lock-step state cross-check, run at the end of every network-active
-// timestamp (after both engines' passes): for every channel either engine
-// touched, the effective holder and the waiter FIFO (order included) must
-// agree. Batched reservations whose acquisition lies in the future must be
-// free in the stepped engine — the per-hop header has not arrived yet.
+// Lock-step state cross-check, run by the compare event (on_compare) once
+// both engines' passes at a network-active timestamp are done: for every
+// channel either engine touched, the effective holder and the waiter FIFO
+// (order included) must agree. Batched reservations whose acquisition lies
+// in the future must be free in the stepped engine — the per-hop header has
+// not arrived yet.
 void WormholeNetwork::verify_compare_states() {
   const double t = sim_.now();
   std::vector<ChannelId> all;
-  all.reserve(primary_->touched.size() + shadow_->touched.size());
-  all.insert(all.end(), primary_->touched.begin(), primary_->touched.end());
+  all.reserve(primary_.touched.size() + shadow_->touched.size());
+  all.insert(all.end(), primary_.touched.begin(), primary_.touched.end());
   all.insert(all.end(), shadow_->touched.begin(), shadow_->touched.end());
-  primary_->touched.clear();
+  primary_.touched.clear();
   shadow_->touched.clear();
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
@@ -670,21 +632,21 @@ void WormholeNetwork::verify_compare_states() {
         st.pool[static_cast<std::size_t>(c.holder)].seq);
   };
   for (const ChannelId cid : all) {
-    const Channel& a = primary_->channels[static_cast<std::size_t>(cid)];
+    const Channel& a = primary_.channels[static_cast<std::size_t>(cid)];
     const Channel& b = shadow_->channels[static_cast<std::size_t>(cid)];
     if (a.holder >= 0 && a.acq_time > t) {
       if (eff(*shadow_, b) != -1)
         throw std::logic_error(
             "WormholeNetwork verify: stepped holds channel " +
             std::to_string(cid) + " that batched only reserved");
-    } else if (eff(*primary_, a) != eff(*shadow_, b)) {
+    } else if (eff(primary_, a) != eff(*shadow_, b)) {
       throw std::logic_error("WormholeNetwork verify: holder mismatch on channel " +
                              std::to_string(cid) + " at t=" + std::to_string(t));
     }
     std::int32_t wa = a.wait_head;
     std::int32_t wb = b.wait_head;
     while (wa >= 0 && wb >= 0) {
-      const Packet& pa = primary_->pool[static_cast<std::size_t>(wa)];
+      const Packet& pa = primary_.pool[static_cast<std::size_t>(wa)];
       const Packet& pb = shadow_->pool[static_cast<std::size_t>(wb)];
       if (pa.seq != pb.seq || pa.attempt_time != pb.attempt_time)
         throw std::logic_error(
@@ -712,11 +674,8 @@ void WormholeNetwork::reset_state(EngineState& st) {
 }
 
 void WormholeNetwork::reset() {
-  if (primary_ != nullptr) reset_state(*primary_);
+  reset_state(primary_);
   if (shadow_ != nullptr) reset_state(*shadow_);
-  std::fill(busy_cycles_.begin(), busy_cycles_.end(), 0.0);
-  analytic_.clear();
-  analytic_free_.clear();
   verify_pending_.clear();
   buckets_.clear();
   free_buckets_.clear();

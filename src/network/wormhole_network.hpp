@@ -33,14 +33,11 @@ namespace procsim::network {
 ///  * kVerify   — runs kBatched as primary and kStepped as an in-process
 ///    shadow, lock-step cross-checking per-packet deliveries and per-channel
 ///    holder/waiter state every network-active timestamp.
-///  * kAnalytic — contention-free base latency plus an M/M/1-style
-///    per-channel utilization waiting term accumulated over the XY path.
-///    One event per packet; trend-accurate, never byte-compared to the
-///    cycle model (tolerance-banded in tests).
-enum class NetEngine : std::uint8_t { kStepped, kBatched, kVerify, kAnalytic };
+enum class NetEngine : std::uint8_t { kStepped, kBatched, kVerify };
 
 /// The process-wide default: PROCSIM_NET_ENGINE if set
-/// (stepped | batched | verify | analytic), else kBatched. Parsed once.
+/// (stepped | batched | verify), else kBatched. Parsed once; any other value
+/// prints one stderr line and exits 2, like a bad command-line flag.
 [[nodiscard]] NetEngine default_net_engine();
 
 /// Registry of engine modes (used by `procsim_sweep --net=`).
@@ -78,7 +75,6 @@ struct NetStats {
   std::uint64_t runs_batched{0};
   std::uint64_t run_len_hist[6]{};
   std::uint64_t truncations{0};       ///< reservations stolen by earlier attempts
-  std::uint64_t analytic_packets{0};
   std::uint64_t batches{0};        ///< bucket events fired (one per filed timestamp)
   std::uint64_t passes{0};         ///< arbitration passes (verify: the primary's)
   std::uint64_t inline_passes{0};  ///< of those, run inside their bucket's event
@@ -162,13 +158,6 @@ class WormholeNetwork {
   }
   [[nodiscard]] double base_latency(std::int32_t hops) const noexcept {
     return static_cast<double>(base_latency_cycles(hops));
-  }
-
-  /// Cycles one channel is occupied by one uncontended crossing (the analytic
-  /// mode's per-channel service time): held from acquisition until the worm
-  /// slides P_len channels ahead.
-  [[nodiscard]] std::int64_t channel_hold_cycles() const noexcept {
-    return static_cast<std::int64_t>(params_.packet_len) * (1 + params_.st) + 1;
   }
 
   /// Drops all state between replications, including packets a run stopped
@@ -276,13 +265,13 @@ class WormholeNetwork {
     return st.shadow ? 1U : 0U;
   }
   [[nodiscard]] EngineState& state_of(std::uint64_t b) noexcept {
-    return b != 0 ? *shadow_ : *primary_;
+    return b != 0 ? *shadow_ : primary_;
   }
   // Event handlers (one registered kind each).
   static void on_pass(void* ctx, std::uint32_t, std::uint64_t b);
   static void on_bucket(void* ctx, std::uint32_t bucket, std::uint64_t);
   static void on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t b);
-  static void on_analytic(void* ctx, std::uint32_t slot, std::uint64_t);
+  static void on_compare(void* ctx, std::uint32_t, std::uint64_t);
 
   [[nodiscard]] std::int32_t alloc_packet(EngineState& st, mesh::NodeId src,
                                           mesh::NodeId dst, std::uint64_t tag);
@@ -304,7 +293,6 @@ class WormholeNetwork {
   void complete(EngineState& st, std::int32_t pkt, double t_eject);
   void deliver(EngineState& st, std::int32_t pkt);
   void recycle(EngineState& st, std::int32_t pkt);
-  void inject_analytic(mesh::NodeId src, mesh::NodeId dst, std::uint64_t tag);
   void verify_match(std::uint64_t id, const VerifyRec& rec);
   void verify_compare_states();
   void reset_state(EngineState& st);
@@ -313,11 +301,8 @@ class WormholeNetwork {
   ChannelMap map_;
   NetworkParams params_;
   NetStats stats_;
-  std::unique_ptr<EngineState> primary_;
+  EngineState primary_;
   std::unique_ptr<EngineState> shadow_;  // kVerify only
-  std::vector<double> busy_cycles_;      // kAnalytic per-channel utilization
-  std::vector<Delivery> analytic_;       // kAnalytic deliveries in flight
-  std::vector<std::uint32_t> analytic_free_;  // reusable analytic_ slots
   std::unordered_map<std::uint64_t, VerifyRec> verify_pending_;
   std::vector<Bucket> buckets_;               // open and recycled buckets
   std::vector<std::uint32_t> free_buckets_;   // recycled buckets_ slots
@@ -325,8 +310,8 @@ class WormholeNetwork {
   des::EventKind kind_pass_{0};
   des::EventKind kind_bucket_{0};
   des::EventKind kind_deliver_{0};
-  des::EventKind kind_analytic_{0};
-  bool verify_cmp_armed_{false};
+  des::EventKind kind_compare_{0};
+  bool verify_cmp_armed_{false};  // a compare event is queued at this timestamp
   DeliverySink sink_{nullptr};
   void* sink_ctx_{nullptr};
   obs::Recorder* rec_{nullptr};  ///< non-owning; null = observability off

@@ -60,7 +60,6 @@ void Counters::write_json(std::ostream& out) const {
   field(out, "net_run_len_16_31", net_run_len_hist[4], first);
   field(out, "net_run_len_32_plus", net_run_len_hist[5], first);
   field(out, "net_truncations", net_truncations, first);
-  field(out, "net_analytic_packets", net_analytic_packets, first);
   field(out, "net_batches", net_batches, first);
   field(out, "net_passes", net_passes, first);
   field(out, "net_inline_passes", net_inline_passes, first);

@@ -50,7 +50,6 @@ struct Counters {
   /// 1, 2-3, 4-7, 8-15, 16-31, 32+.
   std::uint64_t net_run_len_hist[6]{};
   std::uint64_t net_truncations{0};        ///< reservations stolen by earlier attempts
-  std::uint64_t net_analytic_packets{0};   ///< packets served by the analytic mode
   std::uint64_t net_batches{0};            ///< network bucket events fired
   std::uint64_t net_passes{0};             ///< arbitration passes run
   std::uint64_t net_inline_passes{0};      ///< passes run inside their bucket's event

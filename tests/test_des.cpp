@@ -101,60 +101,6 @@ TEST(Simulator, ResetClearsEverything) {
   EXPECT_TRUE(sim.queue().empty());
 }
 
-TEST(Simulator, BatchEndRunsOncePerTimestamp) {
-  // Three events at t=1 each defer work; the deferred actions run after the
-  // whole t=1 batch, before the t=2 event.
-  Simulator sim;
-  Actions act(sim);
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i)
-    act.at(1.0, [&sim, &order, i] {
-      order.push_back(i);
-      sim.at_batch_end([&order, i] { order.push_back(10 + i); });
-    });
-  act.at(2.0, [&order] { order.push_back(99); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12, 99}));
-}
-
-TEST(Simulator, BatchEndActionKeepsBatchOpenWhenSchedulingAtNow) {
-  // A deferred action schedules a same-time event, which defers again: the
-  // batch reopens and the second deferral still runs before time advances.
-  Simulator sim;
-  Actions act(sim);
-  std::vector<int> order;
-  act.at(1.0, [&] {
-    order.push_back(0);
-    sim.at_batch_end([&] {
-      order.push_back(1);
-      act.at(1.0, [&] {
-        order.push_back(2);
-        sim.at_batch_end([&] { order.push_back(3); });
-      });
-    });
-  });
-  act.at(2.0, [&order] { order.push_back(99); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 99}));
-}
-
-TEST(Simulator, BatchEndDroppedOnStop) {
-  Simulator sim;
-  Actions act(sim);
-  bool deferred_ran = false;
-  act.at(1.0, [&] {
-    sim.at_batch_end([&] { deferred_ran = true; });
-    sim.stop();
-  });
-  sim.run();
-  EXPECT_FALSE(deferred_ran);
-  // reset() forgets the dropped action: it must not leak into the next run.
-  sim.reset();
-  act.at(1.0, [] {});
-  sim.run();
-  EXPECT_FALSE(deferred_ran);
-}
-
 TEST(Simulator, MaxEventsGuard) {
   Simulator sim;
   Actions act(sim);

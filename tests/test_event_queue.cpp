@@ -243,23 +243,6 @@ TEST(SimulatorLane, SameTimeScheduleFiresAfterDueEventsBeforeNextTime) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(SimulatorLane, BatchEndWaitsForLaneToDrain) {
-  Simulator sim;
-  Actions act(sim);
-  std::vector<int> order;
-  act.at(1.0, [&] {
-    order.push_back(0);
-    sim.at_batch_end([&] { order.push_back(9); });
-    act.in(0.0, [&] {
-      order.push_back(1);
-      act.in(0.0, [&] { order.push_back(2); });
-    });
-  });
-  act.at(2.0, [&] { order.push_back(10); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9, 10}));
-}
-
 TEST(SimulatorLane, RunUntilFiresLaneEventsAtHorizon) {
   Simulator sim;
   Actions act(sim);

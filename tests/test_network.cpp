@@ -304,8 +304,8 @@ TEST(Wormhole, ResetMidFlightDropsPacketsAndStartsClean) {
   // A run stopped early (target_completions) leaves worms in the network;
   // reset() together with the simulator's must drop them so the next
   // replication starts from an empty mesh.
-  for (const NetEngine engine : {NetEngine::kStepped, NetEngine::kBatched,
-                                 NetEngine::kVerify, NetEngine::kAnalytic}) {
+  for (const NetEngine engine :
+       {NetEngine::kStepped, NetEngine::kBatched, NetEngine::kVerify}) {
     SCOPED_TRACE(procsim::network::net_engine_name(engine));
     Harness h(Geometry(8, 8), NetworkParams{3, 8, false, engine});
     const Geometry& g = h.net.channels().geometry();

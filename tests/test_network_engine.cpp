@@ -3,8 +3,7 @@
 // per-packet delivery time, latency, blocked time, hop count AND delivery
 // order — across randomized churn, hotspot pileups and adversarial
 // head-of-line patterns. Verify mode (batched primary + stepped shadow in
-// lock-step) must run the same traffic without tripping its cross-checks,
-// and the analytic mode must sit inside its documented tolerance band.
+// lock-step) must run the same traffic without tripping its cross-checks.
 
 #include <gtest/gtest.h>
 
@@ -431,62 +430,83 @@ TEST(VerifyMode, LockStepRunsCleanUnderChurn) {
   EXPECT_GT(r.runs_batched, 0u);
 }
 
-// ------------------------------------------------------- analytic band
-
-TEST(AnalyticMode, ContentionFreeMatchesBaseLatencyExactly) {
-  const Geometry geom(16, 22);
-  Simulator sim;
-  WormholeNetwork net(sim, geom, NetworkParams{3, 8, false, NetEngine::kAnalytic});
-  std::vector<Delivery> out;
-  net.set_delivery_sink(
-      [](void* c, const Delivery& d) {
-        static_cast<std::vector<Delivery>*>(c)->push_back(d);
-      },
-      &out);
-  const Geometry& g = geom;
-  net.inject(g.id(Coord{2, 3}), g.id(Coord{9, 10}), 1);
-  sim.run();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].hops, 14);
-  EXPECT_DOUBLE_EQ(out[0].latency, net.base_latency(14));
-  EXPECT_DOUBLE_EQ(out[0].blocked, 0.0);
-  EXPECT_EQ(net.stats().analytic_packets, 1u);
+/// Injects a packet from the west end of `row` to its east end, tagged `row`.
+void inject_across_row(WormholeNetwork& net, int row) {
+  const Geometry& g = net.channels().geometry();
+  net.inject(g.id(Coord{0, row}), g.id(Coord{g.width() - 1, row}),
+             static_cast<std::uint64_t>(row));
 }
 
-TEST(AnalyticMode, ChurnLatencyWithinToleranceBand) {
-  // The analytic mode replaces simulated contention with an M/M/1-style
-  // utilization term per path channel. It is tolerance-banded, never
-  // byte-compared: under moderate uniform churn its mean latency must land
-  // within a factor of 3 of the simulated (batched) mean, and at least the
-  // contention-free mean. The injections start past t=0 because the
-  // utilization estimate (busy cycles / elapsed time) is deliberately crude
-  // in the cold-start window. The band is documented in README.md — widen
-  // it there first if the model legitimately changes.
+TEST(VerifyMode, StateCompareWaitsForEverySameTimeEvent) {
+  // Packet A crosses row 0 from t=0. Batched reserves its whole path at
+  // once, so at t=4 only the stepped shadow has filed work: A's second hop.
+  // Two test events at t=4 sort after that bucket. The first queues a
+  // same-time follow-up that injects B on row 3; the second injects C on
+  // row 7. The shadow's pass (A's hop and C) runs before the follow-up and
+  // queues the state comparison. B then re-arms the shadow behind the
+  // primary's pass, and the comparison must wait for that second shadow pass
+  // too: run any earlier, it sees B granted in one engine and waiting in the
+  // other.
   const Geometry geom(8, 8);
-  auto schedule = uniform_churn(geom, 400, 2000, 0xA11);
-  for (Injection& in : schedule) in.t += 500.0;
-
-  const auto mean_latency = [&](NetEngine engine) {
-    const RunResult r =
-        run_schedule(schedule, geom, NetworkParams{3, 8, false, engine});
-    double sum = 0;
-    for (const Record& d : r.deliveries) sum += d.latency;
-    return sum / static_cast<double>(r.deliveries.size());
-  };
-  const double simulated = mean_latency(NetEngine::kBatched);
-  const double analytic = mean_latency(NetEngine::kAnalytic);
-
-  // Contention-free lower bound: every analytic latency >= base latency.
   Simulator sim;
-  WormholeNetwork probe(sim, geom, NetworkParams{3, 8, false});
-  double base_sum = 0;
-  for (const Injection& in : schedule)
-    base_sum += probe.base_latency(probe.channels().hop_count(in.src, in.dst));
-  const double base_mean = base_sum / static_cast<double>(schedule.size());
+  WormholeNetwork net(sim, geom, NetworkParams{3, 8, false, NetEngine::kVerify});
+  struct Ctx {
+    Simulator* sim{nullptr};
+    WormholeNetwork* net{nullptr};
+    std::uint32_t queue_b_kind{0};
+    std::uint32_t inject_b_kind{0};
+    std::uint32_t inject_c_kind{0};
+    std::size_t deliveries{0};
+  };
+  Ctx ctx;
+  ctx.sim = &sim;
+  ctx.net = &net;
+  net.set_delivery_sink([](void* c, const Delivery&) { ++static_cast<Ctx*>(c)->deliveries; },
+                        &ctx);
+  ctx.queue_b_kind = sim.add_handler(
+      [](void* c, std::uint32_t, std::uint64_t) {
+        auto* x = static_cast<Ctx*>(c);
+        x->sim->schedule_at(x->sim->now(), x->inject_b_kind);
+      },
+      &ctx);
+  ctx.inject_b_kind = sim.add_handler(
+      [](void* c, std::uint32_t, std::uint64_t) {
+        inject_across_row(*static_cast<Ctx*>(c)->net, 3);
+      },
+      &ctx);
+  ctx.inject_c_kind = sim.add_handler(
+      [](void* c, std::uint32_t, std::uint64_t) {
+        inject_across_row(*static_cast<Ctx*>(c)->net, 7);
+      },
+      &ctx);
+  const auto at_one = sim.add_handler(
+      [](void* c, std::uint32_t, std::uint64_t) {
+        auto* x = static_cast<Ctx*>(c);
+        x->sim->schedule_at(4.0, x->queue_b_kind);
+        x->sim->schedule_at(4.0, x->inject_c_kind);
+      },
+      &ctx);
+  inject_across_row(net, 0);
+  sim.schedule_at(1.0, at_one);
+  EXPECT_NO_THROW(sim.run());
+  EXPECT_EQ(ctx.deliveries, 3u);
+}
 
-  EXPECT_GE(analytic, base_mean);
-  EXPECT_GE(analytic, simulated / 3.0);
-  EXPECT_LE(analytic, simulated * 3.0);
+TEST(VerifyMode, ComparisonsOfNetworksSharingAClockDoNotWaitForEachOther) {
+  // A fleet runs one network per mesh on one clock, and a saturated fleet
+  // starts them all at t=0. Each network's comparison is then due at the
+  // same timestamp as the other's; one that waited for every same-time event
+  // would queue behind the other forever.
+  const Geometry geom(4, 4);
+  Simulator sim;
+  const NetworkParams params{3, 8, false, NetEngine::kVerify};
+  WormholeNetwork a(sim, geom, params);
+  WormholeNetwork b(sim, geom, params);
+  for (WormholeNetwork* net : {&a, &b}) inject_across_row(*net, 0);
+  constexpr std::uint64_t kGuard = 100'000;
+  EXPECT_LT(sim.run(kGuard), kGuard);
+  EXPECT_EQ(a.stats().delivered, 1u);
+  EXPECT_EQ(b.stats().delivered, 1u);
 }
 
 // ------------------------------------------------- integer-cycle helper
@@ -500,14 +520,11 @@ TEST(CycleArithmetic, BaseLatencyIsExactIntegerAtExtremes) {
     EXPECT_EQ(net.base_latency_cycles(0), 2);
     EXPECT_EQ(net.base_latency_cycles(14), 16);
     EXPECT_DOUBLE_EQ(net.base_latency(14), 16.0);
-    EXPECT_EQ(net.channel_hold_cycles(), 2);
   }
   {
     // Large st and P_len: the product stays in int64, no double rounding.
     WormholeNetwork net(sim, geom, NetworkParams{1'000'000, 1'000'000, false});
     EXPECT_EQ(net.base_latency_cycles(1000), 1001LL * 1'000'001LL + 1'000'000LL);
-    EXPECT_EQ(net.channel_hold_cycles(),
-              1'000'000LL * 1'000'001LL + 1);
   }
 }
 
@@ -558,11 +575,11 @@ TEST(CycleArithmetic, NonIntegerInjectionTimeMatchesStepped) {
 TEST(EngineRegistry, ParseAndNameRoundTrip) {
   using procsim::network::net_engine_name;
   using procsim::network::parse_net_engine;
-  for (const auto engine : {NetEngine::kStepped, NetEngine::kBatched,
-                            NetEngine::kVerify, NetEngine::kAnalytic}) {
+  for (const auto engine : {NetEngine::kStepped, NetEngine::kBatched, NetEngine::kVerify}) {
     EXPECT_EQ(parse_net_engine(net_engine_name(engine)), engine);
   }
   EXPECT_THROW((void)parse_net_engine("flooded"), std::invalid_argument);
+  EXPECT_THROW((void)parse_net_engine("analytic"), std::invalid_argument);
 }
 
 TEST(EngineRegistry, BatchedRunsAreCounted) {

@@ -296,8 +296,7 @@ TEST(SystemSim, RerunAfterEarlyStopMatchesFreshInstance) {
   params.load = 0.1;
   const auto jobs = procsim::workload::generate_stochastic(params, cfg.geom, 40, rng);
   for (const auto engine : {procsim::network::NetEngine::kBatched,
-                            procsim::network::NetEngine::kVerify,
-                            procsim::network::NetEngine::kAnalytic}) {
+                            procsim::network::NetEngine::kVerify}) {
     cfg.net.engine = engine;
     GablAllocator a1(cfg.geom);
     OrderedScheduler s1(Policy::kFcfs);
@@ -317,43 +316,13 @@ TEST(SystemSim, RerunAfterEarlyStopMatchesFreshInstance) {
   }
 }
 
-TEST(SystemSim, CoalescedPassesMatchLegacyOnContinuousWorkload) {
-  // Continuous-time arrivals/completions (almost) never tie, so one pass per
-  // timestamp must walk the exact same trajectory as one pass per event.
-  SystemConfig cfg;
-  cfg.geom = Geometry(8, 8);
-  cfg.target_completions = 80;
-  std::vector<Job> jobs;
-  procsim::des::Xoshiro256SS rng(11);
-  procsim::workload::StochasticParams params;
-  params.load = 0.08;
-  jobs = procsim::workload::generate_stochastic(params, cfg.geom, 80, rng);
-
-  cfg.coalesce_passes = false;
-  GablAllocator a1(cfg.geom);
-  OrderedScheduler s1(Policy::kFcfs);
-  const RunMetrics legacy = SystemSim(cfg, a1, s1).run(jobs);
-
-  cfg.coalesce_passes = true;
-  GablAllocator a2(cfg.geom);
-  OrderedScheduler s2(Policy::kFcfs);
-  const RunMetrics coalesced = SystemSim(cfg, a2, s2).run(jobs);
-
-  EXPECT_DOUBLE_EQ(legacy.turnaround.mean(), coalesced.turnaround.mean());
-  EXPECT_DOUBLE_EQ(legacy.service.mean(), coalesced.service.mean());
-  EXPECT_DOUBLE_EQ(legacy.packet_latency.mean(), coalesced.packet_latency.mean());
-  EXPECT_DOUBLE_EQ(legacy.makespan, coalesced.makespan);
-  EXPECT_EQ(legacy.packets, coalesced.packets);
-}
-
-TEST(SystemSim, CoalescedSaturationBurstStillCompletesEverything) {
-  // All arrivals at t=0: the tie-heavy regime where coalescing may place
-  // jobs differently. The invariants that must survive: every job completes
-  // and every processor comes back.
+TEST(SystemSim, SaturationBurstStillCompletesEverything) {
+  // All arrivals at t=0: the tie-heavy regime, where every arrival and every
+  // same-time completion runs a scheduling pass of its own. The invariants
+  // that must survive: every job completes and every processor comes back.
   SystemConfig cfg;
   cfg.geom = Geometry(8, 8);
   cfg.target_completions = 0;
-  cfg.coalesce_passes = true;
   GablAllocator alloc(cfg.geom);
   OrderedScheduler sched(Policy::kFcfs);
   SystemSim sim(cfg, alloc, sched);
