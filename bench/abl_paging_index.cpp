@@ -12,9 +12,9 @@ int main(int argc, char** argv) {
   const core::RunOptions opts = core::parse_run_options(argc, argv);
 
   core::FigureSpec spec;
-  spec.id = "abl_paging_index";
-  spec.title = "Paging(0) indexing schemes, turnaround vs load, stochastic uniform";
-  spec.metric = "turnaround";
+  spec.plots = {{"abl_paging_index", "turnaround",
+                 "Paging(0) indexing schemes, turnaround vs load, stochastic uniform",
+                 &std::cout}};
   spec.loads = bench::loads_uniform();
   spec.base = bench::stochastic_base(workload::SideDistribution::kUniform);
 
@@ -29,6 +29,6 @@ int main(int argc, char** argv) {
   }
   // Note: series share the Paging(0) label; column order is the enum order
   // above (row-major, snake, shuffled row-major, shuffled snake).
-  core::run_figure(spec, opts, std::cout);
+  core::run_figure(spec, opts);
   return 0;
 }

@@ -11,9 +11,9 @@ int main(int argc, char** argv) {
   const core::RunOptions opts = core::parse_run_options(argc, argv);
 
   core::FigureSpec spec;
-  spec.id = "abl_paging_size";
-  spec.title = "Paging(k) page size k=0..3, turnaround vs load, stochastic uniform";
-  spec.metric = "turnaround";
+  spec.plots = {{"abl_paging_size", "turnaround",
+                 "Paging(k) page size k=0..3, turnaround vs load, stochastic uniform",
+                 &std::cout}};
   spec.loads = bench::loads_uniform();
   spec.base = bench::stochastic_base(workload::SideDistribution::kUniform);
 
@@ -23,6 +23,6 @@ int main(int argc, char** argv) {
     s.scheduler = sched::Policy::kFcfs;
     spec.series.push_back(s);
   }
-  core::run_figure(spec, opts, std::cout);
+  core::run_figure(spec, opts);
   return 0;
 }

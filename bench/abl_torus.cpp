@@ -13,15 +13,15 @@ int main(int argc, char** argv) {
 
   for (const bool torus : {false, true}) {
     core::FigureSpec spec;
-    spec.id = torus ? "abl_torus_on" : "abl_torus_off";
-    spec.title = std::string("packet latency vs load, stochastic uniform, 16x22 ") +
-                 (torus ? "torus" : "mesh");
-    spec.metric = "latency";
     spec.loads = bench::loads_uniform();
     spec.base = bench::stochastic_base(workload::SideDistribution::kUniform);
     spec.base.sys.net.torus = torus;
     spec.series = core::paper_series();
-    core::run_figure(spec, opts, std::cout);
+    spec.plots = {{torus ? "abl_torus_on" : "abl_torus_off", "latency",
+                   std::string("packet latency vs load, stochastic uniform, 16x22 ") +
+                       (torus ? "torus" : "mesh"),
+                   &std::cout}};
+    core::run_figure(spec, opts);
     std::cout << "\n";
   }
   return 0;

@@ -1,17 +1,15 @@
 #pragma once
 
-// Shared experiment templates for the per-figure bench binaries. Every main
-// figure of the paper plots the six series {GABL, Paging(0), MBS} × {FCFS,
-// SSD} on a 16×22 mesh with st = 3, P_len = 8, num_mes = 5 and all-to-all
-// traffic; the binaries differ only in workload, metric and load axis.
+// Shared experiment templates for the figure drivers (paper_figures and the
+// abl_* ablations). Every main figure of the paper plots the six series
+// {GABL, Paging(0), MBS} × {FCFS, SSD} on a 16×22 mesh with st = 3,
+// P_len = 8, num_mes = 5 and all-to-all traffic; the figures differ only in
+// workload, metric and load axis.
 //
-// Common flags (parse_run_options): --fast (1 rep, 200 jobs), --jobs=N,
-// --reps=N, --seed=N, --threads=N (farm the independent figure cells across
-// N worker threads, 0 = all hardware threads; the CSV is byte-identical to
-// --threads=1 for the same seed).
+// Common flags (core::parse_run_options): --fast (1 rep, 200 jobs), --jobs=N,
+// --reps=N, --seed=N, --threads=N (cell workers, 0 = all hardware threads)
+// and --obs-probe. The CSVs are byte-identical at any --threads, probed or not.
 
-#include <iostream>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -19,21 +17,12 @@
 
 namespace procsim::bench {
 
-/// Shared main() body of the per-figure binaries: parse the common flags,
-/// sweep the figure, print the CSV (with 95 % CI columns) to stdout.
-inline int figure_main(int argc, char** argv, core::FigureSpec spec) {
-  const core::RunOptions opts = core::parse_run_options(argc, argv);
-  core::run_figure(spec, opts, std::cout, /*with_ci=*/true);
-  return 0;
-}
-
 inline core::ExperimentConfig base_config() {
   core::ExperimentConfig cfg;
   cfg.sys.geom = mesh::Geometry(16, 22);
   cfg.sys.net = network::NetworkParams{3, 8, false};
   cfg.sys.think_time = 50;  // compute phase between a processor's sends
   cfg.sys.target_completions = 1000;
-  cfg.seed = 42;
   return cfg;
 }
 
@@ -48,7 +37,9 @@ inline core::ExperimentConfig stochastic_base(workload::SideDistribution dist) {
 }
 
 /// Real-workload template: the synthetic SDSC Paragon stream (paper §5,
-/// second workload; DESIGN.md §2.1 for the substitution).
+/// second workload). The archive trace is not shipped, so a model that
+/// matches the statistics the paper reports stands in for it
+/// (workload/paragon_model.hpp).
 inline core::ExperimentConfig trace_base() {
   core::ExperimentConfig cfg = base_config();
   cfg.workload.kind = core::WorkloadKind::kTrace;

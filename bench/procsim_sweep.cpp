@@ -55,7 +55,6 @@
 // the bursty MMPP stream — so every registry strategy and source is
 // reachable; unknown names fail fast listing the known ones.
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -246,13 +245,9 @@ int main(int argc, char** argv) {
       usage_error(e.what());
     }
   }
-  if (saturation) {
-    // The utilization-figure setup: a 3x backlog, warmup skipping the
-    // cold-start fill (bench_common::saturated), one row — there is no
-    // load axis when every job is already waiting at t = 0.
-    base.workload.job_count = 3 * base.sys.target_completions;
-    base.sys.warmup_completions = base.sys.target_completions / 10;
-  }
+  // The utilization-figure setup, in one row: there is no load axis when
+  // every job is already waiting at t = 0.
+  if (saturation) base = bench::saturated(base);
   if (!loads_arg.empty()) {
     // Saturation has no load axis: every job is already waiting at t = 0, so
     // sweeping loads would just recompute the identical row.
@@ -267,18 +262,11 @@ int main(int argc, char** argv) {
   }
   if (loads.empty()) usage_error("empty --loads");
 
-  // Fail fast on a metric typo — run_grid would otherwise only notice after
-  // the first cell's full replicated simulation.
-  {
-    const std::vector<std::string> metrics = core::known_metrics();
-    if (std::find(metrics.begin(), metrics.end(), metric) == metrics.end()) {
-      std::string known;
-      for (const std::string& m : metrics) {
-        if (!known.empty()) known += ", ";
-        known += m;
-      }
-      usage_error("unknown metric '" + metric + "' (known: " + known + ")");
-    }
+  // A metric typo is a usage error (exit 2), caught before the CSV header.
+  try {
+    core::check_metric(metric);
+  } catch (const std::exception& e) {
+    usage_error(e.what());
   }
 
   // Strategy pairs, through the same fail-fast entry point (misspellings
@@ -312,7 +300,6 @@ int main(int argc, char** argv) {
   }
 
   core::GridSpec grid;
-  grid.metric = metric;
   grid.cols.reserve(series.size());
   for (const SweepSeries& s : series) grid.cols.push_back(s.label);
 
@@ -360,7 +347,7 @@ int main(int argc, char** argv) {
     };
   }
 
-  core::run_grid(grid, opts, std::cout, /*with_ci=*/true);
+  core::run_grid(grid, {{metric, &std::cout}}, opts, /*with_ci=*/true);
 
   // One instrumented replication of the first cell: same configuration and
   // seed substream as that cell's first replication, so the artifacts

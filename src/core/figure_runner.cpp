@@ -8,6 +8,7 @@
 #include <iostream>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -151,52 +152,58 @@ void set_offered_load(ExperimentConfig& cfg, double load) {
     cfg.workload.load = load;
 }
 
-void run_grid(const GridSpec& spec, const RunOptions& opts, std::ostream& out,
-              bool with_ci) {
+void check_metric(const std::string& metric) {
+  const std::vector<std::string> metrics = known_metrics();
+  if (std::find(metrics.begin(), metrics.end(), metric) != metrics.end()) return;
+  std::string known;
+  for (const std::string& m : metrics) known += (known.empty() ? "" : ", ") + m;
+  throw std::logic_error("unknown metric '" + metric + "' (known: " + known + ")");
+}
+
+void run_grid(const GridSpec& spec, const std::vector<GridOutput>& outputs,
+              const RunOptions& opts, bool with_ci) {
+  for (const GridOutput& o : outputs) check_metric(o.metric);
+
   stats::ReplicationPolicy policy;
   policy.min_replications = opts.min_reps;
   policy.max_replications = opts.max_reps;
 
-  out << spec.corner;
-  for (const std::string& col : spec.cols) out << "," << col;
-  if (with_ci)
-    for (const std::string& col : spec.cols) out << ",ci:" << col;
-  out << "\n";
+  for (const GridOutput& o : outputs) {
+    std::ostream& out = *o.out;
+    out << spec.corner;
+    for (const std::string& col : spec.cols) out << "," << col;
+    if (with_ci)
+      for (const std::string& col : spec.cols) out << ",ci:" << col;
+    out << "\n";
+  }
 
   // Every cell is an independent replicated experiment whose randomness is a
   // pure function of opts.seed, so cells can run in any order — and
   // concurrently — without changing a single output byte. Compute them all
-  // into an index-addressed grid, then print rows in order.
+  // into an index-addressed grid per output, then print rows in order.
   const std::size_t n_cols = spec.cols.size();
   const std::size_t n_cells = spec.rows.size() * n_cols;
-  std::vector<stats::Interval> grid(n_cells);
+  std::vector<stats::Interval> grid(outputs.size() * n_cells);
 
   const auto run_cell = [&](std::size_t idx) {
     ExperimentConfig cfg = spec.cell(idx / n_cols, idx % n_cols);
     cfg.seed = opts.seed;
     const AggregateResult res = run_replicated(cfg, policy);
-    const auto it = res.metrics.find(spec.metric);
-    if (it == res.metrics.end()) {
-      std::string known;
-      for (const std::string& m : known_metrics()) {
-        if (!known.empty()) known += ", ";
-        known += m;
-      }
-      throw std::logic_error("run_grid: unknown metric " + spec.metric +
-                             " (known: " + known + ")");
-    }
-    grid[idx] = it->second;
+    for (std::size_t k = 0; k < outputs.size(); ++k)
+      grid[k * n_cells + idx] = res.metrics.at(outputs[k].metric);
   };
 
   const auto print_row = [&](std::size_t ri) {
-    out << spec.rows[ri];
-    for (std::size_t ci = 0; ci < n_cols; ++ci)
-      out << "," << grid[ri * n_cols + ci].mean;
-    if (with_ci)
-      for (std::size_t ci = 0; ci < n_cols; ++ci)
-        out << "," << grid[ri * n_cols + ci].half_width;
-    out << "\n";
-    out.flush();  // stream each row: long sweeps show progress / survive ^C
+    for (std::size_t k = 0; k < outputs.size(); ++k) {
+      std::ostream& out = *outputs[k].out;
+      const std::span row(grid.data() + k * n_cells + ri * n_cols, n_cols);
+      out << spec.rows[ri];
+      for (const stats::Interval& cell : row) out << "," << cell.mean;
+      if (with_ci)
+        for (const stats::Interval& cell : row) out << "," << cell.half_width;
+      out << "\n";
+      out.flush();  // stream each row: long sweeps show progress / survive ^C
+    }
   };
 
   const std::size_t workers = std::min(util::resolve_threads(opts.threads), n_cells);
@@ -232,16 +239,19 @@ void run_grid(const GridSpec& spec, const RunOptions& opts, std::ostream& out,
   }
 }
 
-void run_figure(const FigureSpec& spec, const RunOptions& opts, std::ostream& out,
-                bool with_ci) {
-  out << "# " << spec.id << ": " << spec.title << "\n";
-  out << "# metric=" << spec.metric << " mesh=" << spec.base.sys.geom.width() << "x"
-      << spec.base.sys.geom.length() << " st=" << spec.base.sys.net.st
-      << " Plen=" << spec.base.sys.net.packet_len << "\n";
+void run_figure(const FigureSpec& spec, const RunOptions& opts, bool with_ci) {
+  std::vector<GridOutput> outputs;
+  for (const Plot& plot : spec.plots) {
+    std::ostream& out = *plot.out;
+    out << "# " << plot.id << ": " << plot.title << "\n";
+    out << "# metric=" << plot.metric << " mesh=" << spec.base.sys.geom.width() << "x"
+        << spec.base.sys.geom.length() << " st=" << spec.base.sys.net.st
+        << " Plen=" << spec.base.sys.net.packet_len << "\n";
+    outputs.push_back(GridOutput{plot.metric, plot.out});
+  }
 
   GridSpec grid;
   grid.corner = "load";
-  grid.metric = spec.metric;
   grid.rows.reserve(spec.loads.size());
   for (const double load : spec.loads) {
     std::ostringstream label;  // default stream formatting, same bytes as
@@ -264,7 +274,7 @@ void run_figure(const FigureSpec& spec, const RunOptions& opts, std::ostream& ou
     apply_effort(cfg, opts);
     return cfg;
   };
-  run_grid(grid, opts, out, with_ci);
+  run_grid(grid, outputs, opts, with_ci);
 }
 
 }  // namespace procsim::core

@@ -6,7 +6,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -23,19 +22,27 @@ struct Series {
 /// {GABL, Paging(0), MBS} × {FCFS, SSD}.
 [[nodiscard]] std::vector<Series> paper_series();
 
-/// Declarative description of one figure: sweep `loads`, run every series at
-/// each point, report `metric` (a key of to_observations()).
+/// One plot a figure grid feeds: the metric it reads from every cell,
+/// printed to `out` as a CSV under a two-line comment header.
+struct Plot {
+  std::string id;        ///< e.g. "fig02"
+  std::string metric;    ///< turnaround | service | utilization | latency | blocking
+  std::string title;     ///< printed as a comment header
+  std::ostream* out{nullptr};
+};
+
+/// One figure grid: sweep `loads`, run every series at each point once, and
+/// print every plot from those cells. Figures that plot other metrics of the
+/// same simulations are plots of one FigureSpec.
 struct FigureSpec {
-  std::string id;          ///< e.g. "fig02"
-  std::string title;       ///< printed as a comment header
-  std::string metric;      ///< turnaround | service | utilization | latency | blocking
   std::vector<double> loads;
   std::vector<Series> series;
   ExperimentConfig base;   ///< workload/sys template; load+strategy filled per cell
+  std::vector<Plot> plots;
 };
 
-/// Effort knobs shared by all figure benches (see bench/README note in each
-/// binary: --fast, --jobs=N, --reps=N, --seed=N, --threads=N).
+/// Effort knobs shared by the figure and sweep drivers: --fast, --jobs=N,
+/// --reps=N, --seed=N, --threads=N and --obs-probe (parse_run_options).
 struct RunOptions {
   std::size_t jobs{0};          ///< 0 = keep spec default
   std::uint64_t min_reps{2};
@@ -65,33 +72,43 @@ struct RunOptions {
 
 /// The generic experiment grid under run_figure and the sweep drivers: any
 /// row axis (loads, mesh sizes, ...) × any column axis (series), one
-/// replicated experiment per cell, CSV rows streamed in order. `cell(r, c)`
-/// must be a pure function of its indices — cells run in any order and, with
-/// `opts.threads != 1`, concurrently.
+/// replicated experiment per cell. `cell(r, c)` must be a pure function of
+/// its indices — cells run in any order and, with `opts.threads != 1`,
+/// concurrently.
 struct GridSpec {
   std::string corner;             ///< first header cell, e.g. "load" or "mesh"
   std::vector<std::string> rows;  ///< row labels, printed verbatim
   std::vector<std::string> cols;  ///< column labels, e.g. series labels
-  std::string metric;             ///< key of to_observations()
   std::function<ExperimentConfig(std::size_t row, std::size_t col)> cell;
 };
 
-/// Runs every cell of the grid and prints the CSV table (means of the chosen
-/// metric; per-cell 95 % half-widths as trailing columns when `with_ci`).
+/// One CSV table of a grid: a key of to_observations() and its stream.
+struct GridOutput {
+  std::string metric;
+  std::ostream* out{nullptr};
+};
+
+/// Throws std::logic_error naming `metric` and the known ones unless it is a
+/// key of to_observations().
+void check_metric(const std::string& metric);
+
+/// Runs every cell of the grid once and prints one CSV table per output
+/// (means of its metric; per-cell 95 % half-widths as trailing columns when
+/// `with_ci`), streaming each finished row to every output in row order. An
+/// unknown metric throws std::logic_error before any cell runs.
 ///
 /// With `opts.threads > 1` (or 0 = all hardware threads) the independent
 /// cells are farmed across a thread pool. Every cell starts from the same
 /// base `opts.seed` (cells differ by configuration, not by seed) and derives
-/// its replication seeds from it deterministically, so the CSV is
+/// its replication seeds from it deterministically, so every table is
 /// byte-identical to the single-threaded run.
-void run_grid(const GridSpec& spec, const RunOptions& opts, std::ostream& out,
-              bool with_ci = false);
+void run_grid(const GridSpec& spec, const std::vector<GridOutput>& outputs,
+              const RunOptions& opts, bool with_ci = false);
 
-/// Runs the sweep and prints a CSV table: one row per load, one column per
-/// series (the exact series the paper's figure plots). A thin wrapper that
-/// lowers the figure onto run_grid, inheriting its determinism guarantee.
-void run_figure(const FigureSpec& spec, const RunOptions& opts, std::ostream& out,
-                bool with_ci = false);
+/// Runs the figure grid once and prints every plot: one row per load, one
+/// column per series. A thin wrapper that lowers the figure onto run_grid,
+/// inheriting its determinism guarantee.
+void run_figure(const FigureSpec& spec, const RunOptions& opts, bool with_ci = false);
 
 /// Applies the effort knobs (--jobs, --fast) to one cell configuration —
 /// shared by run_figure and the generic sweep drivers.

@@ -84,11 +84,15 @@ RunMetrics SystemSim::run(workload::Source& source) {
   // sampling event is pure observation plus its own reschedule, and the
   // (time, seq) pop order keeps all model-event pairs in their original
   // relative order — trajectories are bit-identical with sampling on.
-  if (rec_ != nullptr && rec_->sampler() != nullptr) sample_telemetry();
+  const bool sampling = rec_ != nullptr && rec_->sampler() != nullptr;
+  if (sampling) sample_telemetry();
   sim_->run(cfg_.max_events);
   source_ = nullptr;
 
-  finalize_run(/*own_clock=*/true, wall_start);
+  // A sampled run that drains ends at its last completion, its last model
+  // event, not at the sampler tick already queued behind it.
+  const double end = sampling && sim_->queue().empty() ? last_completion_ : sim_->now();
+  finalize_run(end, /*own_clock=*/true, wall_start);
   return metrics_;
 }
 
@@ -101,6 +105,7 @@ void SystemSim::begin_run() {
   completed_ = 0;
   seq_ = 0;
   measure_start_ = 0;
+  last_completion_ = 0;
   busy_procs_ = stats::TimeWeighted{};
   queue_len_ = stats::TimeWeighted{};
   rng_ = des::Xoshiro256SS{cfg_.seed};
@@ -110,9 +115,8 @@ void SystemSim::begin_run() {
   net_->set_recorder(rec_);
 }
 
-void SystemSim::finalize_run(bool own_clock,
+void SystemSim::finalize_run(double end, bool own_clock,
                              std::chrono::steady_clock::time_point wall_start) {
-  const double end = sim_->now();
   metrics_.completed = completed_ >= cfg_.warmup_completions
                            ? completed_ - cfg_.warmup_completions
                            : 0;
@@ -160,7 +164,7 @@ void SystemSim::begin_external_run() { begin_run(); }
 void SystemSim::submit(workload::Job job) { on_arrival(std::move(job)); }
 
 RunMetrics SystemSim::finish_external_run() {
-  finalize_run(/*own_clock=*/false, {});
+  finalize_run(sim_->now(), /*own_clock=*/false, {});
   return metrics_;
 }
 
@@ -346,6 +350,7 @@ void SystemSim::complete_job(JobArena::Slot slot) {
   allocator_.release(placement);
   scheduler_.on_complete(job.id, now);
   if (rec_ != nullptr) {
+    last_completion_ = now;  // where a sampled run that drains ends
     rec_->release(now, job.id, placement.allocated);
     rec_->complete(now, job.id, now - job.arrival);
   }

@@ -193,9 +193,9 @@ class SystemSim {
   static void on_telemetry_event(void* ctx, std::uint32_t, std::uint64_t);
   /// run()'s per-run reset minus the clock reset (shared in cluster mode).
   void begin_run();
-  /// End-of-run metric finalization; `own_clock` gates the clock-level
-  /// counter pulls and the wall timer.
-  void finalize_run(bool own_clock,
+  /// End-of-run metric finalization at time `end`; `own_clock` gates the
+  /// clock-level counter pulls and the wall timer.
+  void finalize_run(double end, bool own_clock,
                     std::chrono::steady_clock::time_point wall_start);
   /// Schedules the source's next arrival instant (if any).
   void pump_arrival();
@@ -245,6 +245,7 @@ class SystemSim {
   std::uint64_t completed_{0};
   std::uint64_t seq_{0};
   double measure_start_{0};
+  double last_completion_{0};  ///< kept while a recorder is attached
 };
 
 }  // namespace procsim::core

@@ -11,8 +11,9 @@ namespace procsim::workload {
 /// Synthetic stand-in for the SDSC Intel Paragon trace used by the paper.
 ///
 /// The actual trace (Feitelson Parallel Workloads Archive) is not shipped
-/// here; this model reproduces the characteristics the paper reports and
-/// leans on — see DESIGN.md §2.1 for the substitution argument:
+/// here. The simulated machine sees a job only as its arrival time, its size
+/// and its demand, so a stream with the statistics the paper reports and
+/// leans on stands in for the trace:
 ///   * 10,658 jobs from a 352-node partition,
 ///   * mean inter-arrival time 1186.7 s (exponential),
 ///   * mean job size ~34.5 processors with the distribution favouring

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -40,6 +41,8 @@ TraceStats compute_stats(const std::vector<TraceJob>& jobs) {
 }
 
 std::vector<TraceJob> parse_swf(std::istream& in, std::int32_t max_processors) {
+  const double cap = max_processors > 0 ? max_processors
+                                        : std::numeric_limits<std::int32_t>::max();
   std::vector<TraceJob> jobs;
   std::string line;
   while (std::getline(in, line)) {
@@ -56,11 +59,12 @@ std::vector<TraceJob> parse_swf(std::istream& in, std::int32_t max_processors) {
     const double used = field[4];
     const double requested = n > 7 ? field[7] : -1;
     const double proc_field = requested > 0 ? requested : used;
-    if (proc_field <= 0) continue;
+    // Range-check before the cast: no usable size below 1 processor, and a
+    // size above the partition (or int32) cannot be simulated.
+    if (!(proc_field >= 1 && proc_field <= cap)) continue;
     j.processors = static_cast<std::int32_t>(proc_field);
     if (j.runtime < 0 && n > 8 && field[8] > 0) j.runtime = field[8];
     if (j.submit < 0 || j.runtime < 0) continue;
-    if (max_processors > 0 && j.processors > max_processors) continue;
     jobs.push_back(j);
   }
   return jobs;

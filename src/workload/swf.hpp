@@ -37,9 +37,9 @@ struct TraceStats {
 ///   14 exe  15 queue  16 partition  17 preceding-job  18 think-time
 /// Processor count prefers field 8 (requested), falling back to field 5;
 /// runtime prefers field 4, falling back to field 9. Jobs lacking a usable
-/// size or with negative submit/run times are skipped. `max_processors`
-/// drops jobs too large for the simulated partition (0 = keep all), the
-/// paper's "taken only from the 352 nodes".
+/// size (below 1) or with negative submit/run times are skipped.
+/// `max_processors` drops jobs too large for the simulated partition (0 =
+/// up to INT32_MAX), the paper's "taken only from the 352 nodes".
 [[nodiscard]] std::vector<TraceJob> parse_swf(std::istream& in,
                                               std::int32_t max_processors = 0);
 

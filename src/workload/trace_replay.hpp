@@ -24,7 +24,9 @@ struct TraceReplayParams {
   /// leaves the runtime->traffic coupling to ProcSimity internals; this
   /// mapping preserves what matters — long jobs demand proportionally more
   /// communication, and service time remains an output of network
-  /// contention (DESIGN.md §2.2).
+  /// contention. Replaying the runtime as a fixed duration would make
+  /// service time blind to the allocation, which is what the paper's
+  /// service-time figures measure.
   double runtime_scale{20.0};
   std::int64_t max_messages{800};
 

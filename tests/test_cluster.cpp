@@ -381,16 +381,22 @@ TEST(ClusterSim, ThreadedReplicationsMatchSerialBitForBit) {
   core::RunOptions opts;
   opts.min_reps = opts.max_reps = 3;
   opts.seed = 7;
-  for (const char* metric : {"turnaround", "latency", "migrations", "util_spread"}) {
-    grid.metric = metric;
-    std::ostringstream serial;
-    std::ostringstream threaded;
-    opts.threads = 1;
-    core::run_grid(grid, opts, serial, /*with_ci=*/true);
-    opts.threads = 3;
-    core::run_grid(grid, opts, threaded, /*with_ci=*/true);
-    EXPECT_EQ(threaded.str(), serial.str()) << metric;
+  const std::vector<std::string> metrics{"turnaround", "latency", "migrations",
+                                         "util_spread"};
+  std::vector<std::ostringstream> serial(metrics.size());
+  std::vector<std::ostringstream> threaded(metrics.size());
+  std::vector<core::GridOutput> serial_out;
+  std::vector<core::GridOutput> threaded_out;
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    serial_out.push_back({metrics[i], &serial[i]});
+    threaded_out.push_back({metrics[i], &threaded[i]});
   }
+  opts.threads = 1;
+  core::run_grid(grid, serial_out, opts, /*with_ci=*/true);
+  opts.threads = 3;
+  core::run_grid(grid, threaded_out, opts, /*with_ci=*/true);
+  for (std::size_t i = 0; i < metrics.size(); ++i)
+    EXPECT_EQ(threaded[i].str(), serial[i].str()) << metrics[i];
 }
 
 }  // namespace

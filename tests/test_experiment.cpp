@@ -18,6 +18,7 @@ using procsim::core::FigureSpec;
 using procsim::core::make_allocator;
 using procsim::core::make_scheduler;
 using procsim::core::paper_series;
+using procsim::core::Plot;
 using procsim::core::run_figure;
 using procsim::core::run_once;
 using procsim::core::run_replicated;
@@ -140,10 +141,9 @@ TEST(Replicated, RunsAtLeastMinAndReportsIntervals) {
 }
 
 TEST(FigureRunner, EmitsCsvWithAllSeries) {
+  std::ostringstream out;
   FigureSpec spec;
-  spec.id = "figtest";
-  spec.title = "test figure";
-  spec.metric = "turnaround";
+  spec.plots = {Plot{"figtest", "turnaround", "test figure", &out}};
   spec.loads = {0.005, 0.01};
   spec.series = paper_series();
   spec.base.sys.target_completions = 30;
@@ -154,8 +154,7 @@ TEST(FigureRunner, EmitsCsvWithAllSeries) {
   opts.fast = true;
   opts.min_reps = opts.max_reps = 1;
 
-  std::ostringstream out;
-  run_figure(spec, opts, out);
+  run_figure(spec, opts);
   const std::string text = out.str();
   EXPECT_NE(text.find("# figtest"), std::string::npos);
   EXPECT_NE(text.find("GABL(FCFS)"), std::string::npos);
@@ -241,17 +240,16 @@ TEST(ExperimentSpec, MeshGeometryIsStrict) {
 }
 
 TEST(FigureRunner, UnknownMetricThrows) {
+  std::ostringstream out;
   FigureSpec spec;
-  spec.id = "bad";
-  spec.metric = "no_such_metric";
+  spec.plots = {Plot{"bad", "no_such_metric", "", &out}};
   spec.loads = {0.01};
   spec.series = {paper_series()[0]};
   spec.base.sys.target_completions = 10;
   spec.base.workload.job_count = 10;
   RunOptions opts;
   opts.fast = true;
-  std::ostringstream out;
-  EXPECT_THROW(run_figure(spec, opts, out), std::logic_error);
+  EXPECT_THROW(run_figure(spec, opts), std::logic_error);
 }
 
 }  // namespace

@@ -258,12 +258,20 @@ TEST(RecorderT, HooksTallyAndTraceIsOptIn) {
 
 // ------------------------------------------------------------- invariance --
 
+// A run stopped at its completion target, and one that drains its stream
+// (target 0): the sampler tick queued after a drained run's last completion
+// must not stretch it.
+constexpr std::size_t kStopAndDrain[] = {80, 0};
+
 TEST(Invariance, ObsProbeLeavesObservationsBitIdentical) {
-  ExperimentConfig cfg = small_config();
-  const std::map<std::string, double> detached = to_observations(run_once(cfg));
-  cfg.obs_probe = true;
-  const std::map<std::string, double> probed = to_observations(run_once(cfg));
-  EXPECT_EQ(detached, probed);  // bitwise: operator== on doubles
+  for (const std::size_t target : kStopAndDrain) {
+    ExperimentConfig cfg = small_config();
+    cfg.sys.target_completions = target;
+    const std::map<std::string, double> detached = to_observations(run_once(cfg));
+    cfg.obs_probe = true;
+    const std::map<std::string, double> probed = to_observations(run_once(cfg));
+    EXPECT_EQ(detached, probed) << target;  // bitwise: operator== on doubles
+  }
 }
 
 TEST(Invariance, TraceOnlyRecorderLeavesEveryMetricIdentical) {
@@ -286,30 +294,34 @@ TEST(Invariance, TraceOnlyRecorderLeavesEveryMetricIdentical) {
 }
 
 TEST(Invariance, TelemetryChangesOnlyTheEventCount) {
-  const ExperimentConfig cfg = small_config(13);
-  const RunMetrics off = run_once(cfg);
+  for (const std::size_t target : kStopAndDrain) {
+    ExperimentConfig cfg = small_config(13);
+    cfg.sys.target_completions = target;
+    const RunMetrics off = run_once(cfg);
 
-  Recorder rec;
-  rec.enable_telemetry(100.0);
-  const RunMetrics on = run_probed(cfg, &rec, nullptr);
+    Recorder rec;
+    rec.enable_telemetry(100.0);
+    const RunMetrics on = run_probed(cfg, &rec, nullptr);
 
-  EXPECT_EQ(off.completed, on.completed);
-  EXPECT_EQ(off.turnaround.mean(), on.turnaround.mean());
-  EXPECT_EQ(off.utilization, on.utilization);
-  EXPECT_EQ(off.makespan, on.makespan);
-  EXPECT_GE(on.events, off.events);  // sampler events ride along harmlessly
+    EXPECT_EQ(off.completed, on.completed) << target;
+    EXPECT_EQ(off.turnaround.mean(), on.turnaround.mean()) << target;
+    EXPECT_EQ(off.utilization, on.utilization) << target;
+    EXPECT_EQ(off.mean_queue_length, on.mean_queue_length) << target;
+    EXPECT_EQ(off.makespan, on.makespan) << target;
+    EXPECT_GE(on.events, off.events);  // sampler events ride along harmlessly
 
-  ASSERT_NE(rec.sampler(), nullptr);
-  ASSERT_FALSE(rec.sampler()->empty());
-  EXPECT_EQ(rec.counters().telemetry_samples, rec.sampler()->size());
-  double prev = -1;
-  for (std::size_t i = 0; i < rec.sampler()->size(); ++i) {
-    const GaugeSampler::Sample s = rec.sampler()->sample(i);
-    EXPECT_GT(s.t, prev);
-    prev = s.t;
-    EXPECT_GE(s.external_frag, 0.0);
-    EXPECT_LE(s.external_frag, 1.0);
-    EXPECT_EQ(s.busy_nodes + s.free_nodes, 16 * 22);
+    ASSERT_NE(rec.sampler(), nullptr);
+    ASSERT_FALSE(rec.sampler()->empty());
+    EXPECT_EQ(rec.counters().telemetry_samples, rec.sampler()->size());
+    double prev = -1;
+    for (std::size_t i = 0; i < rec.sampler()->size(); ++i) {
+      const GaugeSampler::Sample s = rec.sampler()->sample(i);
+      EXPECT_GT(s.t, prev);
+      prev = s.t;
+      EXPECT_GE(s.external_frag, 0.0);
+      EXPECT_LE(s.external_frag, 1.0);
+      EXPECT_EQ(s.busy_nodes + s.free_nodes, 16 * 22);
+    }
   }
 }
 

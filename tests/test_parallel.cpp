@@ -17,8 +17,11 @@ namespace {
 
 using procsim::core::ExperimentConfig;
 using procsim::core::FigureSpec;
+using procsim::core::GridSpec;
 using procsim::core::paper_series;
+using procsim::core::Plot;
 using procsim::core::run_figure;
+using procsim::core::run_grid;
 using procsim::core::run_replicated;
 using procsim::core::RunOptions;
 using procsim::core::WorkloadKind;
@@ -109,9 +112,6 @@ TEST(RunReplicated, HonorsReplicationCap) {
 
 FigureSpec small_figure() {
   FigureSpec spec;
-  spec.id = "figpar";
-  spec.title = "parallel determinism";
-  spec.metric = "turnaround";
   spec.loads = {0.005, 0.01, 0.02};
   spec.series = paper_series();
   spec.base.sys.target_completions = 25;
@@ -120,14 +120,25 @@ FigureSpec small_figure() {
   return spec;
 }
 
-std::string figure_csv(const FigureSpec& spec, std::size_t threads, bool with_ci) {
+// Runs `spec` once with one plot per metric and returns each plot's CSV.
+std::vector<std::string> figure_csvs(FigureSpec spec,
+                                     const std::vector<std::string>& metrics,
+                                     std::size_t threads, bool with_ci) {
+  std::vector<std::ostringstream> outs(metrics.size());
+  for (std::size_t i = 0; i < metrics.size(); ++i)
+    spec.plots.push_back(Plot{"figpar", metrics[i], "parallel determinism", &outs[i]});
   RunOptions opts;
   opts.min_reps = opts.max_reps = 2;
   opts.seed = 123;
   opts.threads = threads;
-  std::ostringstream out;
-  run_figure(spec, opts, out, with_ci);
-  return out.str();
+  run_figure(spec, opts, with_ci);
+  std::vector<std::string> csvs;
+  for (const std::ostringstream& out : outs) csvs.push_back(out.str());
+  return csvs;
+}
+
+std::string figure_csv(const FigureSpec& spec, std::size_t threads, bool with_ci) {
+  return figure_csvs(spec, {"turnaround"}, threads, with_ci).front();
 }
 
 TEST(FigureRunner, ThreadCountDoesNotChangeCsvBytes) {
@@ -152,6 +163,50 @@ TEST(FigureRunner, StressMoreCellsThanThreads) {
   for (const char c : par)
     if (c == '\n') ++rows;
   EXPECT_EQ(rows, 11);
+}
+
+TEST(FigureRunner, PlotsOfOneGridMatchOnePlotRuns) {
+  // A two-plot figure reads both metrics from one run of its cells; each
+  // plot prints the bytes a one-plot run of its metric prints, serially and
+  // on the cell farm.
+  const FigureSpec spec = small_figure();
+  const std::string turnaround = figure_csv(spec, 1, true);
+  const std::string latency = figure_csvs(spec, {"latency"}, 1, true).front();
+  EXPECT_NE(turnaround, latency);
+  for (const std::size_t threads : {1, 3}) {
+    const std::vector<std::string> both =
+        figure_csvs(spec, {"turnaround", "latency"}, threads, true);
+    ASSERT_EQ(both.size(), 2u);
+    EXPECT_EQ(both[0], turnaround) << threads;
+    EXPECT_EQ(both[1], latency) << threads;
+  }
+}
+
+TEST(RunGrid, OutputsShareOneRunOfEachCell) {
+  // Three tables over a 2x2 grid build each cell's configuration once.
+  std::atomic<int> built{0};
+  GridSpec grid;
+  grid.corner = "load";
+  grid.rows = {"0.01", "0.02"};
+  grid.cols = {"a", "b"};
+  grid.cell = [&](std::size_t row, std::size_t) {
+    ++built;
+    ExperimentConfig cfg = tiny_experiment();
+    cfg.workload.stochastic.load = row == 0 ? 0.01 : 0.02;
+    return cfg;
+  };
+  RunOptions opts;
+  opts.min_reps = opts.max_reps = 1;
+  opts.threads = 2;
+  std::ostringstream turnaround;
+  std::ostringstream latency;
+  std::ostringstream service;
+  run_grid(grid,
+           {{"turnaround", &turnaround}, {"latency", &latency}, {"service", &service}},
+           opts);
+  EXPECT_EQ(built.load(), 4);
+  for (const std::ostringstream* out : {&turnaround, &latency, &service})
+    EXPECT_EQ(out->str().rfind("load,a,b\n0.01,", 0), 0u);
 }
 
 TEST(FigureRunner, ParseThreadsOption) {

@@ -255,7 +255,9 @@ TEST(Swf, ShortAndMalformedRecordsAreSkipped) {
       "1 0 5 100 16\n"          // exactly 5 fields: still a record
       "2 10 3\n"                // short record: skipped
       "garbage line here\n"     // non-numeric: skipped (no usable fields)
-      "3 20 5 100 8 -1 -1 8 100 -1 1 1 1 1 1 1 -1 -1\n");
+      "3 20 5 100 8 -1 -1 8 100 -1 1 1 1 1 1 1 -1 -1\n"
+      "4 30 5 100 3000000000\n"  // above int32: skipped, not cast
+      "5 40 5 100 0.5\n");       // under one processor: no usable size
   const auto jobs = parse_swf(in);
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].processors, 16);

@@ -424,16 +424,16 @@ TEST(SourceWorkloads, ReplicatedRunsAreThreadCountInvariant) {
   procsim::core::RunOptions opts;
   opts.min_reps = opts.max_reps = 3;
   opts.seed = 31;
-  for (const char* metric : {"turnaround", "latency"}) {
-    grid.metric = metric;
-    std::ostringstream serial;
-    std::ostringstream threaded;
-    opts.threads = 1;
-    procsim::core::run_grid(grid, opts, serial, /*with_ci=*/true);
-    opts.threads = 3;
-    procsim::core::run_grid(grid, opts, threaded, /*with_ci=*/true);
-    EXPECT_EQ(threaded.str(), serial.str()) << metric;
-  }
+  std::ostringstream serial[2];
+  std::ostringstream threaded[2];
+  opts.threads = 1;
+  procsim::core::run_grid(grid, {{"turnaround", &serial[0]}, {"latency", &serial[1]}}, opts,
+                          /*with_ci=*/true);
+  opts.threads = 3;
+  procsim::core::run_grid(grid, {{"turnaround", &threaded[0]}, {"latency", &threaded[1]}},
+                          opts, /*with_ci=*/true);
+  EXPECT_EQ(threaded[0].str(), serial[0].str()) << "turnaround";
+  EXPECT_EQ(threaded[1].str(), serial[1].str()) << "latency";
 }
 
 }  // namespace
