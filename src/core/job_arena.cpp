@@ -8,47 +8,55 @@
 
 namespace procsim::core {
 
-void StreamSet::build(const std::vector<network::SrcDst>& traffic) {
+void StreamSet::build(std::span<const workload::MessagePlanEntry> plan,
+                      std::span<const mesh::NodeId> compute_nodes,
+                      std::span<std::uint32_t> stream_of_node) {
   clear();
-  srcs_.reserve(traffic.size());
-  for (const auto& [src, dst] : traffic) srcs_.push_back(src);
-  std::sort(srcs_.begin(), srcs_.end());
-  srcs_.erase(std::unique(srcs_.begin(), srcs_.end()), srcs_.end());
+  const auto node = [&](std::int32_t i) { return compute_nodes[static_cast<std::size_t>(i)]; };
+  // Validate, collect the sources in order of first appearance and count
+  // each one's messages (end_, indexed by appearance).
+  for (const auto& [si, di] : plan) {
+    if (si < 0 || di < 0 || std::cmp_greater_equal(si, compute_nodes.size()) ||
+        std::cmp_greater_equal(di, compute_nodes.size()) || si == di)
+      throw std::invalid_argument("StreamSet: plan index out of range");
+    const mesh::NodeId src = node(si);
+    std::uint32_t& i = stream_of_node[static_cast<std::size_t>(src)];
+    if (!is_stream_of(i, src)) {
+      i = static_cast<std::uint32_t>(srcs_.size());
+      srcs_.push_back(src);
+      end_.push_back(0);
+    }
+    ++end_[i];
+  }
 
-  begin_.assign(srcs_.size(), 0);
-  next_.assign(srcs_.size(), 0);
-  end_.assign(srcs_.size(), 0);
-  const auto index_of = [this](mesh::NodeId src) {
-    return static_cast<std::size_t>(
-        std::lower_bound(srcs_.begin(), srcs_.end(), src) - srcs_.begin());
-  };
-  for (const auto& [src, dst] : traffic) ++end_[index_of(src)];
+  // Streams run in ascending node id. Sorting moves each count from its
+  // appearance index (still in stream_of_node, read once per node before
+  // it is overwritten) to its sorted one.
+  next_.swap(end_);
+  end_.resize(srcs_.size());
+  std::sort(srcs_.begin(), srcs_.end());
+  for (std::size_t i = 0; i < srcs_.size(); ++i) {
+    std::uint32_t& appeared = stream_of_node[static_cast<std::size_t>(srcs_[i])];
+    end_[i] = next_[appeared];
+    appeared = static_cast<std::uint32_t>(i);
+  }
 
   std::uint32_t offset = 0;
   for (std::size_t i = 0; i < srcs_.size(); ++i) {
-    begin_[i] = offset;
-    next_[i] = offset;  // doubles as the fill cursor below
     offset += end_[i];
     end_[i] = offset;
+    next_[i] = offset;
   }
-
-  // Grouped fill in plan order: each source's destinations land contiguously
-  // and in the order the message plan issued them.
-  dsts_.resize(traffic.size());
-  for (const auto& [src, dst] : traffic) dsts_[next_[index_of(src)]++] = dst;
-  next_ = begin_;
-}
-
-std::optional<mesh::NodeId> StreamSet::advance(mesh::NodeId src) {
-  const auto it = std::lower_bound(srcs_.begin(), srcs_.end(), src);
-  if (it == srcs_.end() || *it != src)
-    throw std::logic_error("StreamSet: delivery from unknown source stream");
-  return next_at(static_cast<std::size_t>(it - srcs_.begin()));
+  // Filling back to front keeps each source's destinations in plan order
+  // and leaves every cursor at its stream's first message.
+  dsts_.resize(plan.size());
+  for (auto it = plan.rbegin(); it != plan.rend(); ++it)
+    dsts_[--next_[stream_of_node[static_cast<std::size_t>(node(it->first))]]] =
+        node(it->second);
 }
 
 void StreamSet::clear() noexcept {
   srcs_.clear();
-  begin_.clear();
   next_.clear();
   end_.clear();
   dsts_.clear();

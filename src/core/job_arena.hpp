@@ -2,30 +2,39 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "alloc/allocator.hpp"
 #include "mesh/coord.hpp"
-#include "network/traffic.hpp"
 #include "workload/job.hpp"
 
 namespace procsim::core {
 
-/// A running job's outgoing message streams in one flat layout: the sorted
-/// source nodes, a [begin, end) window into a shared destination vector per
-/// source, and a cursor per source. Replaces the per-job
-/// `std::map<NodeId, vector<NodeId>>` — no node allocations per job, and the
-/// vectors keep their capacity across slot reuse, so a steady-state run
-/// builds streams allocation-free.
+/// A running job's outgoing message streams in one flat layout: the source
+/// nodes in ascending id, and per source a cursor and an end into one shared
+/// destination vector. The vectors keep their capacity across slot reuse, so
+/// a steady-state run builds streams allocation-free.
 ///
-/// Semantics match the map exactly: sources iterate in ascending NodeId and
-/// each source's destinations keep message-plan order, so the injection
-/// sequence (and therefore every simulated byte) is unchanged.
+/// Sources iterate in ascending NodeId (the order of a job's first
+/// injections, which assigns packet seqs) and each source's destinations
+/// keep message-plan order. Every stored size is in the job's message count
+/// m or its distinct-source count s, never its processor count k.
 class StreamSet {
  public:
-  /// Rebuilds from a job's mapped traffic (plan order). Keeps capacity.
-  void build(const std::vector<network::SrcDst>& traffic);
+  /// Binds a job's plan to its compute nodes and groups it by source in one
+  /// validating counting pass, then sorts the s distinct sources:
+  /// O(m + s log s). Writes each source's stream index into `stream_of_node`
+  /// (mesh-wide, indexed by NodeId), so `next_from` finds a delivery's
+  /// stream with one read: entry i of node n is live iff i < sources() and
+  /// source(i) == n, so stale entries left by earlier jobs need no clearing.
+  /// Throws std::invalid_argument for an index out of range or a
+  /// self-message. Keeps capacity.
+  void build(std::span<const workload::MessagePlanEntry> plan,
+             std::span<const mesh::NodeId> compute_nodes,
+             std::span<std::uint32_t> stream_of_node);
 
   [[nodiscard]] std::size_t sources() const noexcept { return srcs_.size(); }
   [[nodiscard]] mesh::NodeId source(std::size_t i) const noexcept { return srcs_[i]; }
@@ -37,16 +46,25 @@ class StreamSet {
     return dsts_[next_[i]++];
   }
 
-  /// Next destination for source node `src` (binary search over the sorted
-  /// source list — the per-delivery path). std::nullopt when the stream is
-  /// exhausted; throws std::logic_error for a node that never sent.
-  [[nodiscard]] std::optional<mesh::NodeId> advance(mesh::NodeId src);
+  /// Next destination for source node `src`, found through the array `build`
+  /// wrote (the per-delivery path). std::nullopt when the stream is
+  /// exhausted; throws std::logic_error when `src` is not a source here.
+  [[nodiscard]] std::optional<mesh::NodeId> next_from(
+      mesh::NodeId src, std::span<const std::uint32_t> stream_of_node) {
+    const std::uint32_t i = stream_of_node[static_cast<std::size_t>(src)];
+    if (!is_stream_of(i, src))
+      throw std::logic_error("StreamSet: delivery from unknown source stream");
+    return next_at(i);
+  }
 
   void clear() noexcept;
 
  private:
-  std::vector<mesh::NodeId> srcs_;     ///< sorted ascending, unique
-  std::vector<std::uint32_t> begin_;   ///< per source: first index in dsts_
+  [[nodiscard]] bool is_stream_of(std::uint32_t i, mesh::NodeId src) const noexcept {
+    return i < srcs_.size() && srcs_[i] == src;
+  }
+
+  std::vector<mesh::NodeId> srcs_;     ///< ascending, unique
   std::vector<std::uint32_t> next_;    ///< per source: cursor into dsts_
   std::vector<std::uint32_t> end_;     ///< per source: one past the last
   std::vector<mesh::NodeId> dsts_;     ///< all destinations, grouped by source

@@ -33,6 +33,7 @@ void SystemSim::wire() {
   kind_inject_ = sim_->add_handler(&on_inject_event, this);
   kind_telemetry_ = sim_->add_handler(&on_telemetry_event, this);
   net_ = std::make_unique<network::WormholeNetwork>(*sim_, cfg_.geom, cfg_.net);
+  stream_of_node_.assign(static_cast<std::size_t>(cfg_.geom.nodes()), 0);
   // Captureless-lambda-to-function-pointer: the per-delivery dispatch is a
   // raw call through (fn, ctx), not a type-erased std::function.
   net_->set_delivery_sink(
@@ -288,10 +289,13 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
   busy_procs_.add(sim_->now(),
                   static_cast<double>(arena_.placement(slot).allocated));
 
-  const std::vector<network::SrcDst> traffic =
-      network::map_plan(job.message_plan, arena_.placement(slot).compute_nodes);
+  // Group messages by source, preserving plan order; every source streams
+  // its messages one at a time (blocking sends), all sources concurrently.
+  // The slot rides along as the packet tag, so deliveries come back O(1).
+  StreamSet& streams = arena_.streams(slot);
+  streams.build(job.message_plan, arena_.placement(slot).compute_nodes, stream_of_node_);
 
-  if (traffic.empty()) {
+  if (streams.messages() == 0) {
     // Single-processor job (or no messages): nominal local service of one
     // packet's worth of work (a zero-hop traversal).
     const double nominal = static_cast<double>(net_->base_latency_cycles(0));
@@ -300,13 +304,8 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
     return;
   }
 
-  arena_.outstanding(slot) = static_cast<std::int64_t>(traffic.size());
-  metrics_.packets += traffic.size();
-  // Group messages by source, preserving plan order; every source streams
-  // its messages one at a time (blocking sends), all sources concurrently.
-  // The slot rides along as the packet tag, so deliveries come back O(1).
-  StreamSet& streams = arena_.streams(slot);
-  streams.build(traffic);
+  arena_.outstanding(slot) = static_cast<std::int64_t>(streams.messages());
+  metrics_.packets += streams.messages();
   for (std::size_t i = 0; i < streams.sources(); ++i) {
     const auto dst = streams.next_at(i);
     net_->inject(streams.source(i), *dst, slot);
@@ -324,8 +323,9 @@ void SystemSim::on_delivery(const network::Delivery& d) {
     throw std::logic_error("SystemSim: delivery for unknown job");
 
   // The source that just completed a send issues its next message after the
-  // (optional) compute gap.
-  if (const auto next_dst = arena_.streams(slot).advance(d.src)) {
+  // (optional) compute gap. A node runs one job at a time, so its entry in
+  // stream_of_node_ names its stream in the tagged job.
+  if (const auto next_dst = arena_.streams(slot).next_from(d.src, stream_of_node_)) {
     if (cfg_.think_time > 0) {
       sim_->schedule_in(cfg_.think_time, kind_inject_, slot,
                         std::uint64_t{static_cast<std::uint32_t>(d.src)} << 32 |

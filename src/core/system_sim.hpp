@@ -11,7 +11,6 @@
 #include "core/metrics_sink.hpp"
 #include "des/rng.hpp"
 #include "des/simulator.hpp"
-#include "network/traffic.hpp"
 #include "network/wormhole_network.hpp"
 #include "sched/scheduler.hpp"
 #include "stats/job_metrics.hpp"
@@ -239,6 +238,10 @@ class SystemSim {
   /// one-at-a-time (blocking sends, see StreamSet); all of a job's sources
   /// stream concurrently.
   JobArena arena_;
+  /// Node -> index of its stream in the job running on it (StreamSet::build
+  /// writes it, on_delivery reads it). Sized once per mesh; stale entries
+  /// are told apart by the job's source list, so nothing resets it.
+  std::vector<std::uint32_t> stream_of_node_;
   stats::TimeWeighted busy_procs_;
   stats::TimeWeighted queue_len_;
   RunMetrics metrics_;

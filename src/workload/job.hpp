@@ -12,6 +12,11 @@ namespace procsim::workload {
 /// allocator actually granted.
 using MessagePlanEntry = std::pair<std::int32_t, std::int32_t>;
 
+/// The per-job message bound. Trace replay clamps each job's mean and count
+/// to it (make_trace_job); the stochastic streams reject a larger mean
+/// (`mes`), whose Exp draws overflow the rounded count or exhaust memory.
+inline constexpr std::int64_t kMaxMessagesPerJob = 800;
+
 /// One parallel job as fed to the simulator. Everything stochastic about the
 /// job (shape, message plan) is fixed at creation so the identical job
 /// stream can be replayed against every allocation strategy — common random
@@ -26,8 +31,10 @@ struct Job {
 
   /// The packets this job exchanges, sampled at creation: the paper's
   /// "number of messages actually generated by a given job is exponentially
-  /// distributed with mean num_mes", addressed per the communication
-  /// pattern (all-to-all in every main experiment). Empty when p == 1.
+  /// distributed with mean num_mes", addressed all-to-all
+  /// (network::generate_message_plan). Any plan of valid, non-self index
+  /// pairs runs: at job start core::StreamSet groups it by source node,
+  /// each source sending its messages in plan order. Empty when p == 1.
   std::vector<MessagePlanEntry> message_plan;
 
   /// SSD's key: total communication demand in flits for stochastic jobs,

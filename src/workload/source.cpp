@@ -105,7 +105,6 @@ std::optional<Job> SaturationSource::generate() {
   p.side_dist = params_.side_dist;
   p.mean_messages = params_.mean_messages;
   p.packet_len = params_.packet_len;
-  p.pattern = params_.pattern;
   // Reuse the canonical sampling helper to keep side/message semantics in one
   // place: draw a full stochastic job, then zero its arrival (the unit-rate
   // inter-arrival draw is discarded — every job arrives at t = 0).
@@ -145,7 +144,6 @@ std::optional<Job> BurstySource::generate() {
   p.side_dist = params_.side_dist;
   p.mean_messages = params_.mean_messages;
   p.packet_len = params_.packet_len;
-  p.pattern = params_.pattern;
   Job job = next_stochastic_job(p, geom_, rng_, t_, next_id_++);
   if (des::sample_bernoulli(rng_, 1.0 / params_.phase_jobs)) high_ = !high_;
   return job;

@@ -8,7 +8,6 @@
 
 #include "des/rng.hpp"
 #include "mesh/coord.hpp"
-#include "network/traffic.hpp"
 #include "workload/job.hpp"
 #include "workload/paragon_model.hpp"
 #include "workload/stochastic.hpp"
@@ -181,7 +180,6 @@ struct SaturationParams {
   SideDistribution side_dist{SideDistribution::kUniform};
   double mean_messages{5.0};
   std::int32_t packet_len{8};
-  network::TrafficPattern pattern{network::TrafficPattern::kAllToAll};
 };
 
 class SaturationSource final : public BufferedSource {
@@ -215,7 +213,6 @@ struct BurstyParams {
   SideDistribution side_dist{SideDistribution::kUniform};
   double mean_messages{5.0};
   std::int32_t packet_len{8};
-  network::TrafficPattern pattern{network::TrafficPattern::kAllToAll};
 };
 
 class BurstySource final : public BufferedSource {

@@ -54,6 +54,16 @@ class Options {
     return *v;
   }
 
+  /// The mean message count `mes`: > 0 and at most the per-job cap trace
+  /// replay applies.
+  [[nodiscard]] double messages(double fallback) {
+    const double v = number("mes", fallback, 0);
+    if (v > static_cast<double>(kMaxMessagesPerJob))
+      fail("key 'mes' must be <= " + std::to_string(kMaxMessagesPerJob) + " in '" +
+           spec_.canonical + "'");
+    return v;
+  }
+
   [[nodiscard]] std::size_t count(const std::string& key, std::size_t fallback) {
     const auto it = spec_.params.find(key);
     if (it == spec_.params.end()) return fallback;
@@ -157,7 +167,7 @@ std::unique_ptr<Source> make_source(const std::string& spec,
     p.side_dist = parsed->kind == "uniform" ? SideDistribution::kUniform
                                             : SideDistribution::kExponential;
     p.load = opts.number("load", load0, 0);
-    p.mean_messages = opts.number("mes", 5.0, 0);
+    p.mean_messages = opts.messages(5.0);
     p.packet_len = plen;
     const std::size_t count =
         opts.count("jobs", overrides.count ? overrides.count : 1000);
@@ -188,7 +198,7 @@ std::unique_ptr<Source> make_source(const std::string& spec,
     SaturationParams p;
     p.count = opts.count("n", overrides.count ? overrides.count : p.count);
     p.side_dist = opts.dist("dist", p.side_dist);
-    p.mean_messages = opts.number("mes", p.mean_messages, 0);
+    p.mean_messages = opts.messages(p.mean_messages);
     p.packet_len = plen;
     opts.finish();
     if (p.count == 0) fail("saturation needs n > 0");
@@ -202,7 +212,7 @@ std::unique_ptr<Source> make_source(const std::string& spec,
     p.phase_jobs = opts.number("phase", p.phase_jobs, 0);
     p.count = opts.count("jobs", overrides.count ? overrides.count : p.count);
     p.side_dist = opts.dist("dist", p.side_dist);
-    p.mean_messages = opts.number("mes", p.mean_messages, 0);
+    p.mean_messages = opts.messages(p.mean_messages);
     p.packet_len = plen;
     opts.finish();
     return std::make_unique<BurstySource>(p, geom, parsed->canonical);

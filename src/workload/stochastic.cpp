@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "des/distributions.hpp"
+#include "network/traffic.hpp"
 
 namespace procsim::workload {
 
@@ -38,6 +40,9 @@ namespace {
 Job next_stochastic_job(const StochasticParams& params, const mesh::Geometry& geom,
                         des::Xoshiro256SS& rng, double& t, std::uint64_t id) {
   if (params.load <= 0) throw std::invalid_argument("next_stochastic_job: load must be > 0");
+  if (!(params.mean_messages <= static_cast<double>(kMaxMessagesPerJob)))
+    throw std::invalid_argument("next_stochastic_job: mean_messages must be <= " +
+                                std::to_string(kMaxMessagesPerJob));
   t += des::sample_exponential(rng, 1.0 / params.load);
   Job job;
   job.id = id;
@@ -47,7 +52,7 @@ Job next_stochastic_job(const StochasticParams& params, const mesh::Geometry& ge
   job.processors = job.width * job.length;
   const std::int64_t messages = des::sample_exponential_count(rng, params.mean_messages);
   job.message_plan =
-      network::generate_message_plan(params.pattern, job.processors, messages, rng);
+      network::generate_message_plan(job.processors, messages, rng);
   job.demand =
       static_cast<double>(job.total_messages()) * static_cast<double>(params.packet_len);
   return job;

@@ -5,7 +5,6 @@
 
 #include "des/rng.hpp"
 #include "mesh/coord.hpp"
-#include "network/traffic.hpp"
 #include "workload/job.hpp"
 
 namespace procsim::workload {
@@ -27,7 +26,6 @@ struct StochasticParams {
   SideDistribution side_dist{SideDistribution::kUniform};
   double mean_messages{5.0};   ///< num_mes: mean packets per job
   std::int32_t packet_len{8};  ///< flits; demand = total messages * packet_len
-  network::TrafficPattern pattern{network::TrafficPattern::kAllToAll};
 };
 
 /// Samples the single next job of a stochastic stream: advances `t` by an

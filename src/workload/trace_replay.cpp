@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "des/distributions.hpp"
+#include "network/traffic.hpp"
 #include "workload/shape.hpp"
 
 namespace procsim::workload {
@@ -32,11 +33,11 @@ Job make_trace_job(const TraceJob& rec, std::uint64_t index,
 
   const double mean_msgs =
       std::clamp(rec.runtime / params.runtime_scale, 1.0,
-                 static_cast<double>(params.max_messages));
+                 static_cast<double>(kMaxMessagesPerJob));
   const std::int64_t messages =
-      std::min(des::sample_exponential_count(rng, mean_msgs), params.max_messages);
+      std::min(des::sample_exponential_count(rng, mean_msgs), kMaxMessagesPerJob);
   job.message_plan =
-      network::generate_message_plan(params.pattern, job.processors, messages, rng);
+      network::generate_message_plan(job.processors, messages, rng);
   return job;
 }
 

@@ -5,7 +5,6 @@
 
 #include "des/rng.hpp"
 #include "mesh/coord.hpp"
-#include "network/traffic.hpp"
 #include "workload/job.hpp"
 #include "workload/swf.hpp"
 
@@ -20,7 +19,7 @@ struct TraceReplayParams {
   double arrival_factor{1.0};
 
   /// Trace runtimes become communication demand: a job's message count is
-  /// Exp(runtime / runtime_scale) clamped to [1, max_messages]. The paper
+  /// Exp(runtime / runtime_scale) clamped to [1, kMaxMessagesPerJob]. The paper
   /// leaves the runtime->traffic coupling to ProcSimity internals; this
   /// mapping preserves what matters — long jobs demand proportionally more
   /// communication, and service time remains an output of network
@@ -28,12 +27,9 @@ struct TraceReplayParams {
   /// service time blind to the allocation, which is what the paper's
   /// service-time figures measure.
   double runtime_scale{20.0};
-  std::int64_t max_messages{800};
 
   /// Replay only the first N records (0 = whole trace).
   std::size_t prefix{0};
-
-  network::TrafficPattern pattern{network::TrafficPattern::kAllToAll};
 };
 
 /// Arrival factor that produces a given offered load (jobs per time unit)

@@ -176,6 +176,19 @@ TEST(Stochastic, RejectsNonPositiveLoad) {
                std::invalid_argument);
 }
 
+TEST(Stochastic, RejectsMeanMessagesAboveTheCap) {
+  Xoshiro256SS rng(1);
+  StochasticParams p;
+  p.mean_messages = 800;  // the per-job cap itself is allowed
+  EXPECT_EQ(generate_stochastic(p, Geometry(4, 4), 3, rng).size(), 3u);
+  for (const double mean : {800.5, 1e300, std::numeric_limits<double>::quiet_NaN()}) {
+    p.mean_messages = mean;
+    EXPECT_THROW((void)generate_stochastic(p, Geometry(4, 4), 1, rng),
+                 std::invalid_argument)
+        << mean;
+  }
+}
+
 // ------------------------------------------------------------ paragon model
 
 TEST(Paragon, MatchesPublishedCharacteristics) {
@@ -364,7 +377,6 @@ TEST(Replay, MessageCountScalesWithRuntime) {
   for (int i = 0; i < 3000; ++i) trace.push_back({30000 + i * 10.0, 10000.0, 16});
   TraceReplayParams params;
   params.runtime_scale = 20;
-  params.max_messages = 800;
   const auto jobs = make_trace_jobs(trace, params, Geometry(16, 22), rng);
   procsim::stats::Welford short_jobs, long_jobs;
   for (std::size_t i = 0; i < 3000; ++i)

@@ -131,12 +131,15 @@ TEST(SourceRegistry, MakeSourceFailsFastListingKnownKinds) {
   EXPECT_THROW((void)make_source("saturation;n=2.5", Geometry(8, 8)),
                std::invalid_argument);
   // Non-finite and out-of-range numbers fail like malformed ones: a NaN or
-  // infinite load or burst ratio would hang or abort the stream.
+  // infinite load or burst ratio would hang or abort the stream, and a mean
+  // message count above the per-job cap overflows the count draw or
+  // exhausts memory.
   for (const char* spec :
        {"uniform;load=inf", "uniform;load=nan", "uniform;load=1e999",
         "bursty;b=inf", "bursty;phase=nan", "real;f=inf", "real;f=nan",
         "uniform;mes=inf", "uniform;jobs=1e3", "uniform;jobs=-1",
-        "saturation;n=99999999999999999999"})
+        "saturation;n=99999999999999999999", "uniform;mes=1e300",
+        "saturation;mes=1e12", "bursty;mes=1e9"})
     EXPECT_THROW((void)make_source(spec, Geometry(8, 8)), std::invalid_argument)
         << spec;
   EXPECT_THROW((void)make_source("swf:/nonexistent/trace.swf", Geometry(8, 8)),
