@@ -24,6 +24,12 @@
 //                 [--telemetry=PATH[;dt=X]] [--counters[=PATH]]
 //                 [--trace=PATH] [--job-records=PATH[.jsonl|.csv]]
 //
+// Every --flag=VALUE takes a non-empty VALUE and every comma list non-empty
+// elements: `--workload=`, `--counters=`, `--loads=0.01,,0.02` or
+// `--alloc=GABL,` is a usage error (one stderr line, exit 2), never the
+// default or a dropped element. Bare `--counters` writes the counters JSON
+// to stderr.
+//
 // --cluster runs every cell as a cluster::ClusterSim fleet (N meshes, one
 // event clock, a pluggable dispatcher — see README "Cluster"); the cluster
 // metrics (util_spread & co.) are only non-zero there. `--loads` stays the
@@ -79,25 +85,34 @@ namespace {
 
 using namespace procsim;
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream in(s);
-  while (std::getline(in, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
 // One stderr line, exit 2: the CLI convention (core::usage_error). The
 // flag grammar is the comment at the top of this file.
 [[noreturn]] void usage_error(const std::string& msg) {
   core::usage_error("procsim_sweep", msg);
 }
 
+// The elements of a comma-separated list flag; an empty element
+// ("0.01,,0.02", "GABL,") is a usage error, not a dropped item.
+std::vector<std::string> split_csv(const std::string& s, const char* flag) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = s.find(',', start);
+    out.push_back(s.substr(start, comma - start));
+    if (out.back().empty())
+      usage_error(std::string("empty element in ") + flag + "='" + s + "'");
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
+// Matches `key` ("--mesh=") and takes the value after it. An empty value is
+// a usage error: it never falls back to the flag's default.
 bool take_value(const char* arg, const char* key, std::string& out) {
-  const std::size_t n = std::string::traits_type::length(key);
-  if (std::string_view(arg).substr(0, n) != key) return false;
-  out = arg + n;
+  const std::string_view k(key);
+  if (std::string_view(arg).substr(0, k.size()) != k) return false;
+  out = arg + k.size();
+  if (out.empty()) usage_error("empty " + std::string(k.substr(0, k.size() - 1)));
   return true;
 }
 
@@ -126,7 +141,6 @@ int main(int argc, char** argv) {
       mesh_given = true;
     } else if (take_value(argv[i], "--cluster=", value)) {
       cluster_arg = value;
-      if (cluster_arg.empty()) usage_error("empty --cluster");
     } else if (take_value(argv[i], "--alloc=", value)) {
       alloc_arg = value;
     } else if (take_value(argv[i], "--sched=", value)) {
@@ -186,14 +200,13 @@ int main(int argc, char** argv) {
 
   std::vector<mesh::Geometry> meshes;
   std::vector<std::string> mesh_labels;
-  for (const std::string& ms : split_csv(mesh_arg)) {
+  for (const std::string& ms : split_csv(mesh_arg, "--mesh")) {
     const auto geom = core::parse_mesh_geometry(ms);
     if (!geom) usage_error("bad mesh '" + ms + "' (expected WxL)");
     meshes.push_back(*geom);
     mesh_labels.push_back(std::to_string(geom->width()) + "x" +
                           std::to_string(geom->length()));
   }
-  if (meshes.empty()) usage_error("empty --mesh");
 
   // Workload family template and its default load axis: the three figure
   // families keep their bench_common templates (and their exact CSV bytes);
@@ -253,14 +266,13 @@ int main(int argc, char** argv) {
     // sweeping loads would just recompute the identical row.
     if (saturation) usage_error("--loads does not apply to --workload=saturation");
     loads.clear();
-    for (const std::string& s : split_csv(loads_arg)) {
+    for (const std::string& s : split_csv(loads_arg, "--loads")) {
       const auto v = util::parse_number<double>(s);
       if (!v || *v <= 0)
         usage_error("bad load '" + s + "' (expected a finite number > 0)");
       loads.push_back(*v);
     }
   }
-  if (loads.empty()) usage_error("empty --loads");
 
   // A metric typo is a usage error (exit 2), caught before the CSV header.
   try {
@@ -279,10 +291,8 @@ int main(int argc, char** argv) {
     std::string label;
   };
   std::vector<SweepSeries> series;
-  const std::vector<std::string> alloc_names = split_csv(alloc_arg);
-  const std::vector<std::string> sched_names = split_csv(sched_arg);
-  if (alloc_names.empty() || sched_names.empty())
-    usage_error("need at least one allocator and one scheduler");
+  const std::vector<std::string> alloc_names = split_csv(alloc_arg, "--alloc");
+  const std::vector<std::string> sched_names = split_csv(sched_arg, "--sched");
   for (const std::string& sn : sched_names) {
     for (const std::string& an : alloc_names) {
       core::ExperimentConfig labelled = base;

@@ -1,7 +1,8 @@
 #include "alloc/allocator.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/recorder.hpp"
 
@@ -19,16 +20,21 @@ void Allocator::finalize_placement(Placement& placement, const mesh::Geometry& g
                                    std::int32_t p) {
   placement.allocated = 0;
   for (const mesh::SubMesh& b : placement.blocks) placement.allocated += b.area();
-  placement.compute_nodes.clear();
-  placement.compute_nodes.reserve(static_cast<std::size_t>(p));
-  for (const mesh::SubMesh& b : placement.blocks) {
-    for (std::int32_t y = b.y1; y <= b.y2 && std::cmp_less(placement.compute_nodes.size(), p); ++y)
-      for (std::int32_t x = b.x1; x <= b.x2 && std::cmp_less(placement.compute_nodes.size(), p); ++x)
-        placement.compute_nodes.push_back(geom.id(mesh::Coord{x, y}));
-    if (std::cmp_greater_equal(placement.compute_nodes.size(), p)) break;
-  }
-  if (std::cmp_less(placement.compute_nodes.size(), p))
+  if (placement.allocated < p)
     throw std::logic_error("Allocator: placement holds fewer processors than requested");
+  // A block row is a run of consecutive ids: write it whole.
+  placement.compute_nodes.resize(static_cast<std::size_t>(p));
+  mesh::NodeId* out = placement.compute_nodes.data();
+  std::int32_t left = p;
+  for (const mesh::SubMesh& b : placement.blocks) {
+    for (std::int32_t y = b.y1; y <= b.y2 && left > 0; ++y) {
+      const std::int32_t n = std::min(b.width(), left);
+      std::iota(out, out + n, geom.id(mesh::Coord{b.x1, y}));
+      out += n;
+      left -= n;
+    }
+    if (left == 0) break;
+  }
 }
 
 bool Allocator::can_allocate_with_free(

@@ -135,6 +135,7 @@ void SystemSim::finalize_run(double end, bool own_clock,
     const mesh::OccupancyIndex::QueryStats& qs = allocator_.index().query_stats();
     c.index_frontier_passes += qs.frontier_passes;
     c.index_frontier_hits += qs.frontier_hits;
+    c.index_frontier_bounds += qs.frontier_bounds;
     c.index_first_fit_queries += qs.first_fit_queries;
     c.index_best_fit_queries += qs.best_fit_queries;
     if (own_clock) {

@@ -49,6 +49,37 @@ void and_shr(std::uint64_t* r, std::size_t words, std::int32_t t) {
   return -1;  // unreachable by contract
 }
 
+/// A largest_free winner: its width and capped length, {0, 0} for none.
+struct Winner {
+  std::int32_t w{0};
+  std::int32_t l{0};
+};
+
+/// Winner selection over a feasibility frontier H, reproducing the oracle's
+/// (width asc, length asc) scan: for width w the best feasible capped
+/// length is l_w = min(H[w], max_l, max_area/w); the oracle's answer is the
+/// maximum of w·l_w with the *first* (smallest) w attaining it, because in
+/// its scan a later pair only replaces the best on a strictly larger area.
+[[nodiscard]] Winner pick_winner(const std::int32_t* H, std::int32_t max_w,
+                                 std::int32_t max_l, std::int64_t max_area) {
+  std::int64_t best_area = 0;
+  Winner best;
+  for (std::int32_t w = 1; w <= max_w; ++w) {
+    std::int32_t l = H[w];
+    if (l == 0) break;  // the frontier is non-increasing: no wider rect exists
+    l = std::min(l, max_l);
+    if (static_cast<std::int64_t>(w) * l > max_area)
+      l = static_cast<std::int32_t>(max_area / w);
+    if (l < 1) continue;
+    const std::int64_t area = static_cast<std::int64_t>(w) * l;
+    if (area > best_area) {
+      best_area = area;
+      best = Winner{w, l};
+    }
+  }
+  return best;
+}
+
 [[noreturn]] void report_divergence(const char* query, std::int32_t a, std::int32_t b,
                                     const std::optional<SubMesh>& got,
                                     const std::optional<SubMesh>& want) {
@@ -89,6 +120,7 @@ void OccupancyIndex::clear() {
     dirty_row(y);
   }
   free_count_ = geom_.nodes();
+  lf_bound_gen_ = gen_counter_;
   qstats_ = QueryStats{};
 }
 
@@ -137,6 +169,7 @@ void OccupancyIndex::release(const SubMesh& s) {
     dirty_row(y);
   }
   free_count_ += s.area();
+  lf_bound_gen_ = gen_counter_;  // freed nodes: no earlier frontier bounds this one
 }
 
 void OccupancyIndex::allocate(NodeId n) {
@@ -562,41 +595,33 @@ std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
   max_l = std::min(max_l, geom_.length());
   if (max_w <= 0 || max_l <= 0 || max_area <= 0) return std::nullopt;
 
+  // The base is the first (y, x) hosting the winning width×length — exactly
+  // the oracle's inner row-major scan, i.e. a first_fit of that shape.
+  if (stale_frontier_bounds()) {
+    // Only allocations since the last pass: the stale winner is still the
+    // winner if it still fits, and no stale winner means none now (see the
+    // header). A winner that was carved away falls through to the pass.
+    const Winner win = pick_winner(lf_frontier_.data(), max_w, max_l, max_area);
+    if (win.w == 0) {
+      ++qstats_.frontier_bounds;
+      return std::nullopt;
+    }
+    if (auto s = first_fit_impl(free_.data(), win.w, win.l)) {
+      ++qstats_.frontier_bounds;
+      return s;
+    }
+  }
+
   // A fresh frontier answers in O(max_w); a stale one costs one
   // maximal-rectangle pass first (see the header).
   if (lf_frontier_gen_ == gen_counter_)
     ++qstats_.frontier_hits;
   else
     ensure_frontier();
-
-  // Winner selection over the feasibility frontier, reproducing the oracle's
-  // (width asc, length asc) scan: for width w the best feasible capped
-  // length is l_w = min(H[w], max_l, max_area/w); the oracle's answer is the
-  // maximum of w·l_w with the *first* (smallest) w attaining it, because in
-  // its scan a later pair only replaces the best on a strictly larger area.
-  std::int64_t best_area = 0;
-  std::int32_t best_w = 0;
-  std::int32_t best_l = 0;
-  const std::int32_t* H = lf_frontier_.data();
-  for (std::int32_t w = 1; w <= max_w; ++w) {
-    std::int32_t l = H[w];
-    if (l == 0) break;  // the frontier is non-increasing: no wider rect exists
-    l = std::min(l, max_l);
-    if (static_cast<std::int64_t>(w) * l > max_area)
-      l = static_cast<std::int32_t>(max_area / w);
-    if (l < 1) continue;
-    const std::int64_t area = static_cast<std::int64_t>(w) * l;
-    if (area > best_area) {
-      best_area = area;
-      best_w = w;
-      best_l = l;
-    }
-  }
-  if (best_area == 0) return std::nullopt;
-  // The base is the first (y, x) hosting the winning width×length — exactly
-  // the oracle's inner row-major scan, i.e. a first_fit of that shape (which
-  // must succeed: the frontier only reports feasible shapes).
-  return first_fit_impl(free_.data(), best_w, best_l);
+  const Winner win = pick_winner(lf_frontier_.data(), max_w, max_l, max_area);
+  if (win.w == 0) return std::nullopt;
+  // Must succeed: a fresh frontier only reports feasible shapes.
+  return first_fit_impl(free_.data(), win.w, win.l);
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b) const {
@@ -663,23 +688,34 @@ std::optional<SubMesh> OccupancyIndex::first_fit_rotatable(std::int32_t a,
 bool OccupancyIndex::fits_rotatable(std::int32_t a, std::int32_t b) const {
   if (a <= 0 || b <= 0)
     throw std::invalid_argument("fits_rotatable: non-positive request");
-  // Ski rental: scan until the scans made at this occupancy cost about what
-  // one frontier pass would. A scan skips rows and busy blocks through the
-  // summaries (about a step per row, less when it fits early); the pass
-  // takes about a step per free node, as busy runs go a word at a time.
-  if (lf_scan_gen_ != gen_counter_) {
-    lf_scan_gen_ = gen_counter_;
-    lf_scans_ = 0;
-  }
-  bool got;
-  if (lf_frontier_gen_ != gen_counter_ && lf_scans_ * geom_.length() < free_count_) {
-    ++lf_scans_;
-    got = first_fit_rotatable(a, b).has_value();
-  } else {
-    ensure_frontier();
-    const std::int32_t W = geom_.width();
+  const std::int32_t W = geom_.width();
+  const auto frontier_admits = [&] {
     const std::int32_t* H = lf_frontier_.data();
-    got = (a <= W && H[a] >= b) || (b <= W && H[b] >= a);
+    return (a <= W && H[a] >= b) || (b <= W && H[b] >= a);
+  };
+  bool got;
+  if (stale_frontier_bounds() && !frontier_admits()) {
+    // Only allocations since the last pass: that frontier bounds every free
+    // rectangle from above, so its "no" is exact.
+    ++qstats_.frontier_bounds;
+    got = false;
+  } else {
+    // Ski rental: scan until the scans made at this occupancy cost about
+    // what one frontier pass would. A scan skips rows and busy blocks
+    // through the summaries (about a step per row, less when it fits
+    // early); the pass takes about a step per free node, as busy runs go a
+    // word at a time.
+    if (lf_scan_gen_ != gen_counter_) {
+      lf_scan_gen_ = gen_counter_;
+      lf_scans_ = 0;
+    }
+    if (lf_frontier_gen_ != gen_counter_ && lf_scans_ * geom_.length() < free_count_) {
+      ++lf_scans_;
+      got = first_fit_rotatable(a, b).has_value();
+    } else {
+      ensure_frontier();
+      got = frontier_admits();
+    }
   }
   if (cross_check_enabled()) {
     const bool want =

@@ -99,9 +99,15 @@ class OccupancyIndex {
   /// occupancy generation (see there), and it and every later probe read
   /// (a ≤ W and H[a] ≥ b) or (b ≤ W and H[b] ≥ a) in O(1). A frontier pass
   /// costs about one step per free node and a scan about one per row, so a
-  /// light probe stream pays scans and a deep one a single pass. Which path
-  /// answers shows only in query_stats(). Non-positive sides throw
-  /// std::invalid_argument, as first_fit does.
+  /// light probe stream pays scans and a deep one a single pass.
+  ///
+  /// Between passes, while only allocations have happened since the last
+  /// one (no release(), no clear()), that stale frontier still bounds every
+  /// free rectangle from above: a shape it rules out in both orientations
+  /// gets false in O(1), with no scan and no pass. Its "yes" proves nothing,
+  /// so such a probe goes on as above. Which path answers shows only in
+  /// query_stats(). Non-positive sides throw std::invalid_argument, as
+  /// first_fit does.
   [[nodiscard]] bool fits_rotatable(std::int32_t a, std::int32_t b) const;
 
   /// First-fit trying a×b then b×a on a *hypothetical* occupancy: the
@@ -144,8 +150,17 @@ class OccupancyIndex {
   /// costs about a step per free node (busy runs go a word at a time), and
   /// every query between occupancy changes shares it. Each query then costs
   /// O(max_w) to pick the winner under its caps plus one first_fit for the
-  /// winner's base. GABL's carving loop asks once per carved piece, each on
-  /// the occupancy its previous piece changed, so it pays one pass per piece.
+  /// winner's base.
+  ///
+  /// A query on an occupancy that only allocations changed since the last
+  /// pass (GABL's carving loop asks once per carved piece, each on the
+  /// occupancy its previous piece changed) first picks the winner (w*, l*)
+  /// from that stale frontier. Allocations only lower H, so if a w*×l*
+  /// sub-mesh still fits, w*'s capped area is unchanged, every narrower
+  /// width stays strictly below it and no wider one can pass it: w* is still
+  /// the first maximum and its first_fit is the answer, with no pass. No
+  /// winner under the stale frontier means none now either. Only when that
+  /// first_fit fails does the query pay the pass and answer as above.
   ///
   /// Tie-breaking semantics (bit-identical to FreeSubmeshScan::largest_free,
   /// see README "Allocators & the occupancy index"): maximum capped area
@@ -165,17 +180,23 @@ class OccupancyIndex {
   /// frontier had to be rebuilt. Monotone per run (clear() resets); bumping
   /// them is the only side effect queries have on this struct, so attaching
   /// a reader can never change an answer. fits_rotatable has no tally of its
-  /// own: it shows up as the scans and frontier passes it runs.
+  /// own: it shows up as the scans, frontier passes and bound answers it
+  /// runs.
   struct QueryStats {
     /// first_fit scans, one per orientation tried: first_fit, rotatable,
     /// assuming_free and the fits_rotatable probes that scan.
     std::uint64_t first_fit_queries{0};
     std::uint64_t best_fit_queries{0};
     std::uint64_t largest_free_queries{0};
-    /// Full maximal-rectangle passes, whether a largest_free or a
-    /// fits_rotatable found the frontier stale.
+    /// Full maximal-rectangle passes, whenever a largest_free or a
+    /// fits_rotatable needed a fresh frontier (for largest_free: the stale
+    /// one bounded nothing, or its winner no longer fit).
     std::uint64_t frontier_passes{0};
     std::uint64_t frontier_hits{0};       ///< largest_free served by a valid frontier
+    /// Answers served by a stale frontier that still bounds the current
+    /// one (only allocations since its pass): fits_rotatable's "no" and
+    /// largest_free's still-fitting winner or "none".
+    std::uint64_t frontier_bounds{0};
     /// Always 0: largest_free has one path. The field stays only while
     /// perfbench/ still reads it.
     std::uint64_t descent_queries{0};
@@ -239,6 +260,13 @@ class OccupancyIndex {
   /// monotonic stack) whenever any occupancy changed since the last pass.
   void ensure_frontier() const;
 
+  /// True while the cached frontier is stale but bounds the current one
+  /// from above: no release() or clear() since its pass, so every H[w] can
+  /// only have fallen.
+  [[nodiscard]] bool stale_frontier_bounds() const noexcept {
+    return lf_frontier_gen_ != gen_counter_ && lf_frontier_gen_ >= lf_bound_gen_;
+  }
+
   /// Marks row `y`'s cached summaries stale (occupancy changed).
   void dirty_row(std::int32_t y) { row_gen_[static_cast<std::size_t>(y)] = ++gen_counter_; }
 
@@ -255,7 +283,8 @@ class OccupancyIndex {
   // Cache generations: row_gen_[y] advances on every occupancy change
   // touching row y; a cached row is valid iff its stamp matches, and a
   // whole-mesh cache (the largest_free frontier) is valid iff it was built
-  // at the current gen_counter_.
+  // at the current gen_counter_, and an upper bound iff it was built at or
+  // after lf_bound_gen_.
   std::vector<std::uint64_t> row_gen_;  ///< per-row occupancy generation
   std::uint64_t gen_counter_{0};
 
@@ -277,6 +306,10 @@ class OccupancyIndex {
   // pass scratch.
   mutable std::vector<std::int32_t> lf_frontier_;  ///< H[w]: tallest free w-wide rect
   mutable std::uint64_t lf_frontier_gen_{0};       ///< gen_counter_ at last pass
+  /// gen_counter_ after the last release() or clear(): a frontier built at
+  /// or after it bounds the current one (clear() in the constructor makes
+  /// it >= 1, so the never-built frontier at generation 0 bounds nothing).
+  std::uint64_t lf_bound_gen_{0};
   mutable std::uint64_t lf_scan_gen_{0};           ///< occupancy lf_scans_ counts at
   mutable std::int32_t lf_scans_{0};               ///< fits_rotatable scans there
   mutable std::vector<std::int32_t> lf_ht_;        ///< per-column free-run heights

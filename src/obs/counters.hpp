@@ -37,6 +37,7 @@ struct Counters {
   // Pulled from subsystem tallies at the end of each run (SystemSim::run).
   std::uint64_t index_frontier_passes{0};  ///< full maximal-rectangle sweeps
   std::uint64_t index_frontier_hits{0};    ///< largest_free answered from frontier
+  std::uint64_t index_frontier_bounds{0};  ///< answered from a stale bounding frontier
   std::uint64_t index_first_fit_queries{0};
   std::uint64_t index_best_fit_queries{0};
   /// Always 0 and not in write_json: largest_free's descent path and the

@@ -216,6 +216,7 @@ TEST(CountersT, JsonHasFixedShapeAndExtras) {
   procsim::obs::Counters c;
   c.jobs_arrived = 5;
   c.schedule_passes = 2;
+  c.index_frontier_bounds = 7;
   c.add_extra("backfill_reservations_honored", 3);
   c.add_timer("run_wall_s", 0.25);
   std::stringstream out;
@@ -223,6 +224,7 @@ TEST(CountersT, JsonHasFixedShapeAndExtras) {
   const std::string s = out.str();
   EXPECT_NE(s.find("\"jobs_arrived\": 5"), std::string::npos);
   EXPECT_NE(s.find("\"schedule_passes\": 2"), std::string::npos);
+  EXPECT_NE(s.find("\"index_frontier_bounds\": 7"), std::string::npos);
   EXPECT_NE(s.find("backfill_reservations_honored"), std::string::npos);
   EXPECT_NE(s.find("run_wall_s"), std::string::npos);
   c.reset();
@@ -347,6 +349,9 @@ TEST(Accounting, CountersAgreeWithRunMetrics) {
   EXPECT_EQ(c.alloc_attempts, c.alloc_successes + c.alloc_failures);
   EXPECT_EQ(c.sim_events, m.events);
   EXPECT_GT(c.index_first_fit_queries, 0u);  // GABL probes via the index
+  // GABL carves on occupancies its previous pieces changed: the stale
+  // frontier's answers reach the counters.
+  EXPECT_GT(c.index_frontier_bounds, 0u);
 
   // Trace agrees with the registry where both saw the same stream.
   std::uint64_t completes = 0, arrivals = 0;

@@ -70,9 +70,11 @@ TEST(OccupancyIndex, FitsRotatableScansThenReadsTheFrontier) {
   EXPECT_EQ(st.frontier_passes, 1u);
 }
 
-/// largest_free has one path: the first query at an occupancy rebuilds the
-/// frontier, however narrow its caps, and every later one reads it.
-TEST(OccupancyIndex, LargestFreeRebuildsTheFrontierOncePerOccupancy) {
+/// largest_free has one path: the first query at a new occupancy builds the
+/// frontier, however narrow its caps, and every later one reads it; after a
+/// carved piece (an allocation only) the stale frontier's winner still
+/// fits, so the next query needs no pass.
+TEST(OccupancyIndex, LargestFreeReusesTheFrontierAcrossCarving) {
   OccupancyIndex idx(Geometry(64, 16));
   const OccupancyIndex::QueryStats& st = idx.query_stats();
   idx.allocate(SubMesh{0, 0, 63, 3});
@@ -82,10 +84,76 @@ TEST(OccupancyIndex, LargestFreeRebuildsTheFrontierOncePerOccupancy) {
   EXPECT_EQ(idx.largest_free(64, 16), SubMesh::from_base(Coord{0, 4}, 64, 12));
   EXPECT_EQ(st.frontier_passes, 1u);
   EXPECT_EQ(st.frontier_hits, 1u);
-  idx.allocate(SubMesh{0, 4, 1, 5});  // a carved piece: the next query rebuilds
+  idx.allocate(SubMesh{0, 4, 1, 5});  // a carved piece: the 2×2 winner still fits
   EXPECT_EQ(idx.largest_free(2, 2), SubMesh::from_base(Coord{2, 4}, 2, 2));
-  EXPECT_EQ(st.frontier_passes, 2u);
+  EXPECT_EQ(st.frontier_passes, 1u);
   EXPECT_EQ(st.frontier_hits, 1u);
+  EXPECT_EQ(st.frontier_bounds, 1u);
+}
+
+/// After a pass, while only allocations follow, the stale frontier bounds
+/// every free rectangle from above: its "no" answers fits_rotatable with no
+/// scan and no pass, and a largest_free whose stale winner still fits is
+/// answered with no pass; a winner that was carved away costs the pass.
+TEST(OccupancyIndex, StaleFrontierBoundsAnswersAfterAllocations) {
+  OccupancyIndex idx(Geometry(16, 8));
+  const OccupancyIndex::QueryStats& st = idx.query_stats();
+  const auto oracle = [&idx] { return FreeSubmeshScan(idx.to_mesh_state()); };
+  idx.allocate(SubMesh{0, 0, 15, 3});  // free: 16×4 in rows 4-7
+  EXPECT_EQ(idx.largest_free(16, 8), SubMesh::from_base(Coord{0, 4}, 16, 4));
+  EXPECT_EQ(st.frontier_passes, 1u);
+
+  idx.allocate(SubMesh{0, 4, 3, 7});  // free: 12×4 at (4, 4)
+  // H[5] = 4 < 5 in both orientations: false from the bound.
+  EXPECT_FALSE(idx.fits_rotatable(5, 5));
+  EXPECT_FALSE(oracle().first_fit_rotatable(5, 5).has_value());
+  EXPECT_EQ(st.frontier_bounds, 1u);
+  EXPECT_EQ(st.first_fit_queries, 0u);
+  EXPECT_EQ(st.frontier_passes, 1u);
+  // The bound admits 13×2, but that proves nothing: the probe scans.
+  EXPECT_FALSE(idx.fits_rotatable(13, 2));
+  EXPECT_FALSE(oracle().first_fit_rotatable(13, 2).has_value());
+  EXPECT_EQ(st.frontier_bounds, 1u);
+  EXPECT_EQ(st.first_fit_queries, 2u);
+
+  // The stale winner 8×4 still fits at (4, 4): no pass.
+  const auto piece = idx.largest_free(8, 8);
+  EXPECT_EQ(piece, SubMesh::from_base(Coord{4, 4}, 8, 4));
+  EXPECT_EQ(piece, oracle().largest_free(8, 8));
+  EXPECT_EQ(st.frontier_bounds, 2u);
+  EXPECT_EQ(st.frontier_passes, 1u);
+
+  idx.allocate(*piece);  // free: 4×4 at (12, 4); the stale 8×4 is gone
+  const auto rest = idx.largest_free(8, 8);
+  EXPECT_EQ(rest, SubMesh::from_base(Coord{12, 4}, 4, 4));
+  EXPECT_EQ(rest, oracle().largest_free(8, 8));
+  EXPECT_EQ(st.frontier_bounds, 2u);
+  EXPECT_EQ(st.frontier_passes, 2u);
+  EXPECT_EQ(st.frontier_hits, 0u);
+  EXPECT_EQ(idx.largest_free(2, 8), oracle().largest_free(2, 8));  // fresh again
+  EXPECT_EQ(st.frontier_hits, 1u);
+  EXPECT_EQ(st.frontier_passes, 2u);
+}
+
+/// release() and clear() free nodes, so each ends the bound: a frontier
+/// built before them must not answer for the freed area. With either stamp
+/// dropped, the stale 16×4 frontier would deny the 16×8 fit and hand out a
+/// 16×4 largest_free.
+TEST(OccupancyIndex, ReleaseAndClearEndTheFrontierBound) {
+  for (const bool use_clear : {false, true}) {
+    OccupancyIndex idx(Geometry(16, 8));
+    const SubMesh top{0, 0, 15, 3};
+    idx.allocate(top);
+    EXPECT_EQ(idx.largest_free(16, 8), SubMesh::from_base(Coord{0, 4}, 16, 4));
+    if (use_clear)
+      idx.clear();
+    else
+      idx.release(top);
+    EXPECT_TRUE(idx.fits_rotatable(16, 8)) << "clear=" << use_clear;
+    EXPECT_EQ(idx.largest_free(16, 8), SubMesh::from_base(Coord{0, 0}, 16, 8))
+        << "clear=" << use_clear;
+    EXPECT_EQ(idx.query_stats().frontier_bounds, 0u) << "clear=" << use_clear;
+  }
 }
 
 TEST(OccupancyIndex, AllocateReleaseRoundTripUpdatesCounts) {
@@ -250,9 +318,10 @@ TEST_P(IndexEquivalence, MatchesLegacyScanUnderChurn) {
           << "step " << step << " area_cap=" << area_cap;
     }
   }
-  // The frontier was both rebuilt and read from cache.
+  // The frontier was rebuilt, read from cache and read as a stale bound.
   EXPECT_GT(idx.query_stats().frontier_passes, 0u);
   EXPECT_GT(idx.query_stats().frontier_hits, 0u);
+  EXPECT_GT(idx.query_stats().frontier_bounds, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomChurn, IndexEquivalence,
@@ -360,6 +429,7 @@ TEST_P(WideIndexEquivalence, MatchesLegacyScanUnderChurn) {
   }
   EXPECT_GT(idx.query_stats().frontier_passes, 0u);
   EXPECT_GT(idx.query_stats().frontier_hits, 0u);
+  EXPECT_GT(idx.query_stats().frontier_bounds, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(WordBoundary512, WideIndexEquivalence,
