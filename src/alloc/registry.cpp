@@ -63,15 +63,9 @@ std::unique_ptr<Allocator> make_allocator(const std::string& name,
                                           mesh::Geometry geom,
                                           const AllocatorParams& params) {
   const auto parsed = parse_allocator_name(name);
-  if (!parsed) {
-    std::string known;
-    for (const std::string& n : known_allocators()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
+  if (!parsed)
     throw std::invalid_argument("make_allocator: unknown allocator '" + name +
-                                "' (known: " + known + ")");
-  }
+                                "' (known: " + util::join(known_allocators()) + ")");
   switch (parsed->family) {
     case Family::kGabl:
       return std::make_unique<GablAllocator>(geom);

@@ -55,7 +55,6 @@ ClusterSim::ClusterSim(ClusterSimConfig cfg)
     // progress).
     sys.target_completions = 0;
     sys.warmup_completions = 0;
-    sys.seed = des::substream_seed(cfg_.seed ^ 0x5EEDF00DULL, i);
     sys.max_events = cfg_.max_events;
     sys.recorder = cfg_.recorder;
     unit->sim = std::make_unique<core::SystemSim>(sys, *unit->allocator,
@@ -203,6 +202,10 @@ void ClusterSim::handle_completion(core::SystemSim& mesh, const core::JobRecord&
     if (sink_ != nullptr) sink_->on_job(rec);
   }
   ++completed_;
+  if (completed_ == cfg_.warmup_completions) {
+    // The fleet's steady state starts every member's measured window.
+    for (core::SystemSim* m : meshes_) m->restart_measurement();
+  }
   if (cfg_.target_completions != 0 &&
       completed_ >= cfg_.target_completions + cfg_.warmup_completions) {
     sim_.stop();

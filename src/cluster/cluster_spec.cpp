@@ -61,15 +61,10 @@ bool parse_group(std::string_view g, std::vector<MeshSpec>& out, std::string* er
   if (const std::size_t colon = inner.find(':'); colon != std::string_view::npos) {
     const std::string_view alloc_part = trim(inner.substr(colon + 1));
     const auto parsed = alloc::parse_allocator_name(alloc_part);
-    if (!parsed) {
-      std::string known;
-      for (const std::string& k : alloc::known_allocators()) {
-        if (!known.empty()) known += ", ";
-        known += k;
-      }
+    if (!parsed)
       return fail(error, "unknown allocator '" + std::string(alloc_part) +
-                             "' in cluster group; known: " + known);
-    }
+                             "' in cluster group; known: " +
+                             util::join(alloc::known_allocators()));
     alloc = parsed->canonical;
     inner = inner.substr(0, colon);
   }
@@ -108,14 +103,7 @@ std::vector<std::string> known_dispatchers() {
   return {"random", "round_robin", "shortest_queue", "stale_queue", "improved"};
 }
 
-std::string known_dispatcher_list() {
-  std::string out;
-  for (const std::string& n : known_dispatchers()) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
+std::string known_dispatcher_list() { return util::join(known_dispatchers()); }
 
 std::optional<ClusterSpec> parse_cluster_spec(std::string_view spec, std::string* error) {
   ClusterSpec out;

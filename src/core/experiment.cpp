@@ -6,6 +6,7 @@
 #include "cluster/cluster_sim.hpp"
 #include "obs/recorder.hpp"
 #include "sched/registry.hpp"
+#include "util/strings.hpp"
 #include "workload/source_registry.hpp"
 #include "workload/swf.hpp"
 
@@ -13,14 +14,9 @@ namespace procsim::core {
 
 AllocatorSpec::AllocatorSpec(const std::string& name) {
   const auto parsed = alloc::parse_allocator_name(name);
-  if (!parsed) {
-    std::string known;
-    for (const std::string& k : alloc::known_allocators()) {
-      if (!known.empty()) known += ", ";
-      known += k;
-    }
-    throw std::invalid_argument("unknown allocator '" + name + "'; known: " + known);
-  }
+  if (!parsed)
+    throw std::invalid_argument("unknown allocator '" + name +
+                                "'; known: " + util::join(alloc::known_allocators()));
   canonical = parsed->canonical;
 }
 
@@ -132,7 +128,6 @@ RunMetrics run_probed(const ExperimentConfig& cfg, obs::Recorder* recorder,
       make_workload_source(cfg.workload, cfg.sys.geom, cfg.sys.net.packet_len);
   source->reset(cfg.seed);
   SystemConfig sys = cfg.sys;
-  sys.seed = cfg.seed ^ 0x5EEDF00DULL;
   if (recorder != nullptr) sys.recorder = recorder;
   SystemSim sim(sys, *allocator, *scheduler);
   if (sink != nullptr) sim.set_metrics_sink(sink);

@@ -58,15 +58,9 @@ void apply_experiment_spec(const ExperimentSpecStrings& axes,
   }
   if (!axes.workload.empty()) {
     const auto spec = workload::parse_source_spec(axes.workload);
-    if (!spec) {
-      std::string known;
-      for (const std::string& k : workload::known_sources()) {
-        if (!known.empty()) known += ", ";
-        known += k;
-      }
-      throw std::invalid_argument("unknown workload '" + axes.workload +
-                                  "' (known: " + known + ")");
-    }
+    if (!spec)
+      throw std::invalid_argument("unknown workload '" + axes.workload + "' (known: " +
+                                  util::join(workload::known_sources()) + ")");
     const bool bare_family =
         spec->arg.empty() && spec->params.empty() &&
         (spec->kind == "uniform" || spec->kind == "exponential" ||

@@ -155,9 +155,8 @@ void set_offered_load(ExperimentConfig& cfg, double load) {
 void check_metric(const std::string& metric) {
   const std::vector<std::string> metrics = known_metrics();
   if (std::find(metrics.begin(), metrics.end(), metric) != metrics.end()) return;
-  std::string known;
-  for (const std::string& m : metrics) known += (known.empty() ? "" : ", ") + m;
-  throw std::logic_error("unknown metric '" + metric + "' (known: " + known + ")");
+  throw std::logic_error("unknown metric '" + metric +
+                         "' (known: " + util::join(metrics) + ")");
 }
 
 void run_grid(const GridSpec& spec, const std::vector<GridOutput>& outputs,

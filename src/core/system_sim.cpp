@@ -105,11 +105,9 @@ void SystemSim::begin_run() {
   metrics_ = RunMetrics{};
   completed_ = 0;
   seq_ = 0;
-  measure_start_ = 0;
   last_completion_ = 0;
   busy_procs_ = stats::TimeWeighted{};
   queue_len_ = stats::TimeWeighted{};
-  rng_ = des::Xoshiro256SS{cfg_.seed};
   // A run stopped by target_completions leaves packets in flight; the clock
   // was reset first, so dropping them cannot strand an event.
   net_->reset();
@@ -313,12 +311,20 @@ void SystemSim::start_job(JobArena::Slot slot, alloc::Placement placement) {
   }
 }
 
+void SystemSim::restart_measurement() {
+  const double now = sim_->now();
+  busy_procs_.reset_window(now);
+  queue_len_.reset_window(now);
+  metrics_.packet_latency.reset();
+  metrics_.packet_blocking.reset();
+  metrics_.packet_hops.reset();
+}
+
 void SystemSim::on_delivery(const network::Delivery& d) {
-  if (measuring()) {
-    metrics_.packet_latency.add(d.latency);
-    metrics_.packet_blocking.add(d.blocked);
-    metrics_.packet_hops.add(static_cast<double>(d.hops));
-  }
+  // Every delivery counts; the warmup's are dropped by restart_measurement().
+  metrics_.packet_latency.add(d.latency);
+  metrics_.packet_blocking.add(d.blocked);
+  metrics_.packet_hops.add(static_cast<double>(d.hops));
   const auto slot = static_cast<JobArena::Slot>(d.tag);
   if (!arena_.occupied(slot))
     throw std::logic_error("SystemSim: delivery for unknown job");
@@ -381,12 +387,7 @@ void SystemSim::complete_job(JobArena::Slot slot) {
     if (sink_ != nullptr) sink_->on_job(rec);
   }
   ++completed_;
-  if (completed_ == cfg_.warmup_completions) {
-    // Steady state reached: restart the time-averaged windows.
-    busy_procs_.reset_window(now);
-    queue_len_.reset_window(now);
-    measure_start_ = now;
-  }
+  if (completed_ == cfg_.warmup_completions) restart_measurement();  // steady state
   arena_.release(slot);
 
   if (cfg_.target_completions != 0 &&

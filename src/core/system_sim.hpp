@@ -9,7 +9,6 @@
 #include "alloc/allocator.hpp"
 #include "core/job_arena.hpp"
 #include "core/metrics_sink.hpp"
-#include "des/rng.hpp"
 #include "des/simulator.hpp"
 #include "network/wormhole_network.hpp"
 #include "sched/scheduler.hpp"
@@ -34,7 +33,8 @@ struct SystemConfig {
   double think_time{0};
   std::size_t target_completions{1000};  ///< stop after this many (0 = all jobs)
   std::size_t warmup_completions{0};     ///< completions excluded from statistics
-  std::uint64_t seed{1};                 ///< run-local randomness (random traffic)
+  /// Unused: kept only for perfbench/ (see des::EventEngine).
+  std::uint64_t seed{1};
   std::uint64_t max_events{2'000'000'000};  ///< runaway guard
   /// Unused: kept only for perfbench/ (see des::EventEngine).
   des::EventEngine event_engine{des::EventEngine::kHeap};
@@ -170,6 +170,12 @@ class SystemSim {
   [[nodiscard]] const SystemConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t completions() const noexcept { return completed_; }
 
+  /// Starts the measured window now: the busy-processor and queue-length
+  /// averages restart from the current values, and the packet statistics
+  /// gathered so far are dropped. A mesh calls it at its own warmup
+  /// completion; the cluster calls it on every member at the fleet's.
+  void restart_measurement();
+
   /// Completion hook for the cluster layer: called once per completion (any
   /// warmup gating is the caller's) with the full JobRecord, after the mesh
   /// has fully accounted the completion and released the job. Raw (fn, ctx)
@@ -232,7 +238,6 @@ class SystemSim {
 
   // Per-run state (reset in begin_run()).
   workload::Source* source_{nullptr};  ///< the run's job stream (non-owning)
-  des::Xoshiro256SS rng_{1};
   /// Every resident job (queued or running): slot-reused, SoA hot fields,
   /// slot index == network tag. Messages one processor sends are paced
   /// one-at-a-time (blocking sends, see StreamSet); all of a job's sources
@@ -247,7 +252,6 @@ class SystemSim {
   RunMetrics metrics_;
   std::uint64_t completed_{0};
   std::uint64_t seq_{0};
-  double measure_start_{0};
   double last_completion_{0};  ///< kept while a recorder is attached
 };
 

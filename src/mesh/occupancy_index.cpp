@@ -80,15 +80,11 @@ struct Winner {
   return best;
 }
 
-[[noreturn]] void report_divergence(const char* query, std::int32_t a, std::int32_t b,
-                                    const std::optional<SubMesh>& got,
-                                    const std::optional<SubMesh>& want) {
-  throw std::logic_error(
-      std::string("OccupancyIndex cross-check: ") + query + "(" + std::to_string(a) +
-      "," + std::to_string(b) + ") diverged from FreeSubmeshScan: index=" +
-      (got ? got->to_string() : "nullopt") +
-      " oracle=" + (want ? want->to_string() : "nullopt"));
+/// A query's answer as the cross-check message prints it.
+std::string describe(const std::optional<SubMesh>& s) {
+  return s ? s->to_string() : "nullopt";
 }
+std::string describe(bool fits) { return fits ? "true" : "false"; }
 
 }  // namespace
 
@@ -135,39 +131,35 @@ void OccupancyIndex::check_inside(const SubMesh& s) const {
     throw std::out_of_range("OccupancyIndex: sub-mesh outside mesh");
 }
 
-void OccupancyIndex::allocate(const SubMesh& s) {
-  check_inside(s);
+template <typename F>
+void OccupancyIndex::for_each_span(std::uint64_t* bits, const SubMesh& s, F f) const {
   const std::size_t w1 = static_cast<std::size_t>(s.x1) / 64;
   const std::size_t w2 = static_cast<std::size_t>(s.x2) / 64;
   for (std::int32_t y = s.y1; y <= s.y2; ++y) {
-    std::uint64_t* r = row(y);
-    for (std::size_t w = w1; w <= w2; ++w) {
-      const std::uint64_t m = bit_range(w == w1 ? s.x1 % 64 : 0,
-                                        w == w2 ? s.x2 % 64 : 63);
-      if ((r[w] & m) != m)
-        throw std::logic_error("OccupancyIndex: double allocation of node");
-      r[w] &= ~m;
-    }
-    dirty_row(y);
+    std::uint64_t* r = bits + static_cast<std::size_t>(y) * words_;
+    for (std::size_t w = w1; w <= w2; ++w)
+      f(r[w], bit_range(w == w1 ? s.x1 % 64 : 0, w == w2 ? s.x2 % 64 : 63));
   }
+}
+
+void OccupancyIndex::allocate(const SubMesh& s) {
+  check_inside(s);
+  for (std::int32_t y = s.y1; y <= s.y2; ++y) dirty_row(y);
+  for_each_span(free_.data(), s, [](std::uint64_t& word, std::uint64_t m) {
+    if ((word & m) != m)
+      throw std::logic_error("OccupancyIndex: double allocation of node");
+    word &= ~m;
+  });
   free_count_ -= s.area();
 }
 
 void OccupancyIndex::release(const SubMesh& s) {
   check_inside(s);
-  const std::size_t w1 = static_cast<std::size_t>(s.x1) / 64;
-  const std::size_t w2 = static_cast<std::size_t>(s.x2) / 64;
-  for (std::int32_t y = s.y1; y <= s.y2; ++y) {
-    std::uint64_t* r = row(y);
-    for (std::size_t w = w1; w <= w2; ++w) {
-      const std::uint64_t m = bit_range(w == w1 ? s.x1 % 64 : 0,
-                                        w == w2 ? s.x2 % 64 : 63);
-      if ((r[w] & m) != 0)
-        throw std::logic_error("OccupancyIndex: releasing a free node");
-      r[w] |= m;
-    }
-    dirty_row(y);
-  }
+  for (std::int32_t y = s.y1; y <= s.y2; ++y) dirty_row(y);
+  for_each_span(free_.data(), s, [](std::uint64_t& word, std::uint64_t m) {
+    if ((word & m) != 0) throw std::logic_error("OccupancyIndex: releasing a free node");
+    word |= m;
+  });
   free_count_ += s.area();
   lf_bound_gen_ = gen_counter_;  // freed nodes: no earlier frontier bounds this one
 }
@@ -192,34 +184,6 @@ void OccupancyIndex::free_nodes_into(std::vector<NodeId>& out) const {
       for (std::uint64_t bits = r[w]; bits != 0; bits &= bits - 1)
         out.push_back(row_base + static_cast<NodeId>(w * 64) + std::countr_zero(bits));
   }
-}
-
-std::int32_t OccupancyIndex::free_in_row_range(std::int32_t y, std::int32_t c1,
-                                               std::int32_t c2) const {
-  const std::uint64_t* r = row(y);
-  const std::size_t w1 = static_cast<std::size_t>(c1) / 64;
-  const std::size_t w2 = static_cast<std::size_t>(c2) / 64;
-  std::int32_t total = 0;
-  for (std::size_t w = w1; w <= w2; ++w) {
-    const std::uint64_t m = bit_range(w == w1 ? c1 % 64 : 0, w == w2 ? c2 % 64 : 63);
-    total += std::popcount(r[w] & m);
-  }
-  return total;
-}
-
-std::int32_t OccupancyIndex::busy_in(const SubMesh& s) const {
-  if (!s.valid() || !geom_.contains(s.base()) || !geom_.contains(s.end()))
-    throw std::invalid_argument("OccupancyIndex::busy_in: sub-mesh outside mesh");
-  std::int32_t free = 0;
-  for (std::int32_t y = s.y1; y <= s.y2; ++y) free += free_in_row_range(y, s.x1, s.x2);
-  return s.area() - free;
-}
-
-bool OccupancyIndex::is_free(const SubMesh& s) const {
-  if (!s.valid() || !geom_.contains(s.base()) || !geom_.contains(s.end())) return false;
-  for (std::int32_t y = s.y1; y <= s.y2; ++y)
-    if (free_in_row_range(y, s.x1, s.x2) != s.width()) return false;
-  return true;
 }
 
 void OccupancyIndex::compute_run_row(const std::uint64_t* bits, std::int32_t y,
@@ -247,14 +211,6 @@ void OccupancyIndex::compute_run_row(const std::uint64_t* bits, std::int32_t y,
     and_shr(r, words_, t);
     have += t;
   }
-}
-
-void OccupancyIndex::ensure_run_row(const std::uint64_t* bits, std::int32_t y,
-                                    std::int32_t a) const {
-  const std::size_t yi = static_cast<std::size_t>(y);
-  if (runs_row_epoch_[yi] == runs_epoch_) return;
-  compute_run_row(bits, y, a);
-  runs_row_epoch_[yi] = runs_epoch_;
 }
 
 bool OccupancyIndex::window_into_win(std::int32_t y, std::int32_t b) const {
@@ -344,18 +300,16 @@ std::optional<SubMesh> OccupancyIndex::first_fit_impl(const std::uint64_t* bits,
   if (a > geom_.width() || b > geom_.length()) return std::nullopt;
   const std::int32_t L = geom_.length();
   runs_.resize(free_.size());
-  runs_row_epoch_.resize(static_cast<std::size_t>(L), 0);
   win_.resize(words_);
-  ++runs_epoch_;
+  std::int32_t ready = 0;  // row cursor: a row's run mask is computed once per query
 
   if (bits != free_.data()) {
     // Hypothetical occupancy (first_fit_rotatable_assuming_free): the summaries
     // describe the real bitmap, so fall back to the plain lazy descent. Run
     // masks are computed as the scan reaches their rows — a hit in the first
     // rows never touches the rest of the mesh.
-    std::int32_t ready = 0;
     for (std::int32_t y = 0; y + b <= L; ++y) {
-      while (ready < y + b) compute_run_row(bits, ready++, a);
+      for (; ready < y + b; ++ready) compute_run_row(bits, ready, a);
       if (window_into_win(y, b))
         return SubMesh::from_base(Coord{lowest_bit(win_.data(), words_), y}, a, b);
     }
@@ -387,7 +341,8 @@ std::optional<SubMesh> OccupancyIndex::first_fit_impl(const std::uint64_t* bits,
     if (viable < b) continue;
     const std::int32_t ys = y - b + 1;
     if (allfree >= b) return SubMesh::from_base(Coord{0, ys}, a, b);
-    for (std::int32_t r = ys; r <= y; ++r) ensure_run_row(bits, r, a);
+    for (ready = std::max(ready, ys); ready <= y; ++ready)
+      compute_run_row(bits, ready, a);
     if (window_into_win(ys, b))
       return SubMesh::from_base(Coord{lowest_bit(win_.data(), words_), ys}, a, b);
   }
@@ -401,9 +356,7 @@ std::optional<SubMesh> OccupancyIndex::best_fit_impl(std::int32_t a,
   const std::int32_t W = geom_.width();
   const std::int32_t L = geom_.length();
   runs_.resize(free_.size());
-  runs_row_epoch_.resize(static_cast<std::size_t>(L), 0);
   win_.resize(words_);
-  ++runs_epoch_;
   ensure_summaries();
 
   // Scoring: a candidate's free border is the free-node count of its clipped
@@ -448,6 +401,7 @@ std::optional<SubMesh> OccupancyIndex::best_fit_impl(std::int32_t a,
   std::optional<SubMesh> best;
   std::int32_t best_score = std::numeric_limits<std::int32_t>::max();
   std::int32_t viable = 0;
+  std::int32_t ready = 0;  // row cursor: a row's run mask is computed once per query
   for (std::int32_t y = 0; y < L; ++y) {
     if (viable == 0 && (y & 63) == 0) {
       while (y + 64 <= L && blk_max_run_[static_cast<std::size_t>(y) >> 6] < a) y += 64;
@@ -460,7 +414,8 @@ std::optional<SubMesh> OccupancyIndex::best_fit_impl(std::int32_t a,
     ++viable;
     if (viable < b) continue;
     const std::int32_t ys = y - b + 1;
-    for (std::int32_t r = ys; r <= y; ++r) ensure_run_row(free_.data(), r, a);
+    for (ready = std::max(ready, ys); ready <= y; ++ready)
+      compute_run_row(free_.data(), ready, a);
     if (!window_into_win(ys, b)) continue;
     set_window(ys);
     for (std::size_t i = 0; i < words_; ++i) {
@@ -624,57 +579,44 @@ std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
   return first_fit_impl(free_.data(), win.w, win.l);
 }
 
+template <typename T, typename Oracle>
+void OccupancyIndex::cross_check(const char* query, std::int32_t a, std::int32_t b,
+                                 const std::uint64_t* bits, const T& got,
+                                 Oracle oracle) const {
+  if (!cross_check_enabled()) return;
+  const T want = oracle(FreeSubmeshScan(mesh_state_of(bits)));
+  if (got != want)
+    throw std::logic_error(std::string("OccupancyIndex cross-check: ") + query + "(" +
+                           std::to_string(a) + "," + std::to_string(b) +
+                           ") diverged from FreeSubmeshScan: index=" + describe(got) +
+                           " oracle=" + describe(want));
+}
+
+std::optional<SubMesh> OccupancyIndex::counted_first_fit(const std::uint64_t* bits,
+                                                         std::int32_t a, std::int32_t b,
+                                                         const char* query) const {
+  ++qstats_.first_fit_queries;
+  const auto got = first_fit_impl(bits, a, b);
+  cross_check(query, a, b, bits, got,
+              [&](const FreeSubmeshScan& scan) { return scan.first_fit(a, b); });
+  return got;
+}
+
 std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b) const {
-  ++qstats_.first_fit_queries;
-  const auto got = first_fit_impl(free_.data(), a, b);
-  if (cross_check_enabled()) {
-    const FreeSubmeshScan oracle(to_mesh_state());
-    const auto want = oracle.first_fit(a, b);
-    if (got != want) report_divergence("first_fit", a, b, got, want);
-  }
-  return got;
-}
-
-void OccupancyIndex::build_assume(const std::vector<SubMesh>& extra_free) const {
-  assume_ = free_;
-  for (const SubMesh& s : extra_free) {
-    check_inside(s);
-    const std::size_t w1 = static_cast<std::size_t>(s.x1) / 64;
-    const std::size_t w2 = static_cast<std::size_t>(s.x2) / 64;
-    for (std::int32_t y = s.y1; y <= s.y2; ++y) {
-      std::uint64_t* r = assume_.data() + static_cast<std::size_t>(y) * words_;
-      for (std::size_t w = w1; w <= w2; ++w)
-        r[w] |= bit_range(w == w1 ? s.x1 % 64 : 0, w == w2 ? s.x2 % 64 : 63);
-    }
-  }
-}
-
-std::optional<SubMesh> OccupancyIndex::first_fit_on_assume(std::int32_t a,
-                                                           std::int32_t b) const {
-  ++qstats_.first_fit_queries;
-  const auto got = first_fit_impl(assume_.data(), a, b);
-  if (cross_check_enabled()) {
-    // Oracle on the same hypothetical occupancy, rebuilt per node.
-    MeshState state(geom_);
-    for (std::int32_t y = 0; y < geom_.length(); ++y)
-      for (std::int32_t x = 0; x < geom_.width(); ++x)
-        if ((assume_[static_cast<std::size_t>(y) * words_ +
-                     static_cast<std::size_t>(x) / 64] &
-             (std::uint64_t{1} << (x % 64))) == 0)
-          state.allocate(geom_.id(Coord{x, y}));
-    const FreeSubmeshScan oracle(state);
-    const auto want = oracle.first_fit(a, b);
-    if (got != want)
-      report_divergence("first_fit_rotatable_assuming_free", a, b, got, want);
-  }
-  return got;
+  return counted_first_fit(free_.data(), a, b, "first_fit");
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
     std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
-  build_assume(extra_free);
-  if (auto s = first_fit_on_assume(a, b)) return s;
-  if (a != b) return first_fit_on_assume(b, a);
+  assume_ = free_;
+  for (const SubMesh& s : extra_free) {
+    check_inside(s);
+    for_each_span(assume_.data(), s,
+                  [](std::uint64_t& word, std::uint64_t m) { word |= m; });
+  }
+  constexpr const char* kQuery = "first_fit_rotatable_assuming_free";
+  if (auto s = counted_first_fit(assume_.data(), a, b, kQuery)) return s;
+  if (a != b) return counted_first_fit(assume_.data(), b, a, kQuery);
   return std::nullopt;
 }
 
@@ -717,40 +659,29 @@ bool OccupancyIndex::fits_rotatable(std::int32_t a, std::int32_t b) const {
       got = frontier_admits();
     }
   }
-  if (cross_check_enabled()) {
-    const bool want =
-        FreeSubmeshScan(to_mesh_state()).first_fit_rotatable(a, b).has_value();
-    if (got != want)
-      throw std::logic_error("OccupancyIndex cross-check: fits_rotatable(" +
-                             std::to_string(a) + "," + std::to_string(b) +
-                             ") diverged from FreeSubmeshScan: index=" +
-                             (got ? "true" : "false") +
-                             " oracle=" + (want ? "true" : "false"));
-  }
+  cross_check("fits_rotatable", a, b, free_.data(), got,
+              [&](const FreeSubmeshScan& scan) {
+                return scan.first_fit_rotatable(a, b).has_value();
+              });
   return got;
 }
 
 std::optional<SubMesh> OccupancyIndex::best_fit(std::int32_t a, std::int32_t b) const {
   ++qstats_.best_fit_queries;
   const auto got = best_fit_impl(a, b);
-  if (cross_check_enabled()) {
-    const FreeSubmeshScan oracle(to_mesh_state());
-    const auto want = oracle.best_fit(a, b);
-    if (got != want) report_divergence("best_fit", a, b, got, want);
-  }
+  cross_check("best_fit", a, b, free_.data(), got,
+              [&](const FreeSubmeshScan& scan) { return scan.best_fit(a, b); });
   return got;
 }
 
 std::optional<SubMesh> OccupancyIndex::largest_free(std::int32_t max_w,
                                                     std::int32_t max_l,
                                                     std::int64_t max_area) const {
-  ++qstats_.largest_free_queries;
   const auto got = largest_free_impl(max_w, max_l, max_area);
-  if (cross_check_enabled()) {
-    const FreeSubmeshScan oracle(to_mesh_state());
-    const auto want = oracle.largest_free(max_w, max_l, max_area);
-    if (got != want) report_divergence("largest_free", max_w, max_l, got, want);
-  }
+  cross_check("largest_free", max_w, max_l, free_.data(), got,
+              [&](const FreeSubmeshScan& scan) {
+                return scan.largest_free(max_w, max_l, max_area);
+              });
   return got;
 }
 
@@ -761,12 +692,16 @@ std::int32_t OccupancyIndex::max_free_run() const {
   return best;
 }
 
-MeshState OccupancyIndex::to_mesh_state() const {
+MeshState OccupancyIndex::mesh_state_of(const std::uint64_t* bits) const {
   MeshState state(geom_);
   for (std::int32_t y = 0; y < geom_.length(); ++y)
     for (std::int32_t x = 0; x < geom_.width(); ++x)
-      if (is_busy(Coord{x, y})) state.allocate(geom_.id(Coord{x, y}));
+      if (((bits[static_cast<std::size_t>(y) * words_ +
+                 static_cast<std::size_t>(x) / 64] >> (x % 64)) & 1u) == 0)
+        state.allocate(geom_.id(Coord{x, y}));
   return state;
 }
+
+MeshState OccupancyIndex::to_mesh_state() const { return mesh_state_of(free_.data()); }
 
 }  // namespace procsim::mesh

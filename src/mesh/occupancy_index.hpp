@@ -78,12 +78,6 @@ class OccupancyIndex {
   /// MeshState::free_nodes()'s.
   void free_nodes_into(std::vector<NodeId>& out) const;
 
-  /// Number of busy nodes inside `s` (must lie within the mesh).
-  [[nodiscard]] std::int32_t busy_in(const SubMesh& s) const;
-
-  /// True if `s` lies within the mesh and contains no busy node.
-  [[nodiscard]] bool is_free(const SubMesh& s) const;
-
   /// First-fit: lowest base in row-major order hosting a free a×b sub-mesh.
   [[nodiscard]] std::optional<SubMesh> first_fit(std::int32_t a, std::int32_t b) const;
 
@@ -187,7 +181,6 @@ class OccupancyIndex {
     /// assuming_free and the fits_rotatable probes that scan.
     std::uint64_t first_fit_queries{0};
     std::uint64_t best_fit_queries{0};
-    std::uint64_t largest_free_queries{0};
     /// Full maximal-rectangle passes, whenever a largest_free or a
     /// fits_rotatable needed a fresh frontier (for largest_free: the stale
     /// one bounded nothing, or its winner no longer fit).
@@ -207,7 +200,8 @@ class OccupancyIndex {
   [[nodiscard]] MeshState to_mesh_state() const;
 
   /// Debug-mode oracle: when enabled, every fit query also runs the legacy
-  /// FreeSubmeshScan on a reconstructed snapshot and throws std::logic_error
+  /// FreeSubmeshScan on a snapshot of the bitmap it read (the hypothetical
+  /// one for first_fit_rotatable_assuming_free) and throws std::logic_error
   /// on any divergence. Process-wide and off by default — it restores the
   /// O(W·L)-per-query cost the index exists to remove. The initial value
   /// honours the PROCSIM_INDEX_CROSS_CHECK environment variable (any value
@@ -224,27 +218,36 @@ class OccupancyIndex {
     return free_.data() + static_cast<std::size_t>(y) * words_;
   }
   void check_inside(const SubMesh& s) const;
-  /// Free nodes of row `y` in inclusive column range [c1, c2] (caller clips).
-  [[nodiscard]] std::int32_t free_in_row_range(std::int32_t y, std::int32_t c1,
-                                               std::int32_t c2) const;
+  /// Calls f(word, mask) for every word of bitmap `bits` that `s` covers,
+  /// row by row, with the mask of s's columns in that word.
+  template <typename F>
+  void for_each_span(std::uint64_t* bits, const SubMesh& s, F f) const;
+  /// The per-node MeshState of bitmap `bits` (the oracle's input).
+  [[nodiscard]] MeshState mesh_state_of(const std::uint64_t* bits) const;
+  /// The one oracle hook: when cross-checking is on, runs `oracle` on a
+  /// FreeSubmeshScan of `bits`, the bitmap the query read, and throws
+  /// std::logic_error if its answer differs from `got`. It checks the
+  /// search on `bits`, not how `bits` was built.
+  template <typename T, typename Oracle>
+  void cross_check(const char* query, std::int32_t a, std::int32_t b,
+                   const std::uint64_t* bits, const T& got, Oracle oracle) const;
   /// Fills runs_ row `y` with the mask of columns where a run of `a` free
   /// bits starts, reading the occupancy from `bits` (free_.data() for the
   /// real bitmap, assume_.data() for hypothetical queries; caller sizes
-  /// runs_ to free_.size() first).
+  /// runs_ to free_.size() first). Windows come top to bottom, so each scan
+  /// computes a row once, through a forward cursor over the rows.
   void compute_run_row(const std::uint64_t* bits, std::int32_t y, std::int32_t a) const;
-  /// compute_run_row at most once per row per query (runs_epoch_ marks).
-  void ensure_run_row(const std::uint64_t* bits, std::int32_t y, std::int32_t a) const;
   /// win_ = AND of runs_ rows [y, y+b); false (with early exit) if empty.
   [[nodiscard]] bool window_into_win(std::int32_t y, std::int32_t b) const;
 
   [[nodiscard]] std::optional<SubMesh> first_fit_impl(const std::uint64_t* bits,
                                                       std::int32_t a,
                                                       std::int32_t b) const;
-  /// assume_ = the real bitmap with every node of `extra_free` set free.
-  void build_assume(const std::vector<SubMesh>& extra_free) const;
-  /// One counted (and cross-checked) first fit on the assume_ bitmap.
-  [[nodiscard]] std::optional<SubMesh> first_fit_on_assume(std::int32_t a,
-                                                           std::int32_t b) const;
+  /// first_fit_impl on `bits`, counted in query_stats() and cross-checked
+  /// under the name `query`.
+  [[nodiscard]] std::optional<SubMesh> counted_first_fit(const std::uint64_t* bits,
+                                                         std::int32_t a, std::int32_t b,
+                                                         const char* query) const;
   [[nodiscard]] std::optional<SubMesh> best_fit_impl(std::int32_t a,
                                                      std::int32_t b) const;
   [[nodiscard]] std::optional<SubMesh> largest_free_impl(std::int32_t max_w,
@@ -290,8 +293,6 @@ class OccupancyIndex {
 
   // Query scratch, reused across calls (see class comment on thread-safety).
   mutable std::vector<std::uint64_t> runs_;  ///< per-row run-start masks
-  mutable std::vector<std::uint64_t> runs_row_epoch_;  ///< runs_ row valid marks
-  mutable std::uint64_t runs_epoch_{0};      ///< bumped per query
   mutable std::vector<std::uint64_t> win_;   ///< height-b window AND
   mutable std::vector<std::uint64_t> assume_;  ///< hypothetical-occupancy bitmap
 

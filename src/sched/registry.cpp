@@ -98,14 +98,7 @@ std::vector<std::string> known_schedulers() {
   return out;
 }
 
-std::string known_scheduler_list() {
-  std::string known;
-  for (const std::string& n : known_schedulers()) {
-    if (!known.empty()) known += ", ";
-    known += n;
-  }
-  return known;
-}
+std::string known_scheduler_list() { return util::join(known_schedulers()); }
 
 std::unique_ptr<Scheduler> make_scheduler(Policy policy) {
   return std::make_unique<OrderedScheduler>(policy);

@@ -4,9 +4,11 @@
 #include <charconv>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <vector>
 
 namespace procsim::util {
 
@@ -19,6 +21,17 @@ namespace procsim::util {
         std::tolower(static_cast<unsigned char>(b[i])))
       return false;
   return true;
+}
+
+/// `items` joined with ", " — the known-name lists of the registries' error
+/// messages.
+[[nodiscard]] inline std::string join(const std::vector<std::string>& items) {
+  std::string out;
+  for (const std::string& item : items) {
+    if (!out.empty()) out += ", ";
+    out += item;
+  }
+  return out;
 }
 
 /// The one number grammar of every flag and spec string: all of `text` must

@@ -21,14 +21,7 @@ namespace {
 constexpr const char* kKinds[] = {"uniform", "exponential", "real",
                                   "swf",     "saturation",  "bursty"};
 
-[[nodiscard]] std::string known_list() {
-  std::string out;
-  for (const std::string& k : known_sources()) {
-    if (!out.empty()) out += ", ";
-    out += k;
-  }
-  return out;
-}
+[[nodiscard]] std::string known_list() { return util::join(known_sources()); }
 
 [[noreturn]] void fail(const std::string& msg) {
   throw std::invalid_argument("make_source: " + msg + " (known sources: " +

@@ -9,6 +9,7 @@
 #include "alloc/mbs.hpp"
 #include "alloc/paging.hpp"
 #include "alloc/random_alloc.hpp"
+#include "mesh/free_submesh_scan.hpp"
 
 namespace {
 
@@ -221,7 +222,8 @@ TEST(Gabl, IndexTracksAllBlocks) {
   EXPECT_EQ(a.index().busy_count(), p1->allocated + p2->allocated);
   a.release(*p1);
   EXPECT_EQ(a.index().busy_count(), p2->allocated);
-  for (const auto& blk : p2->blocks) EXPECT_EQ(a.index().busy_in(blk), blk.area());
+  const procsim::mesh::FreeSubmeshScan scan(a.index().to_mesh_state());
+  for (const auto& blk : p2->blocks) EXPECT_EQ(scan.busy_in(blk), blk.area());
   a.release(*p2);
   EXPECT_EQ(a.index().busy_count(), 0);
 }

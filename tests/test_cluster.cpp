@@ -364,6 +364,47 @@ TEST(ClusterSim, FixedSeedRunsAreBitIdentical) {
   EXPECT_EQ(a.events, b.events);
 }
 
+// A fleet of one mesh measures exactly like that mesh under a deterministic
+// allocator: same stream, same placements, same measured window. Saturation
+// has a warmup, so the fleet must restart its member's window when the
+// fleet's warmup ends. Random is left out: a fleet seeds its members'
+// allocators from per-mesh substreams.
+TEST(ClusterSim, FleetOfOneMeasuresLikeAMesh) {
+  const std::set<std::string> cluster_only{"util_spread", "util_min",     "util_max",
+                                           "util_stddev", "migrations",   "stale_errors",
+                                           "migration_latency"};
+  for (const std::string workload : {"uniform", "saturation"}) {
+    for (const std::string alloc : {"GABL", "FirstFit"}) {
+      const auto observe = [&](core::ExperimentSpecStrings axes) {
+        axes.alloc = alloc;
+        axes.workload = workload;
+        core::ExperimentConfig cfg;
+        cfg.sys.think_time = 10;
+        cfg.sys.target_completions = 200;
+        cfg.workload.stochastic.load = 0.05;
+        core::apply_experiment_spec(axes, cfg);
+        if (workload == "saturation") {  // bench::saturated's setup
+          cfg.workload.job_count = 3 * cfg.sys.target_completions;
+          cfg.sys.warmup_completions = cfg.sys.target_completions / 10;
+        }
+        cfg.seed = 7;
+        return core::to_observations(core::run_once(cfg));
+      };
+      core::ExperimentSpecStrings mesh_axes;
+      mesh_axes.mesh = "16x16";
+      core::ExperimentSpecStrings fleet_axes;
+      fleet_axes.cluster = "1x(16x16)";
+      const auto mesh = observe(mesh_axes);
+      const auto fleet = observe(fleet_axes);
+      ASSERT_EQ(fleet.size(), mesh.size());
+      for (const auto& [key, value] : mesh) {
+        if (cluster_only.contains(key)) continue;
+        EXPECT_EQ(fleet.at(key), value) << workload << " " << alloc << " " << key;
+      }
+    }
+  }
+}
+
 TEST(ClusterSim, ThreadedReplicationsMatchSerialBitForBit) {
   // run_grid farms cells across threads and runs each cell's replications
   // serially, so a fleet grid prints the same bytes, means and 95 %

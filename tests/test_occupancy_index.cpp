@@ -39,7 +39,8 @@ TEST(OccupancyIndex, ValidationMirrorsLegacyScan) {
   EXPECT_THROW((void)idx.fits_rotatable(3, -1), std::invalid_argument);
   EXPECT_FALSE(idx.fits_rotatable(9, 7));
   EXPECT_TRUE(idx.fits_rotatable(6, 8));  // only the rotated 8×6 fits
-  EXPECT_THROW((void)idx.busy_in(SubMesh{0, 0, 8, 5}), std::invalid_argument);
+  EXPECT_THROW((void)FreeSubmeshScan(idx.to_mesh_state()).busy_in(SubMesh{0, 0, 8, 5}),
+               std::invalid_argument);
 }
 
 /// fits_rotatable makes free_count / length first-fit scans at one
@@ -161,12 +162,12 @@ TEST(OccupancyIndex, AllocateReleaseRoundTripUpdatesCounts) {
   const SubMesh s{2, 1, 5, 3};
   idx.allocate(s);
   EXPECT_EQ(idx.free_count(), 40 - 12);
-  EXPECT_EQ(idx.busy_in(SubMesh{0, 0, 9, 3}), 12);
+  EXPECT_EQ(FreeSubmeshScan(idx.to_mesh_state()).busy_in(SubMesh{0, 0, 9, 3}), 12);
   EXPECT_TRUE(idx.is_busy(Coord{2, 1}));
-  EXPECT_FALSE(idx.is_free(s));
+  EXPECT_FALSE(FreeSubmeshScan(idx.to_mesh_state()).is_free(s));
   idx.release(s);
   EXPECT_EQ(idx.free_count(), 40);
-  EXPECT_TRUE(idx.is_free(s));
+  EXPECT_TRUE(FreeSubmeshScan(idx.to_mesh_state()).is_free(s));
 }
 
 TEST(OccupancyIndex, PreconditionViolationsThrow) {
