@@ -200,6 +200,8 @@ void SystemSim::on_arrival(workload::Job job) {
   q.arrival = job.arrival;
   q.demand = job.demand;
   q.area = static_cast<std::int64_t>(job.width) * job.length;
+  q.width = job.width;
+  q.length = job.length;
   q.processors = job.processors;
   q.seq = seq_++;
   scheduler_.enqueue(q);
@@ -236,17 +238,16 @@ void SystemSim::try_schedule() {
       rec_->probe_call();
       ++probes;
     }
-    const workload::Job& job = queued_job(q.job_id);
-    return allocator_.can_allocate(alloc::Request{job.width, job.length, job.processors});
+    // The queue entry carries the request, so a probe needs no arena lookup.
+    return allocator_.can_allocate(alloc::Request{q.width, q.length, q.processors});
   };
   // The probe-at-instant companion: would the job fit once these running
   // jobs' blocks were released? Also side-effect free (a hypothetical-bitmap
   // query), so shape-aware reservations cost queries, never state.
   const sched::ShapeProbe shape_fit =
       [this](const sched::QueuedJob& q, const std::vector<mesh::SubMesh>& released) {
-        const workload::Job& job = queued_job(q.job_id);
         return allocator_.can_allocate_with_free(
-            alloc::Request{job.width, job.length, job.processors}, released);
+            alloc::Request{q.width, q.length, q.processors}, released);
       };
   for (;;) {
     const sched::SchedSnapshot snap{sim_->now(),

@@ -293,8 +293,7 @@ void OccupancyIndex::ensure_summaries() const {
   }
 }
 
-std::optional<SubMesh> OccupancyIndex::first_fit_impl(const std::uint64_t* bits,
-                                                      std::int32_t a,
+std::optional<SubMesh> OccupancyIndex::first_fit_impl(std::int32_t a,
                                                       std::int32_t b) const {
   if (a <= 0 || b <= 0) throw std::invalid_argument("first_fit: non-positive request");
   if (a > geom_.width() || b > geom_.length()) return std::nullopt;
@@ -303,20 +302,7 @@ std::optional<SubMesh> OccupancyIndex::first_fit_impl(const std::uint64_t* bits,
   win_.resize(words_);
   std::int32_t ready = 0;  // row cursor: a row's run mask is computed once per query
 
-  if (bits != free_.data()) {
-    // Hypothetical occupancy (first_fit_rotatable_assuming_free): the summaries
-    // describe the real bitmap, so fall back to the plain lazy descent. Run
-    // masks are computed as the scan reaches their rows — a hit in the first
-    // rows never touches the rest of the mesh.
-    for (std::int32_t y = 0; y + b <= L; ++y) {
-      for (; ready < y + b; ++ready) compute_run_row(bits, ready, a);
-      if (window_into_win(y, b))
-        return SubMesh::from_base(Coord{lowest_bit(win_.data(), words_), y}, a, b);
-    }
-    return std::nullopt;
-  }
-
-  // Real occupancy: walk rows through the summaries. `viable` counts the
+  // Walk rows through the summaries. `viable` counts the
   // consecutive rows (ending at y) holding a width-a run — only windows of b
   // such rows can host a hit, everything else is skipped without touching a
   // run mask; fully-busy 64-row blocks are skipped in one compare, and a
@@ -342,7 +328,7 @@ std::optional<SubMesh> OccupancyIndex::first_fit_impl(const std::uint64_t* bits,
     const std::int32_t ys = y - b + 1;
     if (allfree >= b) return SubMesh::from_base(Coord{0, ys}, a, b);
     for (ready = std::max(ready, ys); ready <= y; ++ready)
-      compute_run_row(bits, ready, a);
+      compute_run_row(free_.data(), ready, a);
     if (window_into_win(ys, b))
       return SubMesh::from_base(Coord{lowest_bit(win_.data(), words_), ys}, a, b);
   }
@@ -561,7 +547,7 @@ std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
       ++qstats_.frontier_bounds;
       return std::nullopt;
     }
-    if (auto s = first_fit_impl(free_.data(), win.w, win.l)) {
+    if (auto s = first_fit_impl(win.w, win.l)) {
       ++qstats_.frontier_bounds;
       return s;
     }
@@ -576,7 +562,7 @@ std::optional<SubMesh> OccupancyIndex::largest_free_impl(std::int32_t max_w,
   const Winner win = pick_winner(lf_frontier_.data(), max_w, max_l, max_area);
   if (win.w == 0) return std::nullopt;
   // Must succeed: a fresh frontier only reports feasible shapes.
-  return first_fit_impl(free_.data(), win.w, win.l);
+  return first_fit_impl(win.w, win.l);
 }
 
 template <typename T, typename Oracle>
@@ -592,32 +578,81 @@ void OccupancyIndex::cross_check(const char* query, std::int32_t a, std::int32_t
                            " oracle=" + describe(want));
 }
 
-std::optional<SubMesh> OccupancyIndex::counted_first_fit(const std::uint64_t* bits,
-                                                         std::int32_t a, std::int32_t b,
-                                                         const char* query) const {
+std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b) const {
   ++qstats_.first_fit_queries;
-  const auto got = first_fit_impl(bits, a, b);
-  cross_check(query, a, b, bits, got,
+  const auto got = first_fit_impl(a, b);
+  cross_check("first_fit", a, b, free_.data(), got,
               [&](const FreeSubmeshScan& scan) { return scan.first_fit(a, b); });
   return got;
 }
 
-std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b) const {
-  return counted_first_fit(free_.data(), a, b, "first_fit");
+std::optional<SubMesh> OccupancyIndex::assumed_first_fit(std::int32_t a, std::int32_t b,
+                                                         std::int32_t y_first,
+                                                         std::int32_t y_last) const {
+  ++qstats_.first_fit_queries;
+  std::optional<SubMesh> got;
+  if (a <= geom_.width() && b <= geom_.length()) {
+    // Run masks are computed as the scan reaches their rows, so a hit in
+    // the first rows never touches the rest of the range.
+    runs_.resize(free_.size());
+    win_.resize(words_);
+    y_first = std::max(y_first, 0);
+    y_last = std::min(y_last, geom_.length() - b);
+    std::int32_t ready = y_first;  // row cursor, as in first_fit_impl
+    for (std::int32_t y = y_first; y <= y_last; ++y) {
+      for (; ready < y + b; ++ready) compute_run_row(assume_.data(), ready, a);
+      if (window_into_win(y, b)) {
+        got = SubMesh::from_base(Coord{lowest_bit(win_.data(), words_), y}, a, b);
+        break;
+      }
+    }
+  }
+  cross_check("first_fit_rotatable_assuming_free", a, b, assume_.data(), got,
+              [&](const FreeSubmeshScan& scan) { return scan.first_fit(a, b); });
+  return got;
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
     std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const {
-  assume_ = free_;
-  for (const SubMesh& s : extra_free) {
-    check_inside(s);
+  if (a <= 0 || b <= 0) throw std::invalid_argument("first_fit: non-positive request");
+  // Keep the bitmap if this call's blocks extend those already OR-ed into it
+  // at this occupancy. Every new block is checked before anything is OR-ed
+  // or remembered, so a throw leaves the bitmap and its list in step.
+  const bool extends = assume_gen_ == gen_counter_ &&
+                       extra_free.size() >= assume_blocks_.size() &&
+                       std::equal(assume_blocks_.begin(), assume_blocks_.end(),
+                                  extra_free.begin());
+  const std::size_t first_new = extends ? assume_blocks_.size() : 0;
+  for (std::size_t i = first_new; i < extra_free.size(); ++i) check_inside(extra_free[i]);
+  if (!extends) {
+    assume_ = free_;
+    assume_blocks_.clear();
+    assume_gen_ = gen_counter_;
+  }
+  std::int32_t y_lo = geom_.length();  // the rows the new blocks span
+  std::int32_t y_hi = -1;
+  for (std::size_t i = first_new; i < extra_free.size(); ++i) {
+    const SubMesh& s = extra_free[i];
     for_each_span(assume_.data(), s,
                   [](std::uint64_t& word, std::uint64_t m) { word |= m; });
+    y_lo = std::min(y_lo, s.y1);
+    y_hi = std::max(y_hi, s.y2);
+    assume_blocks_.push_back(s);
   }
-  constexpr const char* kQuery = "first_fit_rotatable_assuming_free";
-  if (auto s = counted_first_fit(assume_.data(), a, b, kQuery)) return s;
-  if (a != b) return counted_first_fit(assume_.data(), b, a, kQuery);
-  return std::nullopt;
+
+  // If the previous call found no a×b or b×a on a subset of these free
+  // nodes, a fit now covers a newly freed node: a height-h fit's base row
+  // lies in [y_lo - h + 1, y_hi], an empty range when nothing new was freed.
+  const bool narrowed = extends && (assume_miss_ == std::pair{a, b} ||
+                                    assume_miss_ == std::pair{b, a});
+  const auto scan = [&](std::int32_t w, std::int32_t h) {
+    return narrowed ? assumed_first_fit(w, h, y_lo - h + 1, y_hi)
+                    : assumed_first_fit(w, h, 0, geom_.length());
+  };
+  std::optional<SubMesh> got = scan(a, b);
+  if (!got && a != b) got = scan(b, a);
+  assume_miss_ = got ? std::pair{0, 0} : std::pair{a, b};
+  return got;
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit_rotatable(std::int32_t a,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "mesh/coord.hpp"
@@ -108,11 +109,23 @@ class OccupancyIndex {
   /// current bitmap with every node of `extra_free` additionally marked free
   /// (blocks may be busy, free or overlapping — the union is what counts).
   /// This is the scheduler's probe-at-instant: "would the job fit once these
-  /// running jobs' blocks are released?" answered without mutating the
-  /// index, in one bitmap copy (shared by both orientations) + the standard
-  /// scan. Same scan order and tie-breaking as first_fit_rotatable on a real
-  /// occupancy (the shape-aware backfill tests replay the releases for real
-  /// and compare).
+  /// running jobs' blocks are released?" answered without touching the real
+  /// bitmap. Same scan order and tie-breaking as first_fit_rotatable on a
+  /// real occupancy (the shape-aware backfill tests replay the releases for
+  /// real and compare).
+  ///
+  /// A reservation walk asks this with one shape and a growing prefix of the
+  /// running set's blocks, so the index keeps the hypothetical bitmap between
+  /// calls, with the occupancy generation it was built at and the blocks
+  /// OR-ed into it. A call whose `extra_free` extends that list at the same
+  /// generation ORs in only the new blocks; any other call rebuilds it (one
+  /// copy of the real bitmap, shared by both orientations). If the previous
+  /// call asked the same shape (either orientation) and found nothing, a fit
+  /// now must cover a newly freed node, so each orientation of height h
+  /// scans only base rows [y_lo − h + 1, y_hi] of the new blocks' rows. The
+  /// answer is the exact first-fit sub-mesh either way. Non-positive sides
+  /// throw std::invalid_argument and an out-of-mesh block std::out_of_range,
+  /// both before anything is OR-ed or remembered.
   [[nodiscard]] std::optional<SubMesh> first_fit_rotatable_assuming_free(
       std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
 
@@ -240,14 +253,16 @@ class OccupancyIndex {
   /// win_ = AND of runs_ rows [y, y+b); false (with early exit) if empty.
   [[nodiscard]] bool window_into_win(std::int32_t y, std::int32_t b) const;
 
-  [[nodiscard]] std::optional<SubMesh> first_fit_impl(const std::uint64_t* bits,
-                                                      std::int32_t a,
+  /// First fit on the real bitmap, walking rows through the summaries.
+  [[nodiscard]] std::optional<SubMesh> first_fit_impl(std::int32_t a,
                                                       std::int32_t b) const;
-  /// first_fit_impl on `bits`, counted in query_stats() and cross-checked
-  /// under the name `query`.
-  [[nodiscard]] std::optional<SubMesh> counted_first_fit(const std::uint64_t* bits,
-                                                         std::int32_t a, std::int32_t b,
-                                                         const char* query) const;
+  /// First fit on the hypothetical bitmap assume_, which the summaries do
+  /// not describe: the plain lazy descent over base rows [y_first, y_last]
+  /// (clipped to the mesh), counted in query_stats() and cross-checked
+  /// against the whole of assume_.
+  [[nodiscard]] std::optional<SubMesh> assumed_first_fit(std::int32_t a, std::int32_t b,
+                                                         std::int32_t y_first,
+                                                         std::int32_t y_last) const;
   [[nodiscard]] std::optional<SubMesh> best_fit_impl(std::int32_t a,
                                                      std::int32_t b) const;
   [[nodiscard]] std::optional<SubMesh> largest_free_impl(std::int32_t max_w,
@@ -294,7 +309,14 @@ class OccupancyIndex {
   // Query scratch, reused across calls (see class comment on thread-safety).
   mutable std::vector<std::uint64_t> runs_;  ///< per-row run-start masks
   mutable std::vector<std::uint64_t> win_;   ///< height-b window AND
-  mutable std::vector<std::uint64_t> assume_;  ///< hypothetical-occupancy bitmap
+  // The hypothetical bitmap of first_fit_rotatable_assuming_free, kept
+  // between calls: the real bitmap at generation assume_gen_ (0 = never
+  // built) with assume_blocks_ OR-ed in, and the shape the last call found
+  // nothing for ({0, 0} when it found a fit).
+  mutable std::vector<std::uint64_t> assume_;
+  mutable std::vector<SubMesh> assume_blocks_;
+  mutable std::uint64_t assume_gen_{0};
+  mutable std::pair<std::int32_t, std::int32_t> assume_miss_{0, 0};
 
   // Hierarchical occupancy summaries (level 1: rows, level 2: 64-row blocks).
   mutable std::vector<std::uint64_t> sum_gen_;      ///< per-row summary stamps

@@ -97,42 +97,23 @@ std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& prob
   if (probe(head)) return 0;
   const bool use_shape = opts_.shape_aware && snap.shape_fit != nullptr;
 
-  // The head is blocked: place its reservation. Walk the running jobs in
-  // estimated-finish order accumulating released processors until the head's
-  // request is covered — and, shape-aware, until its sub-mesh actually fits
-  // the projected occupancy; that instant is the shadow time, and whatever
-  // exceeds the head's need there is the backfill slack ("extra"
-  // processors).
-  double shadow = snap.now;
-  std::int64_t avail = snap.free_processors;
-  const std::int64_t head_need = head.processors;
-  released_scratch_.clear();
-  // Right now the probe already failed, so shape-aware the head does not
-  // fit; count-based it may (fragmentation), in which case the shadow stays
-  // at `now` exactly as before.
-  bool reachable = !use_shape && avail >= head_need;
-  if (!reachable) {
-    for (const Running& r : running_) {  // ordered by (finish_estimate, id)
-      avail += r.allocated;
-      shadow = r.finish_estimate;
-      if (use_shape) {
-        released_scratch_.insert(released_scratch_.end(), r.blocks.begin(),
-                                 r.blocks.end());
-        if (avail >= head_need && (*snap.shape_fit)(head, released_scratch_)) {
-          reachable = true;
-          break;
-        }
-      } else if (avail >= head_need) {
-        reachable = true;
-        break;
-      }
-    }
+  // A shape-aware walk pays one hypothetical-occupancy probe per release it
+  // reaches, and every pass until the running set changes (one per arrival
+  // behind a blocked head) asks for the same walk. Its probes read nothing
+  // but the head, the running set and the free count (ShapeProbe), so a
+  // walk of the same three is reused; the count walk is cheap and reruns.
+  const WalkKey key{head.job_id, running_epoch_, snap.free_processors};
+  if (!use_shape || walk_key_ != key) {
+    walk_ = walk_running(head, snap, use_shape);
+    walk_key_ = use_shape ? std::optional<WalkKey>(key) : std::nullopt;
   }
+  const bool reachable = walk_.reachable;
+  const double shadow = walk_.shadow;
   // When even draining every running job cannot seat the head, there is no
   // reservation to protect — plain first-fit backfill applies.
   if (reachable) first_reservation_.emplace(head.job_id, shadow);
-  const std::int64_t extra =
-      reachable ? avail - head_need : std::numeric_limits<std::int64_t>::max();
+  const std::int64_t extra = reachable ? walk_.avail - head.processors
+                                       : std::numeric_limits<std::int64_t>::max();
 
   for (std::size_t i = 1; i < size(); ++i) {
     const QueuedJob c = job_at(i);
@@ -144,6 +125,39 @@ std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& prob
     if (probe(c)) return i;
   }
   return std::nullopt;
+}
+
+BackfillScheduler::Shadow BackfillScheduler::walk_running(const QueuedJob& head,
+                                                          const SchedSnapshot& snap,
+                                                          bool use_shape) {
+  // The head is blocked: place its reservation. Walk the running jobs in
+  // estimated-finish order accumulating released processors until the head's
+  // request is covered — and, shape-aware, until its sub-mesh actually fits
+  // the projected occupancy; that instant is the shadow time, and whatever
+  // exceeds the head's need there is the backfill slack ("extra"
+  // processors).
+  Shadow s{false, snap.now, snap.free_processors};
+  const std::int64_t head_need = head.processors;
+  // Right now the probe already failed, so shape-aware the head does not
+  // fit; count-based it may (fragmentation), in which case the shadow stays
+  // at `now` exactly as before.
+  if (!use_shape && s.avail >= head_need) {
+    s.reachable = true;
+    return s;
+  }
+  released_scratch_.clear();
+  for (const Running& r : running_) {  // ordered by (finish_estimate, id)
+    s.avail += r.allocated;
+    s.shadow = r.finish_estimate;
+    if (use_shape)
+      released_scratch_.insert(released_scratch_.end(), r.blocks.begin(), r.blocks.end());
+    if (s.avail >= head_need &&
+        (!use_shape || (*snap.shape_fit)(head, released_scratch_))) {
+      s.reachable = true;
+      break;
+    }
+  }
+  return s;
 }
 
 std::optional<std::size_t> BackfillScheduler::select_conservative(
@@ -216,9 +230,11 @@ void BackfillScheduler::on_start(const QueuedJob& job, double now,
   const auto it =
       running_.insert(Running{now + job.demand, job.job_id, allocated, blocks});
   slot_.emplace(job.job_id, it);
+  ++running_epoch_;
 }
 
 void BackfillScheduler::on_complete(std::uint64_t job_id, double) {
+  ++running_epoch_;
   const auto it = slot_.find(job_id);
   if (it == slot_.end()) return;
   running_.erase(it->second);
@@ -242,6 +258,7 @@ void BackfillScheduler::clear() {
   FifoBase::clear();
   running_.clear();
   slot_.clear();
+  ++running_epoch_;
   first_reservation_.clear();
   reservations_honored_ = 0;
   reservations_broken_ = 0;

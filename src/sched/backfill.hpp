@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -97,8 +98,27 @@ class BackfillScheduler final : public FifoBase {
     }
   };
 
+  /// The blocked head's EASY reservation: whether any prefix of the running
+  /// set (in estimated-finish order) seats it, the instant that prefix ends
+  /// (the shadow time) and the processors free then.
+  struct Shadow {
+    bool reachable{false};
+    double shadow{0};
+    std::int64_t avail{0};
+  };
+  /// What a shape-aware walk reads: the head, the running set and the free
+  /// count (see ShapeProbe's reuse precondition).
+  struct WalkKey {
+    std::uint64_t head_id{0};
+    std::uint64_t running_epoch{0};
+    std::int64_t free_processors{0};
+    friend bool operator==(const WalkKey&, const WalkKey&) = default;
+  };
+
   [[nodiscard]] std::optional<std::size_t> select_easy(const AllocProbe& probe,
                                                        const SchedSnapshot& snap);
+  [[nodiscard]] Shadow walk_running(const QueuedJob& head, const SchedSnapshot& snap,
+                                    bool use_shape);
   [[nodiscard]] std::optional<std::size_t> select_conservative(
       const AllocProbe& probe, const SchedSnapshot& snap);
 
@@ -109,6 +129,13 @@ class BackfillScheduler final : public FifoBase {
   /// entry for the O(log R) on_complete erase.
   std::multiset<Running> running_;
   std::unordered_map<std::uint64_t, std::multiset<Running>::iterator> slot_;
+  /// Bumped by on_start, on_complete and clear: names the running set.
+  std::uint64_t running_epoch_{0};
+
+  /// The last shape-aware walk and what it read; select_easy reuses it
+  /// while the head, the running set and the free count stand.
+  std::optional<WalkKey> walk_key_;
+  Shadow walk_;
 
   /// job_id -> first reserved start instant (see export_counters).
   std::unordered_map<std::uint64_t, double> first_reservation_;

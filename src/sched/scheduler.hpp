@@ -17,6 +17,8 @@ struct QueuedJob {
   double arrival{0};      ///< submission time
   double demand{0};       ///< SSD key: known service demand
   std::int64_t area{0};   ///< bounding w×l footprint (the size-ordering key)
+  std::int32_t width{0};  ///< requested sub-mesh width (the probes' request)
+  std::int32_t length{0}; ///< requested sub-mesh length
   /// Processors the job actually computes on (<= area for trace-shaped
   /// requests) — what reservation arithmetic must count, since the
   /// non-contiguous strategies allocate by this number, not the bounding box.
@@ -38,6 +40,13 @@ using AllocProbe = std::function<bool(const QueuedJob&)>;
 /// (Allocator::can_allocate_with_free) without committing anything. Shape-
 /// aware backfilling uses it to place reservations at instants where the
 /// head's sub-mesh actually *fits*, not merely where enough nodes are free.
+///
+/// Reuse precondition: for a given job and block list, the answer may depend
+/// only on the running set reported through Scheduler::on_start /
+/// on_complete and on SchedSnapshot::free_processors. A discipline may then
+/// keep a walk's answers while none of those changed (EASY reuses its last
+/// shape-aware reservation walk), so a probe reading anything else (a
+/// clock, a counter, a different allocator per call) breaks the discipline.
 using ShapeProbe =
     std::function<bool(const QueuedJob&, const std::vector<mesh::SubMesh>&)>;
 

@@ -565,6 +565,132 @@ TEST(OccupancyIndex, AssumingFreeAgreesWithBruteForceReplayOn8x8) {
   }
 }
 
+/// The brute force: the index's occupancy with `released` freed for real,
+/// searched by the legacy scan.
+std::optional<SubMesh> replayed_first_fit(const OccupancyIndex& idx,
+                                          const std::vector<SubMesh>& released,
+                                          std::int32_t a, std::int32_t b) {
+  MeshState future = idx.to_mesh_state();
+  for (const SubMesh& s : released) future.release(s);
+  return FreeSubmeshScan(future).first_fit_rotatable(a, b);
+}
+
+/// The reservation walk's pattern: one shape per walk over growing prefixes
+/// of a shuffled release order, so the index ORs in only the new blocks and,
+/// after a miss of the same shape, scans only the rows they span. The walks
+/// also repeat a failing call, ask the rotated shape, switch shape and
+/// return to a shorter list, with real allocate/release/clear between them.
+void check_walks_against_replay(const Geometry& g, std::uint64_t seed) {
+  procsim::des::Xoshiro256SS rng(seed);
+  const auto draw = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, lo, hi));
+  };
+  OccupancyIndex idx(g);
+  std::vector<SubMesh> live;
+  int calls = 0;
+  const auto ask = [&](const std::vector<SubMesh>& released, std::int32_t a,
+                       std::int32_t b) {
+    const auto got = idx.first_fit_rotatable_assuming_free(a, b, released);
+    EXPECT_EQ(got, replayed_first_fit(idx, released, a, b))
+        << g.width() << "x" << g.length() << " call " << calls << " q=" << a << "x" << b
+        << " blocks=" << released.size();
+    ++calls;
+    return got.has_value();
+  };
+  for (int round = 0; round < 80; ++round) {
+    if (round % 20 == 19) {
+      idx.clear();
+      live.clear();
+    }
+    for (int step = 0; step < 40; ++step)
+      if (const auto s = idx.first_fit(draw(1, 6), draw(1, 4))) {
+        idx.allocate(*s);
+        live.push_back(*s);
+      }
+    for (std::size_t i = live.size(); i-- > 0;)
+      if (procsim::des::sample_bernoulli(rng, 0.2)) {
+        idx.release(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    std::vector<SubMesh> order = live;
+    for (std::int32_t i = static_cast<std::int32_t>(order.size()) - 1; i > 0; --i)
+      std::swap(order[static_cast<std::size_t>(i)],
+                order[static_cast<std::size_t>(draw(0, i))]);
+    // Two walks at one occupancy, each with its own shape.
+    for (int walk = 0; walk < 2; ++walk) {
+      std::int32_t a = draw(1, g.width());
+      std::int32_t b = draw(1, g.length());
+      std::vector<SubMesh> released;
+      for (const SubMesh& next : order) {
+        released.push_back(next);
+        if (ask(released, a, b)) break;
+        switch (draw(0, 9)) {
+          case 0:
+            (void)ask(released, a, b);  // the same failing call again
+            break;
+          case 1:
+            (void)ask(released, b, a);  // the same shape, rotated
+            break;
+          case 2:
+            a = draw(1, g.width());  // a new shape from the next call on
+            b = draw(1, g.length());
+            break;
+          case 3:
+            released.resize(static_cast<std::size_t>(
+                draw(0, static_cast<std::int64_t>(released.size()) - 1)));
+            (void)ask(released, a, b);  // back to a shorter list
+            break;
+          default:
+            break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 500);
+}
+
+TEST(OccupancyIndex, AssumingFreeWalksAgreeWithBruteForceReplay) {
+  check_walks_against_replay(Geometry(8, 8), 99);
+  check_walks_against_replay(Geometry(70, 12), 7);  // two words per row, a tail
+}
+
+TEST(OccupancyIndex, AssumingFreeThrowsBeforeTouchingItsBitmap) {
+  // A full 8x8 mesh of four 4x4 quadrants; 8x4 fits once two side by side
+  // are back. After a miss, a call throws with a valid new block in its
+  // list. Whatever it had freed or remembered would show in the next call:
+  // as extra free nodes in a full scan (5x4 on q00 + q01), or as a row-range
+  // scan that skips q10's rows (8x4 on q00 + q10 + q11).
+  const SubMesh q00{0, 0, 3, 3};
+  const SubMesh q10{4, 0, 7, 3};
+  const SubMesh q01{0, 4, 3, 7};
+  const SubMesh q11{4, 4, 7, 7};
+  const SubMesh outside{6, 6, 8, 8};
+  struct Call {
+    std::int32_t a;
+    std::int32_t b;
+    std::vector<SubMesh> blocks;
+  };
+  const std::vector<Call> next_calls{{5, 4, {q00, q01}}, {8, 4, {q00, q10, q11}}};
+  for (const bool bad_side : {false, true}) {
+    for (const Call& next : next_calls) {
+      OccupancyIndex idx(Geometry(8, 8));
+      for (const SubMesh& q : {q00, q10, q01, q11}) idx.allocate(q);
+      EXPECT_FALSE(idx.first_fit_rotatable_assuming_free(8, 4, {q00}).has_value());
+      if (bad_side)
+        EXPECT_THROW((void)idx.first_fit_rotatable_assuming_free(0, 4, {q00, q10}),
+                     std::invalid_argument);
+      else
+        EXPECT_THROW(
+            (void)idx.first_fit_rotatable_assuming_free(8, 4, {q00, q10, outside}),
+            std::out_of_range);
+      EXPECT_EQ(idx.first_fit_rotatable_assuming_free(next.a, next.b, next.blocks),
+                replayed_first_fit(idx, next.blocks, next.a, next.b))
+          << (bad_side ? "bad side" : "out-of-mesh block") << ", then " << next.a << "x"
+          << next.b;
+    }
+  }
+}
+
 TEST(OccupancyIndex, AssumingFreeWithNoExtrasEqualsPlainFirstFit) {
   const Geometry g(9, 7);
   OccupancyIndex idx(g);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <optional>
@@ -480,6 +481,73 @@ TEST(ShapeAware, ConservativeRefinesEvenWhenTheCountSaysFitsNow) {
   const auto pos = s.select(probe, snap);
   ASSERT_TRUE(pos.has_value());
   EXPECT_EQ(*pos, 1u);
+}
+
+TEST(ShapeAware, EasyReusesItsWalkWhileHeadRunningSetAndFreeCountStand) {
+  // The 20-processor head is blocked until job 91's block is back: each
+  // walk asks the shape probe at t=10 (no) and t=20 (yes), leaving 16 extra
+  // processors. A pass with the same head, running set and free count (say,
+  // after another arrival) reuses the walk; each of the changes below makes
+  // it walk again.
+  using procsim::mesh::SubMesh;
+  const SubMesh blk91{4, 0, 7, 3};
+  BackfillScheduler s{BackfillOptions{.conservative = false, .shape_aware = true}};
+  const auto start_running = [&] {
+    s.on_start(job(90, 10, 16, 0), 0.0, 16, {SubMesh{0, 0, 3, 3}});
+    s.on_start(job(91, 20, 16, 1), 0.0, 16, {blk91});
+  };
+  const auto enqueue_queue = [&] {
+    s.enqueue(job(0, 50, 20, 2));   // blocked head
+    s.enqueue(job(1, 50, 20, 3));   // blocked too: the head after take(0)
+    s.enqueue(job(2, 500, 18, 4));  // fits now, but runs long on 18 > 16
+    s.enqueue(job(3, 5, 4, 5));     // fits now and ends before t=20
+  };
+  start_running();
+  enqueue_queue();
+  int shape_calls = 0;
+  const procsim::sched::ShapeProbe shape =
+      [&](const QueuedJob&, const std::vector<SubMesh>& released) {
+        ++shape_calls;
+        return std::find(released.begin(), released.end(), blk91) != released.end();
+      };
+  const AllocProbe fits_now = [](const QueuedJob& q) { return q.job_id >= 2; };
+  SchedSnapshot snap{0.0, 4};
+  snap.shape_fit = &shape;
+  const auto select_counting = [&] {
+    const int before = shape_calls;
+    const auto pos = s.select(fits_now, snap);
+    return std::pair{pos, shape_calls - before};
+  };
+
+  const auto [first, first_calls] = select_counting();
+  EXPECT_EQ(first, std::optional<std::size_t>(3));
+  EXPECT_EQ(first_calls, 2);
+  s.enqueue(job(4, 5, 64, 6));  // an arrival behind the head
+  const auto [again, again_calls] = select_counting();
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(again_calls, 0);
+
+  // clear() empties the running set, so nothing backs a reservation any
+  // more: the long job backfills. A reused walk would still refuse it.
+  s.clear();
+  enqueue_queue();
+  const auto [cleared, cleared_calls] = select_counting();
+  EXPECT_EQ(cleared, std::optional<std::size_t>(2)) << "clear";
+  EXPECT_EQ(cleared_calls, 0);  // nothing runs: nothing to probe
+  start_running();
+  EXPECT_EQ(select_counting().second, 2);
+
+  s.on_start(job(92, 5, 2, 7), 0.0, 2, {SubMesh{0, 4, 1, 4}});
+  EXPECT_EQ(select_counting().second, 2) << "on_start";
+  EXPECT_EQ(select_counting().second, 0);
+  s.on_complete(92, 1.0);
+  EXPECT_EQ(select_counting().second, 2) << "on_complete";
+  snap.free_processors = 6;
+  EXPECT_EQ(select_counting().second, 2) << "free count";
+  EXPECT_EQ(select_counting().second, 0);
+  (void)s.take(0);
+  EXPECT_EQ(select_counting().second, 2) << "new head";
+  EXPECT_EQ(select_counting().second, 0);
 }
 
 // ----------------------------------------------------- legacy equivalence

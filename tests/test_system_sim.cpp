@@ -578,6 +578,23 @@ TEST(SystemSim, GoldenTrajectoryShapeBackfillSwfReplay) {
   expect_golden(m, Golden{109, 0x1.ep+7, 0x1.8cp+5, 0x1.bec4ec4ec4ec6p+4});
 }
 
+// A deep queue behind a blocked head: most arrivals meet the same head,
+// running set and free count, so EASY reuses its shape-aware walk, and each
+// walk's hypothetical probes grow one release at a time. Recorded while
+// every pass re-walked and every probe rebuilt its bitmap from scratch.
+TEST(SystemSim, GoldenTrajectoryProbeHeavyShapeBackfill) {
+  procsim::core::ExperimentConfig cfg =
+      saturated_stochastic_cell(procsim::workload::SideDistribution::kUniform, "FirstFit",
+                                sched_spec("backfill;shape"), 19);
+  cfg.sys.geom = Geometry(64, 64);
+  cfg.workload.job_count = 300;
+  cfg.workload.stochastic.load = 0.05;
+  const RunMetrics m = procsim::core::run_once(cfg);
+  EXPECT_EQ(m.completed, 300u);
+  expect_golden(m, Golden{14376, 0x1.95f58e474556cp+14, 0x1.1717041970f5bp+12,
+                          0x1.6b7d09c41f60fp+7});
+}
+
 TEST(SystemSim, GoldenTrajectoryConservativeShapeBackfillBestFit) {
   procsim::core::ExperimentConfig cfg = saturated_stochastic_cell(
       procsim::workload::SideDistribution::kUniform, "BestFit",
