@@ -54,6 +54,13 @@ T parse_flag_value(const char* prog, std::string_view arg, const char* expected,
   return *value;
 }
 
+/// A count of at least one, for --jobs and --reps: zero jobs or replications
+/// is a usage_error, not a silent default.
+std::uint64_t parse_positive_count_flag(const char* prog, std::string_view arg) {
+  return parse_flag_value<std::uint64_t>(prog, arg, "a positive integer",
+                                         [](std::uint64_t v) { return v > 0; });
+}
+
 }  // namespace
 
 std::uint64_t parse_count_flag(const char* prog, std::string_view arg) {
@@ -77,9 +84,9 @@ RunOptions parse_run_options(int argc, char** argv) {
     if (arg == "--fast") {
       opts.fast = true;
     } else if (arg.starts_with("--jobs=")) {
-      opts.jobs = static_cast<std::size_t>(parse_count_flag(prog, arg));
+      opts.jobs = static_cast<std::size_t>(parse_positive_count_flag(prog, arg));
     } else if (arg.starts_with("--reps=")) {
-      opts.max_reps = parse_count_flag(prog, arg);
+      opts.max_reps = parse_positive_count_flag(prog, arg);
       if (opts.min_reps > opts.max_reps) opts.min_reps = opts.max_reps;
     } else if (arg.starts_with("--seed=")) {
       opts.seed = parse_count_flag(prog, arg);
@@ -95,10 +102,6 @@ RunOptions parse_run_options(int argc, char** argv) {
     opts.min_reps = 1;
     opts.max_reps = 1;
   }
-  // Zero replications would leave every metric empty and abort the figure
-  // with a confusing "unknown metric" error; one replication is the floor.
-  if (opts.max_reps == 0) opts.max_reps = 1;
-  if (opts.min_reps == 0) opts.min_reps = 1;
   return opts;
 }
 

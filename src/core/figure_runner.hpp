@@ -44,7 +44,7 @@ struct FigureSpec {
 /// Effort knobs shared by the figure and sweep drivers: --fast, --jobs=N,
 /// --reps=N, --seed=N, --threads=N and --obs-probe (parse_run_options).
 struct RunOptions {
-  std::size_t jobs{0};          ///< 0 = keep spec default
+  std::size_t jobs{0};          ///< 0 = not given: keep the spec default
   std::uint64_t min_reps{2};
   std::uint64_t max_reps{3};
   std::uint64_t seed{42};
@@ -55,8 +55,9 @@ struct RunOptions {
   bool obs_probe{false};
 };
 
-/// Parses the effort flags above. An unknown flag or a malformed number
-/// prints one line naming it to stderr and exits with status 2.
+/// Parses the effort flags above. An unknown flag, a malformed number or
+/// --jobs=0 / --reps=0 prints one line naming it to stderr and exits with
+/// status 2 (--seed=0 and --threads=0, all hardware threads, are valid).
 [[nodiscard]] RunOptions parse_run_options(int argc, char** argv);
 
 /// The CLI usage-error convention: one stderr line `prog: msg`, exit 2.

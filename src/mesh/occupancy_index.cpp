@@ -226,6 +226,8 @@ bool OccupancyIndex::window_into_win(std::int32_t y, std::int32_t b) const {
 }
 
 void OccupancyIndex::ensure_summaries() const {
+  // No occupancy change since the last validation: every row stamp matches.
+  if (sum_checked_gen_ == gen_counter_) return;
   const std::int32_t L = geom_.length();
   const std::size_t nblk = (static_cast<std::size_t>(L) + 63) / 64;
   if (row_max_run_.empty()) {
@@ -291,6 +293,7 @@ void OccupancyIndex::ensure_summaries() const {
       blk_max_run_[blk] = m;
     }
   }
+  sum_checked_gen_ = gen_counter_;
 }
 
 std::optional<SubMesh> OccupancyIndex::first_fit_impl(std::int32_t a,
@@ -453,45 +456,49 @@ void OccupancyIndex::ensure_frontier() const {
   const std::int32_t W = geom_.width();
   const std::int32_t L = geom_.length();
   lf_frontier_.assign(static_cast<std::size_t>(W) + 2, 0);
-  lf_ht_.assign(static_cast<std::size_t>(W), 0);
+  lf_top_.resize(static_cast<std::size_t>(W));
   lf_stack_x_.resize(static_cast<std::size_t>(W) + 1);
   lf_stack_h_.resize(static_cast<std::size_t>(W) + 1);
   std::int32_t* H = lf_frontier_.data();
-  std::int32_t* ht = lf_ht_.data();
+  std::int32_t* top = lf_top_.data();
   std::int32_t* sx = lf_stack_x_.data();
   std::int32_t* sh = lf_stack_h_.data();
 
-  // One maximal-rectangle sweep: per-column heights of consecutive free rows
-  // ending at the current row, and per row a monotonic stack enumerating
-  // every maximal free rectangle whose bottom edge is this row. Each
-  // rectangle (height h, span s) raises the frontier at its span; the
-  // suffix max afterwards turns that into H[w] = tallest free w-wide
-  // rectangle for every w. Heights reach the stack already clipped by the
-  // tail mask (bits past the width read busy), so spans clip at the edge.
-  // A busy cell zeroes its column and closes every open rectangle; the rest
-  // of its busy run finds the stack empty, so the whole run is one flush
-  // plus a fill of zero heights.
+  // One maximal-rectangle sweep. top[x] is the first row of column x's
+  // current free run, written only where a run starts (a bit free in this
+  // row and busy in the row above; every free bit of row 0 starts one), so
+  // it is written before it is read and needs no reset between passes. A
+  // free node's height is y + 1 - top[x]; busy runs write nothing. On each
+  // row where a free rectangle ends (see below), a monotonic stack
+  // enumerates every maximal free rectangle whose bottom edge is that row;
+  // each (height h, span s) raises the frontier at s, and the suffix max
+  // afterwards turns that into H[w] = tallest free w-wide rectangle for
+  // every w. Bits past the width read busy, so spans clip at the edge. A
+  // busy cell closes every open rectangle; the rest of its busy run finds
+  // the stack empty, so the whole run is one flush.
   const auto flush = [&](std::int32_t& sp, std::int32_t x) {
     while (sp > 0) {
       --sp;
       if (sh[sp] > H[x - sx[sp]]) H[x - sx[sp]] = sh[sp];
     }
   };
-  bool ht_zero = true;
   for (std::int32_t y = 0; y < L; ++y) {
     const std::uint64_t* r = row(y);
-    std::uint64_t any = 0;
-    for (std::size_t i = 0; i < words_; ++i) any |= r[i];
-    if (any == 0) {
-      // Fully busy row: every height resets; rectangles ending above were
-      // already flushed at their own bottom rows.
-      if (!ht_zero) {
-        std::fill(ht, ht + W, 0);
-        ht_zero = true;
-      }
-      continue;
+    std::uint64_t ends = 0;
+    for (std::size_t i = 0; i < words_; ++i) {
+      const std::uint64_t above = y > 0 ? row(y - 1)[i] : 0;
+      const std::uint64_t below = y + 1 < L ? row(y + 1)[i] : 0;
+      for (std::uint64_t fresh = r[i] & ~above; fresh != 0; fresh &= fresh - 1)
+        top[i * 64 + static_cast<std::size_t>(std::countr_zero(fresh))] = y;
+      ends |= r[i] & ~below;
     }
-    ht_zero = false;
+    // The stack runs only on rows where a free rectangle ends: the last row,
+    // and rows holding a free node that is busy in the next row. On any
+    // other row every free node is free in the next row too, so every
+    // rectangle ending here extends one row down over the same span, and
+    // the next row the stack runs on records it taller (or inside a wider
+    // one). Skipping the row leaves H bit-identical.
+    if (ends == 0) continue;
     std::int32_t sp = 0;
     std::int32_t x = 0;
     for (std::size_t i = 0; i < words_; ++i) {
@@ -503,13 +510,11 @@ void OccupancyIndex::ensure_frontier() const {
           // so an empty remainder runs to the end of the word's span.
           flush(sp, x);
           const std::int32_t run = bits == 0 ? end - x : std::countr_zero(bits);
-          std::fill(ht + x, ht + x + run, 0);
           x += run;
           if (bits != 0) bits >>= run;
           continue;
         }
-        const std::int32_t h = ht[x] + 1;
-        ht[x] = h;
+        const std::int32_t h = y + 1 - top[x];
         std::int32_t start = x;
         while (sp > 0 && sh[sp - 1] >= h) {
           --sp;
@@ -678,10 +683,14 @@ bool OccupancyIndex::fits_rotatable(std::int32_t a, std::int32_t b) const {
     got = false;
   } else {
     // Ski rental: scan until the scans made at this occupancy cost about
-    // what one frontier pass would. A scan skips rows and busy blocks
-    // through the summaries (about a step per row, less when it fits
-    // early); the pass takes about a step per free node, as busy runs go a
-    // word at a time.
+    // what a pass stepping on every free node would, free_count / length
+    // scans. A scan skips rows and busy blocks through the summaries (about
+    // a step per row, less when it fits early). The pass itself costs less
+    // than that (a word operation per row plus a stack step per free node
+    // on the rows where a rectangle ends), but the budget stays: a cheaper
+    // rent builds the frontier sooner, which costs most on probe-light
+    // occupancies, where scans answer nearly every probe, and no benchmark
+    // row times those yet (ROADMAP, direction 3).
     if (lf_scan_gen_ != gen_counter_) {
       lf_scan_gen_ = gen_counter_;
       lf_scans_ = 0;

@@ -37,9 +37,10 @@ class MeshState;
 /// comparison (fully-busy regions), a window of all-free rows answers
 /// first_fit without touching run masks (fully-free regions), and only rows
 /// inside a *viable* window — b consecutive rows that each hold a run of
-/// `a` — ever compute run masks. Summaries are validated lazily per query,
-/// recomputing only rows whose generation stamp went stale, so steady churn
-/// pays O(rows touched) not O(L).
+/// `a` — ever compute run masks. Summaries are validated lazily per query:
+/// at an occupancy already validated the check returns at once; otherwise
+/// it compares every row's generation stamp (one compare per row) and
+/// recomputes only the rows whose stamp went stale.
 ///
 /// Every query reproduces FreeSubmeshScan's answer bit for bit — same scan
 /// order, same tie-breaking — which the randomized equivalence test and the
@@ -92,9 +93,12 @@ class OccupancyIndex {
   /// one occupancy are first_fit scans, which stop at the first fit; the
   /// next one builds the feasibility frontier H that largest_free caches per
   /// occupancy generation (see there), and it and every later probe read
-  /// (a ≤ W and H[a] ≥ b) or (b ≤ W and H[b] ≥ a) in O(1). A frontier pass
-  /// costs about one step per free node and a scan about one per row, so a
-  /// light probe stream pays scans and a deep one a single pass.
+  /// (a ≤ W and H[a] ≥ b) or (b ≤ W and H[b] ≥ a) in O(1), so a light probe
+  /// stream pays scans and a deep one a single pass. A scan costs about a
+  /// step per row. A frontier pass costs about a word operation per row
+  /// plus a stack step per free node on the rows where a free rectangle
+  /// ends; the budget still prices it at a step per free node, on purpose
+  /// (see the comment in fits_rotatable).
   ///
   /// Between passes, while only allocations have happened since the last
   /// one (no release(), no clear()), that stale frontier still bounds every
@@ -149,15 +153,16 @@ class OccupancyIndex {
   /// deterministic (width, length, base) scan order (GABL's inner search).
   ///
   /// Algorithm: a maximal-rectangle computation. One pass over the bitmap
-  /// maintains per-column free-run heights and runs a monotonic stack per
-  /// row, recording every maximal free rectangle into the *feasibility
-  /// frontier* H — H[w] is the tallest l such that a free w×l sub-mesh
-  /// exists, non-increasing in w. The frontier is cached under the index
-  /// generation counter: a query on a changed occupancy pays one pass, which
-  /// costs about a step per free node (busy runs go a word at a time), and
-  /// every query between occupancy changes shares it. Each query then costs
-  /// O(max_w) to pick the winner under its caps plus one first_fit for the
-  /// winner's base.
+  /// keeps the first row of each column's free run and runs a monotonic
+  /// stack on every row where a free rectangle ends, recording every
+  /// maximal free rectangle into the *feasibility frontier* H — H[w] is the
+  /// tallest l such that a free w×l sub-mesh exists, non-increasing in w.
+  /// The frontier is cached under the index generation counter: a query on
+  /// a changed occupancy pays one pass, which costs about a word operation
+  /// per row plus a stack step per free node on the rows where a rectangle
+  /// ends, and every query between occupancy changes shares it. Each query
+  /// then costs O(max_w) to pick the winner under its caps plus one
+  /// first_fit for the winner's base.
   ///
   /// A query on an occupancy that only allocations changed since the last
   /// pass (GABL's carving loop asks once per carved piece, each on the
@@ -179,8 +184,9 @@ class OccupancyIndex {
       std::int64_t max_area = std::numeric_limits<std::int64_t>::max()) const;
 
   /// Longest horizontal run of free nodes over all rows — a cheap
-  /// fragmentation gauge (telemetry): reads the row summaries, recomputing
-  /// only stale rows, so steady churn pays O(rows touched).
+  /// fragmentation gauge (telemetry): validates the row summaries (see the
+  /// class comment: a stamp compare per row, recomputing only stale rows)
+  /// and takes the max of the per-row runs.
   [[nodiscard]] std::int32_t max_free_run() const;
 
   /// Observability: how often each query family ran and how often the
@@ -270,12 +276,14 @@ class OccupancyIndex {
                                                          std::int64_t max_area) const;
 
   /// Validates the two summary levels (row flags + longest runs, per-block
-  /// max runs), recomputing only rows whose generation stamp is stale.
+  /// max runs), recomputing only rows whose generation stamp is stale; a
+  /// call at the occupancy it last validated returns at once.
   void ensure_summaries() const;
 
   /// Validates the feasibility frontier shared by largest_free and
-  /// fits_rotatable: one maximal-rectangle pass (per-column heights +
-  /// monotonic stack) whenever any occupancy changed since the last pass.
+  /// fits_rotatable: one maximal-rectangle pass (per-column free-run tops +
+  /// a monotonic stack on the rows where a rectangle ends) whenever any
+  /// occupancy changed since the last pass.
   void ensure_frontier() const;
 
   /// True while the cached frontier is stale but bounds the current one
@@ -320,6 +328,7 @@ class OccupancyIndex {
 
   // Hierarchical occupancy summaries (level 1: rows, level 2: 64-row blocks).
   mutable std::vector<std::uint64_t> sum_gen_;      ///< per-row summary stamps
+  mutable std::uint64_t sum_checked_gen_{0};        ///< gen_counter_ when last validated
   mutable std::vector<std::int32_t> row_max_run_;   ///< longest free run per row
   mutable std::vector<std::uint64_t> rows_all_free_;  ///< bit y ⇒ row y all free
   mutable std::vector<std::uint64_t> rows_any_free_;  ///< bit y ⇒ row y has a free node
@@ -335,7 +344,7 @@ class OccupancyIndex {
   std::uint64_t lf_bound_gen_{0};
   mutable std::uint64_t lf_scan_gen_{0};           ///< occupancy lf_scans_ counts at
   mutable std::int32_t lf_scans_{0};               ///< fits_rotatable scans there
-  mutable std::vector<std::int32_t> lf_ht_;        ///< per-column free-run heights
+  mutable std::vector<std::int32_t> lf_top_;       ///< per-column free-run first row
   mutable std::vector<std::int32_t> lf_stack_x_;   ///< monotonic stack: start col
   mutable std::vector<std::int32_t> lf_stack_h_;   ///< monotonic stack: height
 

@@ -189,6 +189,19 @@ TEST(FigureRunner, ParseRunOptions) {
   EXPECT_EXIT(parse("--threads="), status2, "bad value '' for --threads");
   EXPECT_EXIT(parse("--jobs=12x"), status2, "bad value '12x' for --jobs");
   EXPECT_EXIT(parse("--reps=-1"), status2, "bad value '-1' for --reps");
+  // Zero jobs or replications is an error, not the spec's default job count
+  // or one replication; zero threads (all hardware threads) and seed 0 stay.
+  EXPECT_EXIT(parse("--reps=0"), status2,
+              "^fig02: bad value '0' for --reps \\(expected a positive integer\\)\n$");
+  EXPECT_EXIT(parse("--jobs=0"), status2,
+              "^fig02: bad value '0' for --jobs \\(expected a positive integer\\)\n$");
+  const char* zeros[] = {"bench", "--threads=0", "--seed=0", "--reps=1", "--jobs=1"};
+  const RunOptions valid = procsim::core::parse_run_options(5, const_cast<char**>(zeros));
+  EXPECT_EQ(valid.threads, 0u);
+  EXPECT_EQ(valid.seed, 0u);
+  EXPECT_EQ(valid.min_reps, 1u);
+  EXPECT_EQ(valid.max_reps, 1u);
+  EXPECT_EQ(valid.jobs, 1u);
   EXPECT_EXIT(parse("--seed=99999999999999999999"), status2, "for --seed");
 }
 

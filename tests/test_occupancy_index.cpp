@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -517,6 +520,111 @@ TEST(OccupancyIndex, LargestFreeWithBusyRunsAtWordEdges) {
         ASSERT_EQ(idx.fits_rotatable(a, b), oracle.first_fit_rotatable(a, b).has_value())
             << "width " << w << " q=" << a << "x" << b;
   }
+}
+
+/// Checks the index right after a release (so no stale frontier bounds it):
+/// largest_free under full, narrow and area caps builds the frontier in one
+/// pass and must equal the oracle's; then every fits_rotatable(a, b) with
+/// sides up to one past the longer mesh side reads that frontier and must
+/// equal the oracle's answer, taken from its first_fit: an a×b or b×a fits
+/// iff b <= T[a] or a <= T[b], where T[w] is the tallest oracle first fit of
+/// width w (a fit stays a fit when either side shrinks).
+::testing::AssertionResult frontier_agrees_with_oracle(const OccupancyIndex& idx) {
+  const Geometry& g = idx.geometry();
+  const std::int32_t W = g.width();
+  const std::int32_t L = g.length();
+  const FreeSubmeshScan oracle(idx.to_mesh_state());
+  const std::uint64_t passes = idx.query_stats().frontier_passes;
+  const auto describe = [](const std::optional<SubMesh>& s) {
+    return s ? s->to_string() : std::string("nullopt");
+  };
+  constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
+  const struct {
+    std::int32_t w, l;
+    std::int64_t area;
+  } caps[] = {{W, L, kNoCap}, {8, L, kNoCap}, {W, L, 300}};
+  for (const auto& c : caps) {
+    const auto got = idx.largest_free(c.w, c.l, c.area);
+    const auto want = oracle.largest_free(c.w, c.l, c.area);
+    if (got != want)
+      return ::testing::AssertionFailure()
+             << "largest_free(" << c.w << ", " << c.l << ", " << c.area
+             << "): index " << describe(got) << ", oracle " << describe(want);
+  }
+  std::vector<std::int32_t> tallest(static_cast<std::size_t>(W) + 1, 0);
+  for (std::int32_t a = 1, b = L; a <= W; ++a) {
+    while (b > 0 && !oracle.first_fit(a, b)) --b;
+    tallest[static_cast<std::size_t>(a)] = b;
+  }
+  const auto fits = [&](std::int32_t a, std::int32_t b) {
+    return a <= W && b <= tallest[static_cast<std::size_t>(a)];
+  };
+  for (std::int32_t a = 1; a <= std::max(W, L) + 1; ++a)
+    for (std::int32_t b = 1; b <= std::max(W, L) + 1; ++b)
+      if (const bool want = fits(a, b) || fits(b, a); idx.fits_rotatable(a, b) != want)
+        return ::testing::AssertionFailure()
+               << "fits_rotatable(" << a << ", " << b << ") = " << !want;
+  if (idx.query_stats().frontier_passes != passes + 1)
+    return ::testing::AssertionFailure()
+           << (idx.query_stats().frontier_passes - passes) << " frontier passes, not 1";
+  return ::testing::AssertionSuccess();
+}
+
+/// The frontier pass reads a free node's height from the first row of its
+/// column's free run and runs its stack only where a free rectangle ends:
+/// on the last row and on rows with a free node that is busy in the next
+/// row. Hand-built occupancies of a 100×130 mesh (two words per row with a
+/// 36-bit tail, three 64-row summary blocks) pin both: a staircase whose
+/// rows' free sets only grow downward, so only the last row runs the stack;
+/// a rectangle ending mid-mesh; a fully busy row between two free bands; a
+/// rectangle ending on the bottom row; columns free for more than 128 rows.
+/// Then an allocate and a release of equal area move free nodes without
+/// changing the free count, and first_fit (through the row summaries) must
+/// see the move.
+TEST(OccupancyIndex, FrontierPassOnATallMultiWordMesh) {
+  const Geometry g(100, 130);
+  OccupancyIndex idx(g);
+  const SubMesh all{0, 0, 99, 129};
+  const auto occupy_all_but = [&](const std::vector<SubMesh>& free) {
+    idx.clear();
+    idx.allocate(all);
+    for (const SubMesh& s : free) idx.release(s);
+  };
+
+  // Row y is free in columns [0, 99y/129]: each row's free set holds the
+  // one above, so the only row where a rectangle ends is the last.
+  std::vector<SubMesh> staircase;
+  for (std::int32_t y = 0; y < 130; ++y)
+    staircase.push_back(SubMesh{0, y, y * 99 / 129, y});
+  occupy_all_but(staircase);
+  EXPECT_TRUE(frontier_agrees_with_oracle(idx)) << "staircase";
+
+  occupy_all_but({
+      SubMesh{3, 2, 96, 15},    // band above a fully busy row 16 ...
+      SubMesh{40, 17, 99, 40},  // ... and the band below it, into the tail
+      SubMesh{10, 45, 79, 70},  // 70×26 ending mid-mesh, across a word and a block edge
+      SubMesh{85, 71, 99, 100},
+      SubMesh{20, 95, 69, 129},  // 50×35 ending on the bottom row
+  });
+  EXPECT_TRUE(frontier_agrees_with_oracle(idx)) << "bands";
+
+  occupy_all_but({
+      SubMesh{99, 0, 99, 129},  // 130 rows in the tail's last column
+      SubMesh{0, 0, 0, 128},    // 129 rows, ending on the next-to-last row
+      SubMesh{63, 1, 64, 129},  // 2×129 across the word edge, to the bottom
+      SubMesh{5, 60, 30, 70},
+  });
+  EXPECT_TRUE(frontier_agrees_with_oracle(idx)) << "tall columns";
+
+  // Equal areas: the free count stays, but the free nodes move from the
+  // 130-row column into a 10×13 block whose rows held no run of 10.
+  ASSERT_FALSE(idx.first_fit(10, 13).has_value());
+  const std::int32_t free_count = idx.free_count();
+  idx.allocate(SubMesh{99, 0, 99, 129});
+  idx.release(SubMesh{30, 30, 39, 42});
+  ASSERT_EQ(idx.free_count(), free_count);
+  EXPECT_EQ(idx.first_fit(10, 13), SubMesh::from_base(Coord{30, 30}, 10, 13));
+  EXPECT_EQ(idx.first_fit(1, 130), std::nullopt);
 }
 
 /// The shape-aware reservation probe: first_fit under "these busy blocks
