@@ -165,19 +165,21 @@ int main(int argc, char** argv) {
             << " per rep x " << opt.reps << " reps on " << opt.mesh << "x"
             << opt.mesh << "\n";
 
-  // Replication 0 additionally streams its per-job records into the columnar
-  // store; the sink is observation-only, so rep 0's trajectory matches the
-  // other reps' seeding exactly.
+  // With --records, replication 0 additionally streams its per-job records
+  // into the columnar store; the sink is observation-only, so rep 0's
+  // trajectory matches the other reps' seeding exactly. Without it no store
+  // is attached and nothing is buffered.
   core::JobRecordStore store;
+  core::JobRecordStore* const rep0_store = opt.records.empty() ? nullptr : &store;
   std::vector<RepResult> results(opt.reps);
   const auto wall0 = Clock::now();
   if (opt.threads <= 1) {
     for (std::size_t r = 0; r < opt.reps; ++r)
-      results[r] = run_rep(opt, trace, r, r == 0 ? &store : nullptr);
+      results[r] = run_rep(opt, trace, r, r == 0 ? rep0_store : nullptr);
   } else {
     util::ThreadPool pool(util::resolve_threads(opt.threads));
     util::parallel_for(&pool, opt.reps, [&](std::size_t r) {
-      results[r] = run_rep(opt, trace, r, r == 0 ? &store : nullptr);
+      results[r] = run_rep(opt, trace, r, r == 0 ? rep0_store : nullptr);
     });
   }
   const double wall = std::chrono::duration<double>(Clock::now() - wall0).count();

@@ -19,7 +19,6 @@
 //                          util_spread|util_min|util_max|util_stddev|
 //                          migrations|migration_latency|stale_errors]
 //                 [--loads=0.005,0.01,...]
-//                 [--net=stepped|batched|verify]
 //                 [--fast] [--jobs=N] [--reps=N] [--seed=N] [--threads=N]
 //                 [--telemetry=PATH[;dt=X]] [--counters[=PATH]]
 //                 [--trace=PATH] [--job-records=PATH[.jsonl|.csv]]
@@ -127,7 +126,6 @@ int main(int argc, char** argv) {
   std::string workload = "uniform";
   std::string metric = "turnaround";
   std::string loads_arg;
-  std::string net_arg;
   std::string telemetry_path, counters_path, trace_path, job_records_path;
   bool counters_requested = false;
   double telemetry_dt = 100.0;
@@ -151,8 +149,6 @@ int main(int argc, char** argv) {
       metric = value;
     } else if (take_value(argv[i], "--loads=", value)) {
       loads_arg = value;
-    } else if (take_value(argv[i], "--net=", value)) {
-      net_arg = value;
     } else if (take_value(argv[i], "--telemetry=", value)) {
       // PATH[;dt=X] — the sampling interval rides in the same argument so
       // shell quoting stays one token: --telemetry='out.csv;dt=50'.
@@ -245,12 +241,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The grid-wide axes — workload, net engine, cluster — through the single
+  // The grid-wide axes — workload, cluster — through the single
   // fail-fast entry point (unknown names exit listing the known kinds).
   {
     core::ExperimentSpecStrings axes;
     axes.workload = workload;
-    axes.net = net_arg;
     axes.cluster = cluster_arg;
     try {
       core::apply_experiment_spec(axes, base);

@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "cluster/cluster_spec.hpp"
-#include "network/wormhole_network.hpp"
 #include "sched/registry.hpp"
 #include "util/strings.hpp"
 #include "workload/source_registry.hpp"
@@ -89,8 +88,6 @@ void apply_experiment_spec(const ExperimentSpecStrings& axes,
     if (!cfg.workload.source_spec.empty())
       (void)workload::make_source(cfg.workload.source_spec, cfg.sys.geom);
   }
-  // parse_net_engine throws std::invalid_argument listing the engine names.
-  if (!axes.net.empty()) cfg.sys.net.engine = network::parse_net_engine(axes.net);
 }
 
 ExperimentConfig parse_experiment_spec(const ExperimentSpecStrings& axes) {

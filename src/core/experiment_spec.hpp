@@ -2,9 +2,10 @@
 
 // Unified experiment-spec parsing: the single fail-fast entry point every
 // driver lowers its flag parsing onto. Each axis — mesh/cluster, allocator,
-// scheduler, workload, network engine — is a registry spec string; unknown
-// names throw std::invalid_argument listing the known kinds, exactly like
-// workload::make_source does, before any simulation time is spent.
+// scheduler, workload — is a registry spec string; unknown names throw
+// std::invalid_argument listing the known kinds, exactly like
+// workload::make_source does, before any simulation time is spent. The
+// network engine is not an axis: PROCSIM_NET_ENGINE selects it.
 
 #include <optional>
 #include <string>
@@ -23,7 +24,6 @@ struct ExperimentSpecStrings {
   std::string alloc;     ///< allocator registry name (alloc::known_allocators)
   std::string sched;     ///< scheduler registry spec (sched::known_schedulers)
   std::string workload;  ///< workload::make_source registry spec
-  std::string net;       ///< network engine name (stepped|batched|verify)
 };
 
 /// "WxL" with both sides in 1..4096; nullopt when malformed. The shared

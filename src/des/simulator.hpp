@@ -21,7 +21,8 @@ namespace procsim::des {
 /// testable against a bare Simulator. It holds no closures either: work that
 /// must wait for the rest of its timestamp is a typed event at the current
 /// time, which lands on the same-time lane behind everything already due
-/// then and can queue itself there again (see WormholeNetwork's verify mode).
+/// then and can queue itself there again (WormholeNetwork's verify
+/// comparison does, while it or its shadow network has a pass armed).
 class Simulator {
  public:
   /// Fires one event of a registered kind with the event's payload.

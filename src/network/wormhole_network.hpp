@@ -30,9 +30,10 @@ namespace procsim::network {
 ///    contended one pays one attempt per blocking point. Delivery times,
 ///    blocked times, hop counts and waiter-FIFO order are bit-identical to
 ///    kStepped (both engines share one canonical arbitration core).
-///  * kVerify   — runs kBatched as primary and kStepped as an in-process
-///    shadow, lock-step cross-checking per-packet deliveries and per-channel
-///    holder/waiter state every network-active timestamp.
+///  * kVerify   — a kBatched network that owns a second, kStepped network on
+///    the same clock (its shadow), forwards every injection to it and
+///    cross-checks per-packet deliveries and per-channel holder/waiter state
+///    every network-active timestamp.
 enum class NetEngine : std::uint8_t { kStepped, kBatched, kVerify };
 
 /// The process-wide default: PROCSIM_NET_ENGINE if set
@@ -40,7 +41,7 @@ enum class NetEngine : std::uint8_t { kStepped, kBatched, kVerify };
 /// prints one stderr line and exits 2, like a bad command-line flag.
 [[nodiscard]] NetEngine default_net_engine();
 
-/// Registry of engine modes (used by `procsim_sweep --net=`).
+/// Registry of engine modes (the names PROCSIM_NET_ENGINE accepts).
 [[nodiscard]] NetEngine parse_net_engine(std::string_view name);
 [[nodiscard]] const char* net_engine_name(NetEngine engine) noexcept;
 
@@ -110,6 +111,12 @@ struct NetStats {
 /// its work in filing order and runs the pass inline when nothing else is
 /// due at its timestamp, since the pass would be the very next event.
 ///
+/// One object is one engine, stepped or batched. Under kVerify the batched
+/// network owns its shadow, a stepped WormholeNetwork on the same clock with
+/// its own buckets and event kinds and no recorder or sink. The primary
+/// forwards every injection to it, matches the two networks' deliveries and
+/// compares their channels once neither has a pass armed at the timestamp.
+///
 /// Latency and blocking are accumulated per packet and reported through the
 /// delivery sink.
 class WormholeNetwork {
@@ -119,7 +126,8 @@ class WormholeNetwork {
   /// stays a direct call on the network's hot path.
   using DeliverySink = void (*)(void* ctx, const Delivery& d);
 
-  WormholeNetwork(des::Simulator& sim, mesh::Geometry geom, NetworkParams params);
+  WormholeNetwork(des::Simulator& sim, mesh::Geometry geom, NetworkParams params)
+      : WormholeNetwork(sim, geom, params, nullptr) {}
 
   WormholeNetwork(const WormholeNetwork&) = delete;
   WormholeNetwork& operator=(const WormholeNetwork&) = delete;
@@ -143,7 +151,6 @@ class WormholeNetwork {
     return stats_.injected - stats_.delivered;
   }
   [[nodiscard]] const NetworkParams& params() const noexcept { return params_; }
-  [[nodiscard]] NetEngine engine() const noexcept { return params_.engine; }
   [[nodiscard]] const ChannelMap& channels() const noexcept { return map_; }
 
   /// Contention-free latency of one packet over `hops` mesh links, in whole
@@ -161,9 +168,11 @@ class WormholeNetwork {
   }
 
   /// Drops all state between replications, including packets a run stopped
-  /// early left in flight and their unmatched verify-mode deliveries. The
-  /// simulator's pending events must be dropped with it (Simulator::reset),
-  /// as SystemSim does: they name packets and channels that no longer exist.
+  /// early left in flight and their unmatched verify-mode deliveries; returns
+  /// at once when nothing was injected since construction or the last reset.
+  /// The simulator's pending events must be dropped with it
+  /// (Simulator::reset), as SystemSim does: they name packets and channels
+  /// that no longer exist.
   void reset();
 
  private:
@@ -210,21 +219,6 @@ class WormholeNetwork {
     std::uint32_t epoch;  // packet run_epoch at registration
   };
 
-  // One cycle engine's complete state. stepped/batched share all mechanics
-  // except the continuation after a grant; kVerify instantiates two.
-  struct EngineState {
-    bool stepped{false};
-    bool shadow{false};  // verify shadow: no stats/recorder/sink
-    std::vector<Channel> channels;
-    std::vector<Packet> pool;
-    std::vector<std::int32_t> free_pool;
-    std::vector<ChannelId> dirty;      // channels awaiting arbitration
-    std::vector<Ejection> ejections;   // completions this timestamp
-    std::vector<ChannelId> touched;    // verify: channels to cross-check
-    std::uint64_t next_seq{0};
-    double arb_time{-1.0};  // timestamp whose pass is armed (queued or running)
-  };
-
   // Work filed for a later timestamp. `epoch` is the packet's run_epoch
   // (attempt, eject) or the channel's epoch (grant) when it was filed; a
   // truncation moves the epoch on, and the stale work then does nothing.
@@ -233,7 +227,6 @@ class WormholeNetwork {
     std::uint32_t id;  // packet pool index; channel id for kGrant
     std::uint32_t epoch;
     Work work;
-    bool shadow;  // filed by verify's shadow state
   };
 
   // Everything filed for one timestamp, fired by one kernel event.
@@ -260,61 +253,68 @@ class WormholeNetwork {
     bool from_shadow{false};
   };
 
-  // Pass and delivery events carry the owning state in their payload `b`.
-  [[nodiscard]] static std::uint64_t state_bit(const EngineState& st) noexcept {
-    return st.shadow ? 1U : 0U;
-  }
-  [[nodiscard]] EngineState& state_of(std::uint64_t b) noexcept {
-    return b != 0 ? *shadow_ : primary_;
-  }
+  // `owner` is null except for the shadow a kVerify network builds of itself.
+  WormholeNetwork(des::Simulator& sim, mesh::Geometry geom, NetworkParams params,
+                  WormholeNetwork* owner);
+
   // Event handlers (one registered kind each).
-  static void on_pass(void* ctx, std::uint32_t, std::uint64_t b);
+  static void on_pass(void* ctx, std::uint32_t, std::uint64_t);
   static void on_bucket(void* ctx, std::uint32_t bucket, std::uint64_t);
-  static void on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t b);
+  static void on_deliver(void* ctx, std::uint32_t pkt, std::uint64_t);
   static void on_compare(void* ctx, std::uint32_t, std::uint64_t);
 
-  [[nodiscard]] std::int32_t alloc_packet(EngineState& st, mesh::NodeId src,
-                                          mesh::NodeId dst, std::uint64_t tag);
-  void register_attempt(EngineState& st, std::int32_t pkt, double t);
-  void enqueue_waiter(EngineState& st, Channel& ch, std::int32_t pkt);
-  void ensure_arbitration(EngineState& st);
-  void file(const EngineState& st, Work work, std::uint32_t id, std::uint32_t epoch,
-            double t);
-  [[nodiscard]] bool apply(EngineState& st, const Registration& r, double t);
+  [[nodiscard]] std::int32_t alloc_packet(mesh::NodeId src, mesh::NodeId dst,
+                                          std::uint64_t tag);
+  void register_attempt(std::int32_t pkt, double t);
+  void enqueue_waiter(Channel& ch, std::int32_t pkt);
+  void ensure_arbitration();
+  void file(Work work, std::uint32_t id, std::uint32_t epoch, double t);
+  [[nodiscard]] bool apply(const Registration& r, double t);
   void fire_bucket(std::uint32_t id);
-  void mark_dirty(EngineState& st, ChannelId ch);
-  void run_pass(EngineState& st);
-  void arbitrate(EngineState& st, ChannelId ch, double t);
-  void grant(EngineState& st, std::int32_t pkt, double t);
-  void step_acquire(EngineState& st, std::int32_t pkt, double t);
-  void start_run(EngineState& st, std::int32_t pkt, double t);
-  void truncate(EngineState& st, ChannelId ch, double t);
-  void set_release(EngineState& st, ChannelId ch, double when);
-  void complete(EngineState& st, std::int32_t pkt, double t_eject);
-  void deliver(EngineState& st, std::int32_t pkt);
-  void recycle(EngineState& st, std::int32_t pkt);
+  void mark_dirty(ChannelId ch);
+  void run_pass();
+  void arbitrate(ChannelId ch, double t);
+  void grant(std::int32_t pkt, double t);
+  void step_acquire(std::int32_t pkt, double t);
+  void start_run(std::int32_t pkt, double t);
+  void truncate(ChannelId ch, double t);
+  void set_release(ChannelId ch, double when);
+  void complete(std::int32_t pkt, double t_eject);
+  void deliver(std::int32_t pkt);
+  void arm_compare();
   void verify_match(std::uint64_t id, const VerifyRec& rec);
   void verify_compare_states();
-  void reset_state(EngineState& st);
 
   des::Simulator& sim_;
   ChannelMap map_;
   NetworkParams params_;
   NetStats stats_;
-  EngineState primary_;
-  std::unique_ptr<EngineState> shadow_;  // kVerify only
-  std::unordered_map<std::uint64_t, VerifyRec> verify_pending_;
+  std::vector<Channel> channels_;
+  std::vector<Packet> pool_;
+  std::vector<std::int32_t> free_pool_;
+  std::vector<ChannelId> dirty_;     // channels awaiting arbitration
+  std::vector<Ejection> ejections_;  // completions this timestamp
+  std::uint64_t next_seq_{0};
+  double arb_time_{-1.0};  // timestamp whose pass is armed (queued or running)
   std::vector<Bucket> buckets_;               // open and recycled buckets
   std::vector<std::uint32_t> free_buckets_;   // recycled buckets_ slots
   std::array<std::int32_t, kBucketSlots> bucket_index_;  // -1 = none open
   des::EventKind kind_pass_{0};
   des::EventKind kind_bucket_{0};
   des::EventKind kind_deliver_{0};
-  des::EventKind kind_compare_{0};
-  bool verify_cmp_armed_{false};  // a compare event is queued at this timestamp
+  des::EventKind kind_compare_{0};  // kVerify only
   DeliverySink sink_{nullptr};
   void* sink_ctx_{nullptr};
   obs::Recorder* rec_{nullptr};  ///< non-owning; null = observability off
+  // Verify. `verifier_` is the network that matches this one's deliveries
+  // and compares its channels: itself under kVerify, its owner for a
+  // shadow, null otherwise. Both halves of a pair log the channels they
+  // touch for the next comparison.
+  WormholeNetwork* verifier_{nullptr};
+  std::unique_ptr<WormholeNetwork> shadow_;  // kVerify only: the stepped twin
+  std::vector<ChannelId> touched_;
+  std::unordered_map<std::uint64_t, VerifyRec> verify_pending_;
+  bool verify_cmp_armed_{false};  // a compare event is queued at this timestamp
 };
 
 }  // namespace procsim::network

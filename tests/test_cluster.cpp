@@ -13,7 +13,6 @@
 #include "core/experiment.hpp"
 #include "core/experiment_spec.hpp"
 #include "core/figure_runner.hpp"
-#include "network/wormhole_network.hpp"
 
 namespace {
 
@@ -212,7 +211,6 @@ TEST(ExperimentSpec, AppliesEveryAxis) {
   axes.alloc = "mbs";
   axes.sched = "ssd";
   axes.workload = "bursty;b=8";
-  axes.net = "stepped";
   const core::ExperimentConfig cfg = core::parse_experiment_spec(axes);
   ASSERT_TRUE(cfg.cluster.has_value());
   EXPECT_EQ(cfg.cluster->size(), 4u);
@@ -221,7 +219,6 @@ TEST(ExperimentSpec, AppliesEveryAxis) {
   EXPECT_EQ(cfg.scheduler.canonical, "SSD");
   EXPECT_FALSE(cfg.workload.source_spec.empty());
   EXPECT_EQ(cfg.workload.job_count, 0u);  // registry stream defaults
-  EXPECT_STREQ(network::net_engine_name(cfg.sys.net.engine), "stepped");
 }
 
 TEST(ExperimentSpec, BareFiguresKeepTemplatePath) {
