@@ -144,6 +144,7 @@ void SystemSim::finalize_run(double end, bool own_clock,
     }
     const network::NetStats& ns = net_->stats();
     c.net_runs_batched += ns.runs_batched;
+    c.net_follows += ns.follows;
     for (std::size_t i = 0; i < 6; ++i)
       c.net_run_len_hist[i] += ns.run_len_hist[i];
     c.net_truncations += ns.truncations;

@@ -127,6 +127,7 @@ std::int32_t WormholeNetwork::alloc_packet(mesh::NodeId src, mesh::NodeId dst,
   p.res_end = 0;
   p.next_waiter = -1;
   p.seq = next_seq_++;
+  p.follow_lo = -1;
   // run_epoch deliberately not reset: a recycled slot keeps growing it so any
   // straggler work filed for the previous occupant can never match.
   p.inject_time = sim_.now();
@@ -243,16 +244,20 @@ void WormholeNetwork::file(Work work, std::uint32_t id, std::uint32_t epoch, dou
 }
 
 // Applies one filed work item unless a truncation made it stale; returns
-// whether it fed this timestamp's pass.
+// whether it fed this timestamp's pass. A packet that acts again first takes
+// over the channels its run follows (settle_follows files no work: the
+// caller walks its bucket's items by reference).
 bool WormholeNetwork::apply(const Registration& r, double t) {
   switch (r.work) {
     case Work::kAttempt:
       if (pool_[r.id].run_epoch != r.epoch) return false;
+      if (pool_[r.id].follow_lo >= 0) settle_follows(static_cast<std::int32_t>(r.id));
       register_attempt(static_cast<std::int32_t>(r.id), t);
       return true;
     case Work::kEject: {
       const Packet& p = pool_[r.id];
       if (p.run_epoch != r.epoch) return false;
+      if (p.follow_lo >= 0) settle_follows(static_cast<std::int32_t>(r.id));
       ejections_.push_back({static_cast<std::int32_t>(r.id), p.path.back(), r.epoch});
       return true;
     }
@@ -335,11 +340,18 @@ void WormholeNetwork::arbitrate(ChannelId cid, double t) {
   Channel& ch = channels_[static_cast<std::size_t>(cid)];
   ch.dirty = false;
   if (ch.holder >= 0 && ch.rel_time <= t) {  // lazy release
-    ch.holder = -1;
-    ch.acq_time = 0;
-    ch.rel_time = kNoRelease;
-    ch.reserved = false;
+    if (ch.follower >= 0) {
+      hand_over(cid);
+    } else {
+      ch.holder = -1;
+      ch.acq_time = 0;
+      ch.rel_time = kNoRelease;
+      ch.reserved = false;
+    }
   }
+  // An attempt queued while the holder still holds the channel: it is
+  // granted at the release, ahead of the run that follows the holder.
+  if (ch.follower >= 0 && ch.wait_head >= 0) drop_follower(cid);
   if (ch.holder >= 0 && ch.wait_head >= 0 && ch.reserved && ch.acq_time >= t) {
     // The holder only reserved this channel (acquisition at or after now):
     // an attempt with a smaller canonical key arrived first and steals it.
@@ -348,8 +360,10 @@ void WormholeNetwork::arbitrate(ChannelId cid, double t) {
     // and those already lost their arbitration.
     const Packet& w = pool_[static_cast<std::size_t>(ch.wait_head)];
     const Packet& h = pool_[static_cast<std::size_t>(ch.holder)];
-    if (FifoKey{w.attempt_time, w.seq}.before(ch.acq_time, h.seq)) truncate(cid, t);
+    if (FifoKey{w.attempt_time, w.seq}.before(ch.acq_time, h.seq))
+      rollbacks_.push_back({ch.holder, run_index(h, cid), ch.acq_time});
   }
+  if (!rollbacks_.empty()) roll_back(t);
   if (ch.holder < 0 && ch.wait_head >= 0) {
     const std::int32_t winner = ch.wait_head;
     Packet& w = pool_[static_cast<std::size_t>(winner)];
@@ -412,10 +426,17 @@ void WormholeNetwork::step_acquire(std::int32_t pkt, double t) {
 // path channels in one shot. Channels past the first are reservations with
 // future acquisition times; worm-slide releases inside the run are computed
 // arithmetically. One filed work item total: the virtual arrival at the
-// first non-free channel (or the ejection completion). The k-th acquisition
-// time is built by adding 1+st k times, exactly as the stepped engine's
-// per-hop attempts do: t + k*(1+st) rounds once and can differ in the last
-// bit when t (a job's start time) is not an integer.
+// first channel the run cannot take (or the ejection completion). The k-th
+// acquisition time is built by adding 1+st k times, exactly as the stepped
+// engine's per-hop attempts do: t + k*(1+st) rounds once and can differ in
+// the last bit when t (a job's start time) is not an integer.
+//
+// A held channel does not stop the run when the header can follow its
+// holder: nothing waits on it, no other run follows it, and the holder's
+// known release comes no later than the header's arrival. The run then ends
+// P_len channels past its first follow at the latest, so it sets the slide
+// release of no channel it only follows. A packet enters here with no follows
+// left (it settled them when it attempted).
 void WormholeNetwork::start_run(std::int32_t pkt, double t) {
   Packet& p = pool_[static_cast<std::size_t>(pkt)];
   const auto len = static_cast<std::int32_t>(p.path.size());
@@ -432,24 +453,41 @@ void WormholeNetwork::start_run(std::int32_t pkt, double t) {
   if (first >= plen) set_release(p.path[static_cast<std::size_t>(first - plen)], t + 1.0);
   if (verifier_ != nullptr) touched_.push_back(p.path[static_cast<std::size_t>(first)]);
   double vt = t;  // acquisition time of the last channel of the run
+  std::int32_t end = len;  // one past the run's last index
   std::int32_t j = first + 1;
-  while (j < len) {
-    Channel& ch = channels_[static_cast<std::size_t>(p.path[static_cast<std::size_t>(j)])];
+  for (; j < end; ++j) {
+    const ChannelId cid = p.path[static_cast<std::size_t>(j)];
+    Channel& ch = channels_[static_cast<std::size_t>(cid)];
     if (ch.holder >= 0 && ch.rel_time <= t) {  // lazy release
-      ch.holder = -1;
-      ch.acq_time = 0;
-      ch.rel_time = kNoRelease;
-      ch.reserved = false;
+      if (ch.follower >= 0) {
+        hand_over(cid);
+      } else {
+        ch.holder = -1;
+        ch.acq_time = 0;
+        ch.rel_time = kNoRelease;
+        ch.reserved = false;
+      }
     }
-    if (ch.holder >= 0 || ch.wait_head >= 0) break;
-    vt += step;
-    ch.holder = pkt;
-    ch.acq_time = vt;
-    ch.rel_time = kNoRelease;
-    ch.reserved = true;
+    const double arrive = vt + step;
+    if (ch.holder < 0 && ch.wait_head < 0) {
+      ch.holder = pkt;
+      ch.acq_time = arrive;
+      ch.rel_time = kNoRelease;
+      ch.reserved = true;
+    } else if (ch.wait_head < 0 && ch.follower < 0 && ch.rel_time <= arrive) {
+      ch.follower = pkt;
+      ++stats_.follows;
+      if (p.follow_lo < 0) {
+        p.follow_lo = j;
+        p.follow_at = arrive;
+        end = std::min(len, j + plen);
+      }
+    } else {
+      break;
+    }
+    vt = arrive;
     if (j >= plen) set_release(p.path[static_cast<std::size_t>(j - plen)], vt + 1.0);
-    if (verifier_ != nullptr) touched_.push_back(p.path[static_cast<std::size_t>(j)]);
-    ++j;
+    if (verifier_ != nullptr) touched_.push_back(cid);
   }
   p.next = j;
   p.res_end = j;
@@ -467,49 +505,131 @@ void WormholeNetwork::start_run(std::int32_t pkt, double t) {
   }
 }
 
-// An attempt with a smaller canonical key arrived before the reservation's
-// acquisition time: the reservation (and everything the holder reserved
-// downstream of it) is rolled back and the holder re-attempts at the time it
-// would have arrived — exactly where the stepped engine's per-hop header
-// would have been.
-void WormholeNetwork::truncate(ChannelId cid, double t) {
-  Channel& target = channels_[static_cast<std::size_t>(cid)];
-  const std::int32_t victim = target.holder;
-  Packet& p = pool_[static_cast<std::size_t>(victim)];
-  std::int32_t cut = p.res_end - 1;
-  while (cut >= 0 && p.path[static_cast<std::size_t>(cut)] != cid) --cut;
-  const double arrive = target.acq_time;
-  for (std::int32_t m = cut; m < p.res_end; ++m) {
-    Channel& ch = channels_[static_cast<std::size_t>(p.path[static_cast<std::size_t>(m)])];
-    ch.holder = -1;
-    ch.acq_time = 0;
+// Path index of channel `ch`, which the packet's current run holds or
+// follows.
+std::int32_t WormholeNetwork::run_index(const Packet& p, ChannelId ch) noexcept {
+  std::int32_t k = p.res_end - 1;
+  while (p.path[static_cast<std::size_t>(k)] != ch) --k;
+  return k;
+}
+
+// The header's arrival at path index k (at or past its first follow), built
+// by the same additions as the run's acquisition times.
+double WormholeNetwork::follow_arrival(const Packet& p, std::int32_t k) const noexcept {
+  const auto step = static_cast<double>(1 + params_.st);
+  double at = p.follow_at;
+  for (std::int32_t m = p.follow_lo; m < k; ++m) at += step;
+  return at;
+}
+
+// The holder's release is due and a run follows the channel: it becomes that
+// run's reservation, at its header's arrival. The lazy release that branches
+// here is on every run's path and stays inline, this rare case out of line
+// (one function for both read ~3 % slower on the paper's 16x22 traffic).
+[[gnu::noinline]] void WormholeNetwork::hand_over(ChannelId cid) {
+  Channel& ch = channels_[static_cast<std::size_t>(cid)];
+  const Packet& f = pool_[static_cast<std::size_t>(ch.follower)];
+  ch.acq_time = follow_arrival(f, run_index(f, cid));
+  ch.holder = ch.follower;
+  ch.follower = -1;
+  ch.rel_time = kNoRelease;
+  ch.reserved = true;
+}
+
+// The packet acts again, at or after its arrival at every channel its run
+// follows, so each holder has released: the follows become reservations.
+// Files no work.
+void WormholeNetwork::settle_follows(std::int32_t pkt) {
+  Packet& p = pool_[static_cast<std::size_t>(pkt)];
+  const auto step = static_cast<double>(1 + params_.st);
+  const std::int32_t end = std::min(p.res_end, p.follow_lo + params_.packet_len);
+  double at = p.follow_at;
+  for (std::int32_t k = p.follow_lo; k < end; ++k, at += step) {
+    Channel& ch = channels_[static_cast<std::size_t>(p.path[static_cast<std::size_t>(k)])];
+    if (ch.follower != pkt) continue;  // a reservation of its own
+    ch.holder = pkt;
+    ch.follower = -1;
+    ch.acq_time = at;
     ch.rel_time = kNoRelease;
-    ch.reserved = false;
-    ++ch.epoch;
-    ch.grant_scheduled = false;
+    ch.reserved = true;
   }
-  // Slide releases of the worm's tail were computed from the freed
-  // acquisitions; they are unknown again until the holder advances.
-  for (std::int32_t m = std::max(0, cut - params_.packet_len); m < cut; ++m) {
-    Channel& ch = channels_[static_cast<std::size_t>(p.path[static_cast<std::size_t>(m)])];
-    if (ch.holder == victim) {
+  p.follow_lo = -1;
+}
+
+// Queues the roll-back of the run that follows channel `cid` to its arrival
+// there: the hold or the release it counted on is gone, or an attempt queued
+// on the channel will be granted it first.
+void WormholeNetwork::drop_follower(ChannelId cid) {
+  Channel& ch = channels_[static_cast<std::size_t>(cid)];
+  if (ch.follower < 0) return;
+  const Packet& f = pool_[static_cast<std::size_t>(ch.follower)];
+  const std::int32_t k = run_index(f, cid);
+  rollbacks_.push_back({ch.follower, k, follow_arrival(f, k)});
+  ch.follower = -1;
+}
+
+// Rolls back every queued run from its cut: an attempt with a smaller
+// canonical key arrived before a reservation's acquisition time, or a follow
+// lost what it counted on. The reservations and follows from the cut on are
+// given up, and slide releases computed from them are unknown again; a run
+// that followed a hold or a release so dropped joins the worklist. Each
+// rolled-back packet then re-attempts once, at its header's arrival at its
+// deepest cut — exactly where the stepped engine's per-hop header would be.
+void WormholeNetwork::roll_back(double t) {
+  const std::int32_t plen = params_.packet_len;
+  for (std::size_t i = 0; i < rollbacks_.size(); ++i) {  // drop_follower appends
+    const std::int32_t pkt = rollbacks_[i].pkt;
+    const std::int32_t cut = rollbacks_[i].cut;
+    Packet& p = pool_[static_cast<std::size_t>(pkt)];
+    if (cut >= p.res_end) {  // an earlier item cut this run deeper
+      rollbacks_[i].cut = -1;
+      continue;
+    }
+    for (std::int32_t m = cut; m < p.res_end; ++m) {
+      const ChannelId cid = p.path[static_cast<std::size_t>(m)];
+      Channel& ch = channels_[static_cast<std::size_t>(cid)];
+      if (ch.follower == pkt) ch.follower = -1;  // the holder keeps its hold
+      if (ch.holder != pkt) continue;
+      drop_follower(cid);
+      ch.holder = -1;
+      ch.acq_time = 0;
+      ch.rel_time = kNoRelease;
+      ch.reserved = false;
+      ++ch.epoch;
+      ch.grant_scheduled = false;
+    }
+    // Slide releases of the worm's tail were computed from the freed
+    // acquisitions; they are unknown again until the holder advances.
+    for (std::int32_t m = std::max(0, cut - plen); m < cut; ++m) {
+      const ChannelId cid = p.path[static_cast<std::size_t>(m)];
+      Channel& ch = channels_[static_cast<std::size_t>(cid)];
+      if (ch.holder != pkt) continue;
+      drop_follower(cid);
       ch.rel_time = kNoRelease;
       ++ch.epoch;
       ch.grant_scheduled = false;
     }
+    p.next = cut;
+    p.res_end = cut;
+    if (p.follow_lo >= cut) p.follow_lo = -1;
   }
-  ++p.run_epoch;  // cancels the filed arrival / ejection
-  p.next = cut;
-  p.res_end = cut;
-  ++stats_.truncations;
-  if (arrive == t) {
-    // Re-attempt right now: joins this very arbitration with its true key.
-    p.attempt_time = t;
-    p.fresh_block = true;
-    enqueue_waiter(target, victim);
-  } else {
-    file(Work::kAttempt, static_cast<std::uint32_t>(victim), p.run_epoch, arrive);
+  for (const Rollback& r : rollbacks_) {
+    Packet& p = pool_[static_cast<std::size_t>(r.pkt)];
+    if (r.cut != p.next) continue;  // moot, or cut deeper by a later item
+    ++p.run_epoch;  // cancels the filed arrival / ejection
+    ++stats_.truncations;
+    if (r.arrive == t) {
+      // Re-attempt right now: joins this very arbitration with its true key.
+      if (p.follow_lo >= 0) settle_follows(r.pkt);
+      p.attempt_time = t;
+      p.fresh_block = true;
+      enqueue_waiter(channels_[static_cast<std::size_t>(p.path[static_cast<std::size_t>(r.cut)])],
+                     r.pkt);
+    } else {
+      file(Work::kAttempt, static_cast<std::uint32_t>(r.pkt), p.run_epoch, r.arrive);
+    }
   }
+  rollbacks_.clear();
 }
 
 void WormholeNetwork::set_release(ChannelId cid, double when) {
@@ -587,7 +707,8 @@ void WormholeNetwork::verify_match(std::uint64_t id, const VerifyRec& rec) {
 // channel either network touched, the effective holder and the waiter FIFO
 // (order included) must agree. Batched reservations whose acquisition lies
 // in the future must be free in the stepped shadow — the per-hop header has
-// not arrived yet.
+// not arrived yet — and a batched follower whose header has arrived is the
+// stepped holder.
 void WormholeNetwork::verify_compare_states() {
   const double t = sim_.now();
   WormholeNetwork& stepped = *shadow_;
@@ -606,7 +727,14 @@ void WormholeNetwork::verify_compare_states() {
   for (const ChannelId cid : all) {
     const Channel& a = channels_[static_cast<std::size_t>(cid)];
     const Channel& b = stepped.channels_[static_cast<std::size_t>(cid)];
-    if (a.holder >= 0 && a.acq_time > t) {
+    const Packet* follower =
+        a.follower >= 0 ? &pool_[static_cast<std::size_t>(a.follower)] : nullptr;
+    if (follower != nullptr && follow_arrival(*follower, run_index(*follower, cid)) <= t) {
+      // The follower's header has arrived: the stepped engine has it hold.
+      if (static_cast<std::int64_t>(follower->seq) != eff(stepped, b))
+        throw std::logic_error("WormholeNetwork verify: follower mismatch on channel " +
+                               std::to_string(cid) + " at t=" + std::to_string(t));
+    } else if (a.holder >= 0 && a.acq_time > t) {
       if (eff(stepped, b) != -1)
         throw std::logic_error("WormholeNetwork verify: stepped holds channel " +
                                std::to_string(cid) + " that batched only reserved");
@@ -639,6 +767,7 @@ void WormholeNetwork::reset() {
   free_pool_.clear();
   dirty_.clear();
   ejections_.clear();
+  rollbacks_.clear();
   next_seq_ = 0;
   arb_time_ = -1.0;
   buckets_.clear();

@@ -26,7 +26,9 @@ namespace procsim::network {
 ///  * kBatched  — hop-run advancement: a header acquires the maximal run of
 ///    currently-free consecutive path channels in one grant and files a
 ///    single arrival `run_len * (1 + st)` ahead, with the worm-slide releases
-///    computed arithmetically. An uncontended packet costs O(1) attempts; a
+///    computed arithmetically. A run also continues through a held channel
+///    whose known release comes no later than the header's arrival there (it
+///    follows the holder). An uncontended packet costs O(1) attempts; a
 ///    contended one pays one attempt per blocking point. Delivery times,
 ///    blocked times, hop counts and waiter-FIFO order are bit-identical to
 ///    kStepped (both engines share one canonical arbitration core).
@@ -74,8 +76,9 @@ struct NetStats {
   std::uint64_t injected{0};
   std::uint64_t delivered{0};
   std::uint64_t runs_batched{0};
+  std::uint64_t follows{0};        ///< held channels a batched run continued through
   std::uint64_t run_len_hist[6]{};
-  std::uint64_t truncations{0};       ///< reservations stolen by earlier attempts
+  std::uint64_t truncations{0};    ///< runs rolled back (stolen reservations, lost follows)
   std::uint64_t batches{0};        ///< bucket events fired (one per filed timestamp)
   std::uint64_t passes{0};         ///< arbitration passes (verify: the primary's)
   std::uint64_t inline_passes{0};  ///< of those, run inside their bucket's event
@@ -110,6 +113,17 @@ struct NetStats {
 /// the (time, seq) slot of the first work filed for it. The bucket applies
 /// its work in filing order and runs the pass inline when nothing else is
 /// due at its timestamp, since the pass would be the very next event.
+///
+/// A batched run does not stop at a held channel that it can follow: one
+/// with no waiters and no other follower, whose holder's release is known
+/// and no later than the header's arrival there. The header records itself
+/// as the channel's follower and keeps reserving, up to P_len channels past
+/// its first follow, so it never sets the release of a channel it does not
+/// hold yet. A follow becomes an ordinary reservation (acquired at the
+/// header's arrival) where the holder is lazily released and before the
+/// follower acts again. It is rolled back like a stolen reservation when an
+/// attempt queues on the channel while the holder still holds it, or when
+/// the holder's own roll-back drops that hold or its release.
 ///
 /// One object is one engine, stepped or batched. Under kVerify the batched
 /// network owns its shadow, a stepped WormholeNetwork on the same clock with
@@ -187,6 +201,9 @@ class WormholeNetwork {
     std::int32_t holder{-1};     // packet pool index, -1 when free
     std::int32_t wait_head{-1};  // blocked packets, ascending (attempt, seq)
     std::int32_t wait_tail{-1};
+    std::int32_t follower{-1};   // batched run that takes over at the holder's
+                                 // release, -1 when none (never with waiters
+                                 // after a pass)
     double acq_time{0};          // holder's (possibly future) acquisition time
     double rel_time{kNoRelease};  // known release time, +inf until learned
     std::uint32_t epoch{0};       // cancels stale filed grants on truncation
@@ -196,14 +213,17 @@ class WormholeNetwork {
     bool grant_scheduled{false};  // a grant is filed for rel_time
     bool dirty{false};            // queued for arbitration this timestamp
   };
+  static_assert(sizeof(Channel) == 40, "the follower lives in existing padding");
 
   struct Packet {
     std::vector<ChannelId> path;
     std::int32_t next{0};          // next path index to attempt
-    std::int32_t res_end{0};       // one past the last reserved path index
+    std::int32_t res_end{0};       // one past the last reserved or followed index
     std::int32_t next_waiter{-1};  // FIFO link while blocked on a channel
     std::uint64_t seq{0};          // injection order; arbitration tie-break
     std::uint32_t run_epoch{0};    // cancels stale filed attempts/ejections
+    std::int32_t follow_lo{-1};    // first path index the run follows, -1 = none
+    double follow_at{0};           // the header's arrival at follow_lo
     double inject_time{0};
     double attempt_time{0};        // when the pending attempt was made
     double blocked{0};
@@ -245,6 +265,14 @@ class WormholeNetwork {
         (std::bit_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ULL) >> (64 - kBucketBits));
   }
 
+  // A run rolled back to path index `cut`, which its header reaches at
+  // `arrive`; `cut` is -1 once a deeper roll-back of the same run made it moot.
+  struct Rollback {
+    std::int32_t pkt;
+    std::int32_t cut;
+    double arrive;
+  };
+
   struct VerifyRec {
     double time{0};
     double latency{0};
@@ -277,7 +305,12 @@ class WormholeNetwork {
   void grant(std::int32_t pkt, double t);
   void step_acquire(std::int32_t pkt, double t);
   void start_run(std::int32_t pkt, double t);
-  void truncate(ChannelId ch, double t);
+  [[nodiscard]] static std::int32_t run_index(const Packet& p, ChannelId ch) noexcept;
+  [[nodiscard]] double follow_arrival(const Packet& p, std::int32_t k) const noexcept;
+  void hand_over(ChannelId ch);
+  void settle_follows(std::int32_t pkt);
+  void drop_follower(ChannelId ch);
+  void roll_back(double t);
   void set_release(ChannelId ch, double when);
   void complete(std::int32_t pkt, double t_eject);
   void deliver(std::int32_t pkt);
@@ -294,6 +327,7 @@ class WormholeNetwork {
   std::vector<std::int32_t> free_pool_;
   std::vector<ChannelId> dirty_;     // channels awaiting arbitration
   std::vector<Ejection> ejections_;  // completions this timestamp
+  std::vector<Rollback> rollbacks_;  // runs to roll back (roll_back's worklist)
   std::uint64_t next_seq_{0};
   double arb_time_{-1.0};  // timestamp whose pass is armed (queued or running)
   std::vector<Bucket> buckets_;               // open and recycled buckets

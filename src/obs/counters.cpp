@@ -54,6 +54,7 @@ void Counters::write_json(std::ostream& out) const {
   field(out, "index_best_fit_queries", index_best_fit_queries, first);
   field(out, "sim_events", sim_events, first);
   field(out, "net_runs_batched", net_runs_batched, first);
+  field(out, "net_follows", net_follows, first);
   field(out, "net_run_len_1", net_run_len_hist[0], first);
   field(out, "net_run_len_2_3", net_run_len_hist[1], first);
   field(out, "net_run_len_4_7", net_run_len_hist[2], first);

@@ -47,10 +47,11 @@ struct Counters {
   std::uint64_t calendar_rebuckets{0};
   std::uint64_t sim_events{0};
   std::uint64_t net_runs_batched{0};       ///< batched-engine maximal runs started
+  std::uint64_t net_follows{0};            ///< held channels those runs followed through
   /// Maximal-run lengths (channels acquired per run), buckets
   /// 1, 2-3, 4-7, 8-15, 16-31, 32+.
   std::uint64_t net_run_len_hist[6]{};
-  std::uint64_t net_truncations{0};        ///< reservations stolen by earlier attempts
+  std::uint64_t net_truncations{0};        ///< runs rolled back (stolen reservations, lost follows)
   std::uint64_t net_batches{0};            ///< network bucket events fired
   std::uint64_t net_passes{0};             ///< arbitration passes run
   std::uint64_t net_inline_passes{0};      ///< passes run inside their bucket's event

@@ -2,7 +2,10 @@
 // scheduler spec and every workload source, on a mesh and on two stealing
 // fleets, must conserve jobs and packets and satisfy Little's law for the
 // queue and the utilization law. Each case is a drained run (no target, no
-// warmup), so every arrival is counted by the run's statistics.
+// warmup), so every arrival is counted by the run's statistics. A second
+// suite holds every delivered packet of a contended mesh and fleet to the
+// wormhole latency law: latency minus blocked time is the contention-free
+// latency of its hop count.
 //
 // The network engine is the process default: run the binary under
 // PROCSIM_NET_ENGINE=stepped or =verify to hold every engine to the laws.
@@ -23,6 +26,7 @@
 #include "core/figure_runner.hpp"
 #include "core/job_record_store.hpp"
 #include "obs/recorder.hpp"
+#include "obs/trace.hpp"
 #include "sched/registry.hpp"
 #include "workload/source_registry.hpp"
 
@@ -75,13 +79,17 @@ const Machine kMachines[] = {
 
 using Case = std::tuple<std::string, std::string, std::string, Machine>;
 
-std::string case_name(const ::testing::TestParamInfo<Case>& info) {
-  const auto& [alloc, sched, work, machine] = info.param;
-  std::string name =
-      alloc + "_" + sched + "_" + work.substr(0, work.find(':')) + "_" + machine.label;
+/// A gtest-legal case name: every character but letters and digits becomes '_'.
+std::string legal_name(std::string name) {
   for (char& c : name)
     if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
   return name;
+}
+
+std::string case_name(const ::testing::TestParamInfo<Case>& info) {
+  const auto& [alloc, sched, work, machine] = info.param;
+  return legal_name(alloc + "_" + sched + "_" + work.substr(0, work.find(':')) + "_" +
+                    machine.label);
 }
 
 void expect_close(double a, double b, const char* law) {
@@ -141,6 +149,65 @@ TEST_P(ModelLaws, HoldOnADrainedRun) {
   expect_close(m.utilization * nodes * m.makespan, busy_area,
                "utilization x nodes x makespan = allocated node-time");
 }
+
+using LatencyCase = std::tuple<std::string, std::string, Machine>;
+
+std::string latency_case_name(const ::testing::TestParamInfo<LatencyCase>& info) {
+  const auto& [alloc, work, machine] = info.param;
+  return legal_name(alloc + "_" + work + "_" + machine.label);
+}
+
+class PacketLatencyLaw : public ::testing::TestWithParam<LatencyCase> {};
+
+// A header spends 1 + st cycles on each channel it acquires (injection, one
+// per hop, ejection) besides the time it waits blocked, and the tail drains
+// P_len cycles behind it, so for every packet latency - blocked =
+// (hops + 1) * (1 + st) + P_len. Times are continuous, so both sides are
+// compared to 1e-9 relative.
+TEST_P(PacketLatencyLaw, HoldsForEveryDeliveredPacket) {
+  const auto& [alloc, work, machine] = GetParam();
+  core::ExperimentSpecStrings axes;
+  axes.mesh = machine.mesh;
+  axes.cluster = machine.cluster;
+  axes.alloc = alloc;
+  axes.sched = "FCFS";
+  axes.workload = work;
+  core::ExperimentConfig cfg = core::parse_experiment_spec(axes);
+  core::set_offered_load(cfg, 0.01);
+  cfg.workload.job_count = 150;
+  cfg.workload.replay.prefix = 150;
+  cfg.sys.target_completions = 0;
+  cfg.sys.warmup_completions = 0;
+
+  obs::Recorder rec;
+  rec.enable_trace();
+  const core::RunMetrics m = core::run_probed(cfg, &rec, nullptr);
+  const std::int64_t per_channel = 1 + cfg.sys.net.st;
+  std::uint64_t delivered = 0;
+  double blocked = 0;
+  for (const obs::TraceRecord& r : rec.trace()->records()) {
+    if (r.kind != static_cast<std::uint32_t>(obs::TraceKind::kPacketDeliver)) continue;
+    ++delivered;
+    blocked += r.v2;
+    const auto base = static_cast<double>((static_cast<std::int64_t>(r.a) + 1) * per_channel +
+                                          cfg.sys.net.packet_len);
+    expect_close(r.v - r.v2, base, "latency - blocked = contention-free latency");
+  }
+  EXPECT_EQ(delivered, m.packets);
+  EXPECT_GT(blocked, 0.0) << "the case no longer contends";
+}
+
+const Machine kContendedMachines[] = {
+    {"mesh", "16x22", ""},
+    {"fleet", "", "4x(16x22);migrate=steal;lat=20"},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    ContendedMeshAndFleet, PacketLatencyLaw,
+    ::testing::Combine(::testing::ValuesIn(alloc::known_allocators()),
+                       ::testing::Values("real", "uniform"),
+                       ::testing::ValuesIn(kContendedMachines)),
+    latency_case_name);
 
 INSTANTIATE_TEST_SUITE_P(
     RegistryCrossProduct, ModelLaws,

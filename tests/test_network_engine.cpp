@@ -57,6 +57,7 @@ struct RunResult {
   std::vector<Record> deliveries;
   std::uint64_t truncations{0};
   std::uint64_t runs_batched{0};
+  std::uint64_t follows{0};
 };
 
 /// Replays one injection schedule on one engine and returns the full
@@ -96,6 +97,7 @@ RunResult run_schedule(const std::vector<Injection>& schedule, Geometry geom,
   r.deliveries = std::move(deliveries);
   r.truncations = net.stats().truncations;
   r.runs_batched = net.stats().runs_batched;
+  r.follows = net.stats().follows;
   return r;
 }
 
@@ -120,6 +122,14 @@ void expect_engines_agree(const std::vector<Injection>& schedule, Geometry geom,
         << ")";
   }
   ASSERT_EQ(batched.deliveries, verify.deliveries);
+}
+
+/// Stepped vs batched vs verify, returning the batched run for its counters.
+RunResult batched_agreeing_with_stepped(const std::vector<Injection>& schedule,
+                                        Geometry geom, NetworkParams params) {
+  expect_engines_agree(schedule, geom, params);
+  params.engine = NetEngine::kBatched;
+  return run_schedule(schedule, geom, params);
 }
 
 std::vector<Injection> uniform_churn(Geometry geom, int count, int span,
@@ -216,6 +226,113 @@ TEST(EngineEquivalence, FractionalInjectionTimes) {
   auto schedule = uniform_churn(geom, 300, 120, 0xF4AC);
   for (Injection& in : schedule) in.t += static_cast<double>(in.tag % 7) / 7.0;
   expect_engines_agree(schedule, geom, NetworkParams{3, 8, false, NetEngine::kStepped});
+}
+
+TEST(EngineEquivalence, LongPathChurnFollowsHolders) {
+  // Long XY paths on a wide mesh: headers catch up with worms ahead of them
+  // on shared rows and columns, so runs follow held channels, and cross
+  // traffic rolls those follows back. Among the P_len=8 seeds, one follows a
+  // channel that its holder had only reserved, and the holder's run is then
+  // rolled back upstream of it: only dropping the follow with the hold keeps
+  // verify quiet there.
+  const Geometry geom(48, 16);
+  for (const int plen : {1, 8, 64}) {
+    for (int seed = 0; seed < (plen == 8 ? 8 : 1); ++seed) {
+      SCOPED_TRACE(testing::Message() << "plen " << plen << " seed " << seed);
+      auto schedule = uniform_churn(geom, 600, 200, 0xF011 + 131 * seed + plen);
+      for (Injection& in : schedule) in.t += static_cast<double>(in.tag % 3) / 3.0;
+      const RunResult r =
+          batched_agreeing_with_stepped(schedule, geom, NetworkParams{3, plen, false});
+      EXPECT_GT(r.follows, 0u);
+      EXPECT_GT(r.truncations, 0u);
+    }
+  }
+}
+
+// ------------------------------------------------------- follows
+//
+// On a 16x4 mesh, A crosses row 0 from x=0 to x=15 at t=0: one batched run
+// reserves all 17 channels (injection, 15 links, ejection), acquiring path
+// index i at 4i and sliding out of index i at 4i+33 for i <= 8 (when it
+// acquires index i+8). B enters at the same node at t=1 and waits for the
+// injection channel until 33, so it reaches index i at 33+4i: exactly when
+// A leaves it.
+
+Injection across_row0(double t, int x0, std::uint64_t tag, const Geometry& g) {
+  return {t, g.id(Coord{x0, 0}), g.id(Coord{15, 0}), tag};
+}
+
+TEST(Follow, TrailingWormFollowsItsHolder) {
+  // B's run at 33 follows A through indices 1-8 (P_len past its first
+  // follow) and re-attempts index 9 at 69; that run reserves 10-13, which A
+  // has left, and follows A through 14-16, including the ejection channel.
+  // Without follows B would stop at every one of those channels: 11 runs.
+  const Geometry geom(16, 4);
+  const std::vector<Injection> schedule{across_row0(0.0, 0, 0, geom),
+                                        across_row0(1.0, 0, 1, geom)};
+  const NetworkParams p{3, 8, false};
+  const RunResult r = batched_agreeing_with_stepped(schedule, geom, p);
+  EXPECT_EQ(r.runs_batched, 3u);  // A's one run and B's two
+  EXPECT_EQ(r.follows, 11u);
+  EXPECT_EQ(r.truncations, 0u);
+  ASSERT_EQ(r.deliveries.size(), 2u);
+  const Record& b = r.deliveries[1];
+  EXPECT_EQ(b.tag, 1u);
+  EXPECT_EQ(b.blocked, 32.0);
+  EXPECT_EQ(b.latency - b.blocked, 72.0);  // (15 + 1) * 4 + 8
+}
+
+TEST(Follow, EarlierAttemptOnTheFollowedChannelRollsTheFollowBack) {
+  // C enters at x=5 at t=40 and attempts the link 5->6 at 44, while A holds
+  // it until 57 and B follows it (B arrives at 57). C is granted the link at
+  // A's release, ahead of B, so B's run is rolled back to that link and
+  // re-attempts at its arrival there, where it loses to C.
+  const Geometry geom(16, 4);
+  const std::vector<Injection> schedule{across_row0(0.0, 0, 0, geom),
+                                        across_row0(1.0, 0, 1, geom),
+                                        across_row0(40.0, 5, 2, geom)};
+  const RunResult r = batched_agreeing_with_stepped(schedule, geom, NetworkParams{3, 8, false});
+  EXPECT_GT(r.follows, 0u);
+  EXPECT_GT(r.truncations, 0u);  // B's roll-back: no reservation is stolen here
+  ASSERT_EQ(r.deliveries.size(), 3u);
+  EXPECT_EQ(r.deliveries[0].tag, 0u);
+  EXPECT_EQ(r.deliveries[1].tag, 2u);  // C overtakes B
+  EXPECT_EQ(r.deliveries[1].blocked, 13.0);
+  EXPECT_GT(r.deliveries[2].blocked, 32.0);
+}
+
+TEST(Follow, TruncatedHolderDropsTheReleaseItsFollowerCountedOn) {
+  // D enters at x=11 at t=40 and attempts the link 11->12 at 44, before A's
+  // reserved arrival there at 48: A's run is cut at index 12, so A's slide
+  // releases of indices 4-11 are unknown again. B follows A through 1-8;
+  // its follows of 4-8 lose the releases they counted on and B is rolled
+  // back to index 4 (arrival 49), while its follows of 1-3 stand.
+  const Geometry geom(16, 4);
+  const std::vector<Injection> schedule{across_row0(0.0, 0, 0, geom),
+                                        across_row0(1.0, 0, 1, geom),
+                                        across_row0(40.0, 11, 2, geom)};
+  const RunResult r = batched_agreeing_with_stepped(schedule, geom, NetworkParams{3, 8, false});
+  EXPECT_GT(r.follows, 0u);
+  EXPECT_GE(r.truncations, 2u);  // A, then B by cascade
+  ASSERT_EQ(r.deliveries.size(), 3u);
+  EXPECT_EQ(r.deliveries[0].tag, 2u);  // D reaches its ejection first
+}
+
+TEST(Follow, RunFollowsOntoABusyEjectionPort) {
+  // A ejects at (15,0) at 64 and drains until 72. E enters at (15,1) at 65
+  // and reaches that ejection channel at 73: its one run follows A there
+  // and ejects without blocking.
+  const Geometry geom(16, 4);
+  const std::vector<Injection> schedule{
+      across_row0(0.0, 0, 0, geom),
+      {65.0, geom.id(Coord{15, 1}), geom.id(Coord{15, 0}), 1}};
+  const RunResult r = batched_agreeing_with_stepped(schedule, geom, NetworkParams{3, 8, false});
+  EXPECT_EQ(r.runs_batched, 2u);
+  EXPECT_EQ(r.follows, 1u);
+  ASSERT_EQ(r.deliveries.size(), 2u);
+  EXPECT_EQ(r.deliveries[1].tag, 1u);
+  EXPECT_EQ(r.deliveries[1].blocked, 0.0);
+  EXPECT_EQ(r.deliveries[1].latency, 16.0);  // (1 + 1) * 4 + 8
 }
 
 // ------------------------------------------------------- FIFO order pins

@@ -417,7 +417,8 @@ TEST(SystemSim, RejectsGeometryMismatch) {
 // the event order — the kernel's (time, seq) contract, a handler, the
 // network's arbitration — moves at least one of them. The event count also
 // moves when the same work is packed into fewer events (the network's
-// per-time buckets); the makespan and the two means must not.
+// per-time buckets, batched runs that follow a holder); the makespan and the
+// two means must not.
 struct Golden {
   std::uint64_t events;
   double makespan;
@@ -448,7 +449,7 @@ TEST(SystemSim, GoldenTrajectoryFig02Cell) {
   cfg.seed = 42;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 200u);
-  expect_golden(m, Golden{122887, 0x1.6f00253cd98fp+15, 0x1.c742aba330196p+9,
+  expect_golden(m, Golden{117428, 0x1.6f00253cd98fp+15, 0x1.c742aba330196p+9,
                           0x1.608e6947ed807p+5});
 }
 
@@ -473,7 +474,7 @@ TEST(SystemSim, GoldenTrajectoryStealingFleet) {
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 300u);
   EXPECT_EQ(m.cluster.migrations, 26u);
-  expect_golden(m, Golden{4732, 0x1.a49a4916d465p+11, 0x1.1691e852901d5p+7,
+  expect_golden(m, Golden{4208, 0x1.a49a4916d465p+11, 0x1.1691e852901d5p+7,
                           0x1.99ffa8ad4824fp+5});
 }
 
@@ -495,7 +496,7 @@ TEST(SystemSim, GoldenTrajectoryRandomTraceCell) {
   cfg.seed = 42;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 200u);
-  expect_golden(m, Golden{165874, 0x1.d43a6025dd8ddp+15, 0x1.03da903ecbca7p+11,
+  expect_golden(m, Golden{151183, 0x1.d43a6025dd8ddp+15, 0x1.03da903ecbca7p+11,
                           0x1.90c314225c4a2p+6});
 }
 
@@ -524,7 +525,7 @@ TEST(SystemSim, GoldenTrajectoryShuffledSnakePaging) {
   cfg.allocator.paging_indexing = procsim::mesh::PageIndexing::kShuffledSnake;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 200u);
-  expect_golden(m, Golden{3247, 0x1.a142b3d919bfap+12, 0x1.9907f34965a7bp+10,
+  expect_golden(m, Golden{2863, 0x1.a142b3d919bfap+12, 0x1.9907f34965a7bp+10,
                           0x1.e4226291f38ffp+5});
 }
 
@@ -532,7 +533,7 @@ TEST(SystemSim, GoldenTrajectoryMbs) {
   const RunMetrics m = procsim::core::run_once(saturated_stochastic_cell(
       procsim::workload::SideDistribution::kExponential, "MBS", Policy::kFcfs, 5));
   EXPECT_EQ(m.completed, 200u);
-  expect_golden(m, Golden{3071, 0x1.4ef0c88eeea78p+12, 0x1.1dc00d89f537ep+10,
+  expect_golden(m, Golden{2715, 0x1.4ef0c88eeea78p+12, 0x1.1dc00d89f537ep+10,
                           0x1.9d39b1ffec557p+5});
 }
 
@@ -549,7 +550,7 @@ TEST(SystemSim, GoldenTrajectoryGablCarving128) {
   cfg.workload.stochastic.load = 0.02;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 150u);
-  expect_golden(m, Golden{10009, 0x1.0c81bfbf37b2ep+14, 0x1.542966337fad8p+12,
+  expect_golden(m, Golden{4162, 0x1.0c81bfbf37b2ep+14, 0x1.542966337fad8p+12,
                           0x1.2674050b59897p+8});
 }
 
@@ -577,7 +578,7 @@ TEST(SystemSim, GoldenTrajectoryShapeBackfillSwfReplay) {
   cfg.seed = 3;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 6u);
-  expect_golden(m, Golden{109, 0x1.ep+7, 0x1.8cp+5, 0x1.bec4ec4ec4ec6p+4});
+  expect_golden(m, Golden{102, 0x1.ep+7, 0x1.8cp+5, 0x1.bec4ec4ec4ec6p+4});
 }
 
 // A deep queue behind a blocked head: most arrivals meet the same head,
@@ -593,7 +594,7 @@ TEST(SystemSim, GoldenTrajectoryProbeHeavyShapeBackfill) {
   cfg.workload.stochastic.load = 0.05;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 300u);
-  expect_golden(m, Golden{14376, 0x1.95f58e474556cp+14, 0x1.1717041970f5bp+12,
+  expect_golden(m, Golden{6690, 0x1.95f58e474556cp+14, 0x1.1717041970f5bp+12,
                           0x1.6b7d09c41f60fp+7});
 }
 
@@ -606,7 +607,7 @@ TEST(SystemSim, GoldenTrajectoryConservativeShapeBackfillBestFit) {
   cfg.workload.stochastic.load = 0.02;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 150u);
-  expect_golden(m, Golden{5601, 0x1.8c30919c34c97p+13, 0x1.69e2cbb0b639fp+10,
+  expect_golden(m, Golden{2814, 0x1.8c30919c34c97p+13, 0x1.69e2cbb0b639fp+10,
                           0x1.6808b3da49f86p+7});
 }
 
@@ -615,7 +616,7 @@ TEST(SystemSim, GoldenTrajectoryLookaheadFirstFit) {
       procsim::workload::SideDistribution::kUniform, "FirstFit", sched_spec("lookahead:4"),
       17));
   EXPECT_EQ(m.completed, 200u);
-  expect_golden(m, Golden{3072, 0x1.cba610eb9b359p+12, 0x1.033980831ac07p+11,
+  expect_golden(m, Golden{2693, 0x1.cba610eb9b359p+12, 0x1.033980831ac07p+11,
                           0x1.f62ce98b3a631p+5});
 }
 
