@@ -336,28 +336,31 @@ void WormholeNetwork::run_pass() {
   if (verifier_ != nullptr) verifier_->arm_compare();
 }
 
+// Lazy release: a holder whose release is due gives the channel up, to the
+// run that follows it if there is one.
+inline void WormholeNetwork::release_if_due(Channel& ch, ChannelId cid, double t) {
+  if (ch.holder < 0 || ch.rel_time > t) return;
+  if (ch.follower >= 0) {
+    hand_over(ch, cid);
+    return;
+  }
+  ch.holder = -1;
+  ch.acq_time = 0;
+  ch.rel_time = kNoRelease;
+  ch.reserved = false;
+}
+
 void WormholeNetwork::arbitrate(ChannelId cid, double t) {
   Channel& ch = channels_[static_cast<std::size_t>(cid)];
   ch.dirty = false;
-  if (ch.holder >= 0 && ch.rel_time <= t) {  // lazy release
-    if (ch.follower >= 0) {
-      hand_over(cid);
-    } else {
-      ch.holder = -1;
-      ch.acq_time = 0;
-      ch.rel_time = kNoRelease;
-      ch.reserved = false;
-    }
-  }
-  // An attempt queued while the holder still holds the channel: it is
-  // granted at the release, ahead of the run that follows the holder.
-  if (ch.follower >= 0 && ch.wait_head >= 0) drop_follower(cid);
+  release_if_due(ch, cid, t);
   if (ch.holder >= 0 && ch.wait_head >= 0 && ch.reserved && ch.acq_time >= t) {
     // The holder only reserved this channel (acquisition at or after now):
     // an attempt with a smaller canonical key arrived first and steals it.
     // Realized acquisitions are never truncated — a holder granted at this
     // very timestamp may have leftover waiters with earlier attempt times,
-    // and those already lost their arbitration.
+    // and those already lost their arbitration. A follow handed over by the
+    // release above is stolen so by any attempt that queued before it.
     const Packet& w = pool_[static_cast<std::size_t>(ch.wait_head)];
     const Packet& h = pool_[static_cast<std::size_t>(ch.holder)];
     if (FifoKey{w.attempt_time, w.seq}.before(ch.acq_time, h.seq))
@@ -458,16 +461,7 @@ void WormholeNetwork::start_run(std::int32_t pkt, double t) {
   for (; j < end; ++j) {
     const ChannelId cid = p.path[static_cast<std::size_t>(j)];
     Channel& ch = channels_[static_cast<std::size_t>(cid)];
-    if (ch.holder >= 0 && ch.rel_time <= t) {  // lazy release
-      if (ch.follower >= 0) {
-        hand_over(cid);
-      } else {
-        ch.holder = -1;
-        ch.acq_time = 0;
-        ch.rel_time = kNoRelease;
-        ch.reserved = false;
-      }
-    }
+    release_if_due(ch, cid, t);
     const double arrive = vt + step;
     if (ch.holder < 0 && ch.wait_head < 0) {
       ch.holder = pkt;
@@ -522,18 +516,22 @@ double WormholeNetwork::follow_arrival(const Packet& p, std::int32_t k) const no
   return at;
 }
 
-// The holder's release is due and a run follows the channel: it becomes that
-// run's reservation, at its header's arrival. The lazy release that branches
-// here is on every run's path and stays inline, this rare case out of line
-// (one function for both read ~3 % slower on the paper's 16x22 traffic).
-[[gnu::noinline]] void WormholeNetwork::hand_over(ChannelId cid) {
-  Channel& ch = channels_[static_cast<std::size_t>(cid)];
-  const Packet& f = pool_[static_cast<std::size_t>(ch.follower)];
-  ch.acq_time = follow_arrival(f, run_index(f, cid));
+// The follower takes the channel over as a reservation, acquired at its
+// header's arrival `at`.
+void WormholeNetwork::take_follow(Channel& ch, double at) noexcept {
   ch.holder = ch.follower;
   ch.follower = -1;
+  ch.acq_time = at;
   ch.rel_time = kNoRelease;
   ch.reserved = true;
+}
+
+// The holder's release is due and a run follows the channel. Out of line:
+// release_if_due is on every run's path, and routing all of it through one
+// out-of-line call read ~3 % slower on the paper's 16x22 traffic.
+[[gnu::noinline]] void WormholeNetwork::hand_over(Channel& ch, ChannelId cid) {
+  const Packet& f = pool_[static_cast<std::size_t>(ch.follower)];
+  take_follow(ch, follow_arrival(f, run_index(f, cid)));
 }
 
 // The packet acts again, at or after its arrival at every channel its run
@@ -546,19 +544,13 @@ void WormholeNetwork::settle_follows(std::int32_t pkt) {
   double at = p.follow_at;
   for (std::int32_t k = p.follow_lo; k < end; ++k, at += step) {
     Channel& ch = channels_[static_cast<std::size_t>(p.path[static_cast<std::size_t>(k)])];
-    if (ch.follower != pkt) continue;  // a reservation of its own
-    ch.holder = pkt;
-    ch.follower = -1;
-    ch.acq_time = at;
-    ch.rel_time = kNoRelease;
-    ch.reserved = true;
+    if (ch.follower == pkt) take_follow(ch, at);  // else a reservation of its own
   }
   p.follow_lo = -1;
 }
 
 // Queues the roll-back of the run that follows channel `cid` to its arrival
-// there: the hold or the release it counted on is gone, or an attempt queued
-// on the channel will be granted it first.
+// there: the hold or the release it counted on is gone.
 void WormholeNetwork::drop_follower(ChannelId cid) {
   Channel& ch = channels_[static_cast<std::size_t>(cid)];
   if (ch.follower < 0) return;

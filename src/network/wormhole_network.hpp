@@ -121,9 +121,10 @@ struct NetStats {
 /// its first follow, so it never sets the release of a channel it does not
 /// hold yet. A follow becomes an ordinary reservation (acquired at the
 /// header's arrival) where the holder is lazily released and before the
-/// follower acts again. It is rolled back like a stolen reservation when an
-/// attempt queues on the channel while the holder still holds it, or when
-/// the holder's own roll-back drops that hold or its release.
+/// follower acts again. An attempt that queued on the channel before the
+/// release then steals that reservation, as it would any other; and the
+/// follow is rolled back like a stolen reservation when the holder's own
+/// roll-back drops that hold or its release.
 ///
 /// One object is one engine, stepped or batched. Under kVerify the batched
 /// network owns its shadow, a stepped WormholeNetwork on the same clock with
@@ -202,8 +203,7 @@ class WormholeNetwork {
     std::int32_t wait_head{-1};  // blocked packets, ascending (attempt, seq)
     std::int32_t wait_tail{-1};
     std::int32_t follower{-1};   // batched run that takes over at the holder's
-                                 // release, -1 when none (never with waiters
-                                 // after a pass)
+                                 // release, -1 when none
     double acq_time{0};          // holder's (possibly future) acquisition time
     double rel_time{kNoRelease};  // known release time, +inf until learned
     std::uint32_t epoch{0};       // cancels stale filed grants on truncation
@@ -307,7 +307,9 @@ class WormholeNetwork {
   void start_run(std::int32_t pkt, double t);
   [[nodiscard]] static std::int32_t run_index(const Packet& p, ChannelId ch) noexcept;
   [[nodiscard]] double follow_arrival(const Packet& p, std::int32_t k) const noexcept;
-  void hand_over(ChannelId ch);
+  inline void release_if_due(Channel& ch, ChannelId cid, double t);
+  void hand_over(Channel& ch, ChannelId cid);
+  static void take_follow(Channel& ch, double at) noexcept;
   void settle_follows(std::int32_t pkt);
   void drop_follower(ChannelId ch);
   void roll_back(double t);

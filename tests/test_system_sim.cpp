@@ -449,7 +449,7 @@ TEST(SystemSim, GoldenTrajectoryFig02Cell) {
   cfg.seed = 42;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 200u);
-  expect_golden(m, Golden{117428, 0x1.6f00253cd98fp+15, 0x1.c742aba330196p+9,
+  expect_golden(m, Golden{117426, 0x1.6f00253cd98fp+15, 0x1.c742aba330196p+9,
                           0x1.608e6947ed807p+5});
 }
 
@@ -496,7 +496,7 @@ TEST(SystemSim, GoldenTrajectoryRandomTraceCell) {
   cfg.seed = 42;
   const RunMetrics m = procsim::core::run_once(cfg);
   EXPECT_EQ(m.completed, 200u);
-  expect_golden(m, Golden{151183, 0x1.d43a6025dd8ddp+15, 0x1.03da903ecbca7p+11,
+  expect_golden(m, Golden{151207, 0x1.d43a6025dd8ddp+15, 0x1.03da903ecbca7p+11,
                           0x1.90c314225c4a2p+6});
 }
 
