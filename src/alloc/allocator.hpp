@@ -80,6 +80,13 @@ class Allocator {
   /// instant instead of a merely count-feasible one. With an empty
   /// `released` this is exactly can_allocate(req).
   ///
+  /// For released blocks of running jobs (busy and disjoint), the answer
+  /// depends only on the union of the free nodes and `released`, so cutting
+  /// or reordering the blocks changes nothing, and it never turns from true
+  /// to false as that union grows. Shape-aware EASY backfilling carries its
+  /// reservation walk across starts and completions on both properties
+  /// (sched::ShapeProbe); every override must keep them.
+  ///
   /// The default is the count model every non-contiguous strategy's
   /// can_allocate already uses (free + released area >= need) — exact for
   /// them, an optimistic approximation for strategies whose feasibility

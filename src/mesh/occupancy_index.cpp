@@ -186,12 +186,12 @@ void OccupancyIndex::free_nodes_into(std::vector<NodeId>& out) const {
   }
 }
 
-void OccupancyIndex::compute_run_row(const std::uint64_t* bits, std::int32_t y,
-                                     std::int32_t a) const {
+void OccupancyIndex::compute_run_row(const std::uint64_t* bits, std::uint64_t* runs,
+                                     std::int32_t y, std::int32_t a) const {
   // Doubling shift-AND: afterwards, bit x of the row mask is set iff bits
   // x .. x+a-1 of the row are all free.
   const std::uint64_t* src = bits + static_cast<std::size_t>(y) * words_;
-  std::uint64_t* r = runs_.data() + static_cast<std::size_t>(y) * words_;
+  std::uint64_t* r = runs + static_cast<std::size_t>(y) * words_;
   if (words_ == 1) {
     // One-word row (width <= 64): the same steps in a register. a <= 64,
     // so every shift t <= 32 stays defined.
@@ -213,12 +213,13 @@ void OccupancyIndex::compute_run_row(const std::uint64_t* bits, std::int32_t y,
   }
 }
 
-bool OccupancyIndex::window_into_win(std::int32_t y, std::int32_t b) const {
-  const std::uint64_t* r0 = runs_.data() + static_cast<std::size_t>(y) * words_;
+bool OccupancyIndex::window_into_win(const std::uint64_t* runs, std::int32_t y,
+                                     std::int32_t b) const {
+  const std::uint64_t* r0 = runs + static_cast<std::size_t>(y) * words_;
   bool nonzero = false;
   for (std::size_t i = 0; i < words_; ++i) nonzero |= (win_[i] = r0[i]) != 0;
   for (std::int32_t k = 1; k < b && nonzero; ++k) {
-    const std::uint64_t* rk = runs_.data() + static_cast<std::size_t>(y + k) * words_;
+    const std::uint64_t* rk = runs + static_cast<std::size_t>(y + k) * words_;
     nonzero = false;
     for (std::size_t i = 0; i < words_; ++i) nonzero |= (win_[i] &= rk[i]) != 0;
   }
@@ -331,8 +332,8 @@ std::optional<SubMesh> OccupancyIndex::first_fit_impl(std::int32_t a,
     const std::int32_t ys = y - b + 1;
     if (allfree >= b) return SubMesh::from_base(Coord{0, ys}, a, b);
     for (ready = std::max(ready, ys); ready <= y; ++ready)
-      compute_run_row(free_.data(), ready, a);
-    if (window_into_win(ys, b))
+      compute_run_row(free_.data(), runs_.data(), ready, a);
+    if (window_into_win(runs_.data(), ys, b))
       return SubMesh::from_base(Coord{lowest_bit(win_.data(), words_), ys}, a, b);
   }
   return std::nullopt;
@@ -404,8 +405,8 @@ std::optional<SubMesh> OccupancyIndex::best_fit_impl(std::int32_t a,
     if (viable < b) continue;
     const std::int32_t ys = y - b + 1;
     for (ready = std::max(ready, ys); ready <= y; ++ready)
-      compute_run_row(free_.data(), ready, a);
-    if (!window_into_win(ys, b)) continue;
+      compute_run_row(free_.data(), runs_.data(), ready, a);
+    if (!window_into_win(runs_.data(), ys, b)) continue;
     set_window(ys);
     for (std::size_t i = 0; i < words_; ++i) {
       std::uint64_t v = win_[i];
@@ -591,22 +592,34 @@ std::optional<SubMesh> OccupancyIndex::first_fit(std::int32_t a, std::int32_t b)
   return got;
 }
 
-std::optional<SubMesh> OccupancyIndex::assumed_first_fit(std::int32_t a, std::int32_t b,
+std::optional<SubMesh> OccupancyIndex::assumed_first_fit(AssumedRuns& runs, std::int32_t a,
+                                                         std::int32_t b,
                                                          std::int32_t y_first,
                                                          std::int32_t y_last) const {
   ++qstats_.first_fit_queries;
   std::optional<SubMesh> got;
   if (a <= geom_.width() && b <= geom_.length()) {
-    // Run masks are computed as the scan reaches their rows, so a hit in
-    // the first rows never touches the rest of the range.
-    runs_.resize(free_.size());
+    // Masks of another width read nothing here.
+    if (runs.width != a) {
+      runs.width = a;
+      runs.masks.resize(free_.size());
+      runs.ver.assign(static_cast<std::size_t>(geom_.length()), 0);
+    }
     win_.resize(words_);
     y_first = std::max(y_first, 0);
     y_last = std::min(y_last, geom_.length() - b);
+    // Run masks are brought up to date as the scan reaches their rows, so a
+    // hit in the first rows never touches the rest of the range, and a row
+    // that no new block covered keeps the mask an earlier call computed.
     std::int32_t ready = y_first;  // row cursor, as in first_fit_impl
     for (std::int32_t y = y_first; y <= y_last; ++y) {
-      for (; ready < y + b; ++ready) compute_run_row(assume_.data(), ready, a);
-      if (window_into_win(y, b)) {
+      for (; ready < y + b; ++ready) {
+        const std::size_t r = static_cast<std::size_t>(ready);
+        if (runs.ver[r] == assume_row_ver_[r]) continue;
+        compute_run_row(assume_.data(), runs.masks.data(), ready, a);
+        runs.ver[r] = assume_row_ver_[r];
+      }
+      if (window_into_win(runs.masks.data(), y, b)) {
         got = SubMesh::from_base(Coord{lowest_bit(win_.data(), words_), y}, a, b);
         break;
       }
@@ -629,10 +642,14 @@ std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
                                   extra_free.begin());
   const std::size_t first_new = extends ? assume_blocks_.size() : 0;
   for (std::size_t i = first_new; i < extra_free.size(); ++i) check_inside(extra_free[i]);
+  // A rebuild renews every row's version, an OR only the rows it covers, so
+  // each orientation's kept run masks go stale exactly where assume_ moved.
+  const std::uint64_t ver = ++assume_ver_;
   if (!extends) {
     assume_ = free_;
     assume_blocks_.clear();
     assume_gen_ = gen_counter_;
+    assume_row_ver_.assign(static_cast<std::size_t>(geom_.length()), ver);
   }
   std::int32_t y_lo = geom_.length();  // the rows the new blocks span
   std::int32_t y_hi = -1;
@@ -640,6 +657,7 @@ std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
     const SubMesh& s = extra_free[i];
     for_each_span(assume_.data(), s,
                   [](std::uint64_t& word, std::uint64_t m) { word |= m; });
+    std::fill(assume_row_ver_.begin() + s.y1, assume_row_ver_.begin() + s.y2 + 1, ver);
     y_lo = std::min(y_lo, s.y1);
     y_hi = std::max(y_hi, s.y2);
     assume_blocks_.push_back(s);
@@ -650,12 +668,12 @@ std::optional<SubMesh> OccupancyIndex::first_fit_rotatable_assuming_free(
   // lies in [y_lo - h + 1, y_hi], an empty range when nothing new was freed.
   const bool narrowed = extends && (assume_miss_ == std::pair{a, b} ||
                                     assume_miss_ == std::pair{b, a});
-  const auto scan = [&](std::int32_t w, std::int32_t h) {
-    return narrowed ? assumed_first_fit(w, h, y_lo - h + 1, y_hi)
-                    : assumed_first_fit(w, h, 0, geom_.length());
+  const auto scan = [&](AssumedRuns& runs, std::int32_t w, std::int32_t h) {
+    return narrowed ? assumed_first_fit(runs, w, h, y_lo - h + 1, y_hi)
+                    : assumed_first_fit(runs, w, h, 0, geom_.length());
   };
-  std::optional<SubMesh> got = scan(a, b);
-  if (!got && a != b) got = scan(b, a);
+  std::optional<SubMesh> got = scan(assume_runs_[0], a, b);
+  if (!got && a != b) got = scan(assume_runs_[1], b, a);
   assume_miss_ = got ? std::pair{0, 0} : std::pair{a, b};
   return got;
 }

@@ -126,10 +126,15 @@ class OccupancyIndex {
   /// copy of the real bitmap, shared by both orientations). If the previous
   /// call asked the same shape (either orientation) and found nothing, a fit
   /// now must cover a newly freed node, so each orientation of height h
-  /// scans only base rows [y_lo − h + 1, y_hi] of the new blocks' rows. The
-  /// answer is the exact first-fit sub-mesh either way. Non-positive sides
-  /// throw std::invalid_argument and an out-of-mesh block std::out_of_range,
-  /// both before anything is OR-ed or remembered.
+  /// scans only base rows [y_lo − h + 1, y_hi] of the new blocks' rows. Each
+  /// orientation (the call's a×b, then b×a) also keeps its run masks between
+  /// calls, with the width they are for: a row's mask is recomputed only
+  /// after a rebuild, when a new block covers the row, or when that
+  /// orientation's width changed, so a row-range scan after a miss
+  /// recomputes only the new blocks' rows. The answer is the exact first-fit
+  /// sub-mesh either way. Non-positive sides throw std::invalid_argument and
+  /// an out-of-mesh block std::out_of_range, both before anything is OR-ed
+  /// or remembered.
   [[nodiscard]] std::optional<SubMesh> first_fit_rotatable_assuming_free(
       std::int32_t a, std::int32_t b, const std::vector<SubMesh>& extra_free) const;
 
@@ -250,23 +255,36 @@ class OccupancyIndex {
   template <typename T, typename Oracle>
   void cross_check(const char* query, std::int32_t a, std::int32_t b,
                    const std::uint64_t* bits, const T& got, Oracle oracle) const;
-  /// Fills runs_ row `y` with the mask of columns where a run of `a` free
-  /// bits starts, reading the occupancy from `bits` (free_.data() for the
-  /// real bitmap, assume_.data() for hypothetical queries; caller sizes
-  /// runs_ to free_.size() first). Windows come top to bottom, so each scan
-  /// computes a row once, through a forward cursor over the rows.
-  void compute_run_row(const std::uint64_t* bits, std::int32_t y, std::int32_t a) const;
-  /// win_ = AND of runs_ rows [y, y+b); false (with early exit) if empty.
-  [[nodiscard]] bool window_into_win(std::int32_t y, std::int32_t b) const;
+  /// Fills row `y` of the run-mask buffer `runs` (free_.size() words) with
+  /// the mask of columns where a run of `a` free bits starts, reading the
+  /// occupancy from `bits` (free_.data() with runs_ for the real bitmap,
+  /// assume_.data() with an orientation's masks for hypothetical queries).
+  /// Windows come top to bottom, so each scan computes a row once, through
+  /// a forward cursor over the rows.
+  void compute_run_row(const std::uint64_t* bits, std::uint64_t* runs, std::int32_t y,
+                       std::int32_t a) const;
+  /// win_ = AND of rows [y, y+b) of `runs`; false (with early exit) if empty.
+  [[nodiscard]] bool window_into_win(const std::uint64_t* runs, std::int32_t y,
+                                     std::int32_t b) const;
 
   /// First fit on the real bitmap, walking rows through the summaries.
   [[nodiscard]] std::optional<SubMesh> first_fit_impl(std::int32_t a,
                                                       std::int32_t b) const;
+  /// The run masks of assume_ for one orientation of the hypothetical
+  /// probe: the width they hold and, per row, the assume_row_ver_ its mask
+  /// was computed at (0: none).
+  struct AssumedRuns {
+    std::int32_t width{0};
+    std::vector<std::uint64_t> masks;
+    std::vector<std::uint64_t> ver;
+  };
   /// First fit on the hypothetical bitmap assume_, which the summaries do
   /// not describe: the plain lazy descent over base rows [y_first, y_last]
   /// (clipped to the mesh), counted in query_stats() and cross-checked
-  /// against the whole of assume_.
-  [[nodiscard]] std::optional<SubMesh> assumed_first_fit(std::int32_t a, std::int32_t b,
+  /// against the whole of assume_. It reads the masks of `runs` wherever
+  /// their row is current and recomputes the rest.
+  [[nodiscard]] std::optional<SubMesh> assumed_first_fit(AssumedRuns& runs, std::int32_t a,
+                                                         std::int32_t b,
                                                          std::int32_t y_first,
                                                          std::int32_t y_last) const;
   [[nodiscard]] std::optional<SubMesh> best_fit_impl(std::int32_t a,
@@ -315,16 +333,22 @@ class OccupancyIndex {
   std::uint64_t gen_counter_{0};
 
   // Query scratch, reused across calls (see class comment on thread-safety).
-  mutable std::vector<std::uint64_t> runs_;  ///< per-row run-start masks
+  mutable std::vector<std::uint64_t> runs_;  ///< the real bitmap's run-start masks
   mutable std::vector<std::uint64_t> win_;   ///< height-b window AND
   // The hypothetical bitmap of first_fit_rotatable_assuming_free, kept
   // between calls: the real bitmap at generation assume_gen_ (0 = never
   // built) with assume_blocks_ OR-ed in, and the shape the last call found
-  // nothing for ({0, 0} when it found a fit).
+  // nothing for ({0, 0} when it found a fit). Each row carries a version,
+  // renewed when the bitmap is rebuilt or a new block covers the row, and
+  // each orientation (0: a×b, 1: b×a) keeps its run masks with the
+  // versions they were computed at.
   mutable std::vector<std::uint64_t> assume_;
   mutable std::vector<SubMesh> assume_blocks_;
   mutable std::uint64_t assume_gen_{0};
   mutable std::pair<std::int32_t, std::int32_t> assume_miss_{0, 0};
+  mutable std::vector<std::uint64_t> assume_row_ver_;
+  mutable std::uint64_t assume_ver_{0};  ///< the last version handed out
+  mutable AssumedRuns assume_runs_[2];
 
   // Hierarchical occupancy summaries (level 1: rows, level 2: 64-row blocks).
   mutable std::vector<std::uint64_t> sum_gen_;      ///< per-row summary stamps

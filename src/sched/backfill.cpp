@@ -98,15 +98,17 @@ std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& prob
   const bool use_shape = opts_.shape_aware && snap.shape_fit != nullptr;
 
   // A shape-aware walk pays one hypothetical-occupancy probe per release it
-  // reaches, and every pass until the running set changes (one per arrival
-  // behind a blocked head) asks for the same walk. Its probes read nothing
-  // but the head, the running set and the free count (ShapeProbe), so a
-  // walk of the same three is reused; the count walk is cheap and reruns.
-  const WalkKey key{head.job_id, running_epoch_, snap.free_processors};
-  if (!use_shape || walk_key_ != key) {
-    walk_ = walk_running(head, snap, use_shape);
-    walk_key_ = use_shape ? std::optional<WalkKey>(key) : std::nullopt;
-  }
+  // reaches, and every pass behind a blocked head (one per arrival, start
+  // and completion) asks for it again. So the walk is kept for the same
+  // head and free count: on_start and on_complete carry it across the
+  // running-set change they report and leave open only the steps that
+  // change can move. The count walk is cheap and reruns.
+  const WalkKey key{head.job_id, snap.free_processors};
+  const bool kept = use_shape && walk_key_ == key;
+  if (!kept || redo_ != Redo::kNone)
+    walk_ = walk_running(head, snap, use_shape, kept ? redo_ : Redo::kNone);
+  walk_key_ = use_shape ? std::optional<WalkKey>(key) : std::nullopt;
+  redo_ = Redo::kNone;
   const bool reachable = walk_.reachable;
   const double shadow = walk_.shadow;
   // When even draining every running job cannot seat the head, there is no
@@ -129,14 +131,14 @@ std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& prob
 
 BackfillScheduler::Shadow BackfillScheduler::walk_running(const QueuedJob& head,
                                                           const SchedSnapshot& snap,
-                                                          bool use_shape) {
+                                                          bool use_shape, Redo redo) {
   // The head is blocked: place its reservation. Walk the running jobs in
   // estimated-finish order accumulating released processors until the head's
   // request is covered — and, shape-aware, until its sub-mesh actually fits
   // the projected occupancy; that instant is the shadow time, and whatever
   // exceeds the head's need there is the backfill slack ("extra"
   // processors).
-  Shadow s{false, snap.now, snap.free_processors};
+  Shadow s{false, running_.end(), snap.now, snap.free_processors};
   const std::int64_t head_need = head.processors;
   // Right now the probe already failed, so shape-aware the head does not
   // fit; count-based it may (fragmentation), in which case the shadow stays
@@ -145,15 +147,23 @@ BackfillScheduler::Shadow BackfillScheduler::walk_running(const QueuedJob& head,
     s.reachable = true;
     return s;
   }
+  // A partial walk knows one answer at the kept seating job (see on_start):
+  // after a start behind it, no earlier step seats the head; after a
+  // completion behind it, it still seats the head.
+  bool probing = redo != Redo::kFromSeat;
   released_scratch_.clear();
-  for (const Running& r : running_) {  // ordered by (finish_estimate, id)
-    s.avail += r.allocated;
-    s.shadow = r.finish_estimate;
+  for (auto it = running_.begin(); it != running_.end(); ++it) {  // (finish_estimate, id)
+    s.avail += it->allocated;
+    s.shadow = it->finish_estimate;
     if (use_shape)
-      released_scratch_.insert(released_scratch_.end(), r.blocks.begin(), r.blocks.end());
-    if (s.avail >= head_need &&
-        (!use_shape || (*snap.shape_fit)(head, released_scratch_))) {
+      released_scratch_.insert(released_scratch_.end(), it->blocks.begin(), it->blocks.end());
+    const bool at_seat = redo != Redo::kNone && it == walk_.seat;
+    probing = probing || at_seat;
+    if ((at_seat && redo == Redo::kBeforeSeat) ||
+        (probing && s.avail >= head_need &&
+         (!use_shape || (*snap.shape_fit)(head, released_scratch_)))) {
       s.reachable = true;
+      s.seat = it;
       break;
     }
   }
@@ -227,17 +237,53 @@ void BackfillScheduler::on_start(const QueuedJob& job, double now,
       ++reservations_broken_;
     first_reservation_.erase(res);
   }
-  const auto it =
+  const RunningIt it =
       running_.insert(Running{now + job.demand, job.job_id, allocated, blocks});
   slot_.emplace(job.job_id, it);
-  ++running_epoch_;
+
+  // Carry the kept shape-aware walk. Its steps are the prefixes of the
+  // running set; a step seats the head when its released processors cover
+  // the head and the union of free and released nodes fits it, and neither
+  // test ever turns from yes to no as that union grows (ShapeProbe). So the
+  // steps read no, ..., no, yes, ..., yes, and the seating job ends the
+  // first yes. A start moves its nodes from the free set into its own
+  // release: a prefix holding the job reads the union it read before, one
+  // without it a subset. Hence a start before the seating job keeps the
+  // walk (a start in front reads, as its first step, the free set of the
+  // pass that nominated it, where the head did not fit), a start after it
+  // can only push the seat later, and an unreachable walk stays so. The
+  // head's start changes the key's head; a second change while a partial
+  // walk is pending drops the walk.
+  if (!walk_key_) return;
+  if (redo_ != Redo::kNone) {
+    walk_key_.reset();
+    return;
+  }
+  walk_key_->free_processors -= allocated;
+  if (walk_.reachable && *walk_.seat < *it) redo_ = Redo::kFromSeat;
 }
 
 void BackfillScheduler::on_complete(std::uint64_t job_id, double) {
-  ++running_epoch_;
   const auto it = slot_.find(job_id);
   if (it == slot_.end()) return;
-  running_.erase(it->second);
+  const RunningIt done = it->second;
+  // Carry the kept walk (see on_start). A completion frees the job's nodes:
+  // a prefix that held it reads the union it read before, and one that did
+  // not reads a union inside that of the old prefix ending at the job. So
+  // a completion before the seating job keeps the walk (every step before
+  // the job read no, and so did the old step ending at it), one after it
+  // can only pull the seat earlier, and an unreachable walk stays so. The
+  // seating job's completion, or a second change while a partial walk is
+  // pending, drops the walk.
+  if (walk_key_) {
+    if (redo_ != Redo::kNone || (walk_.reachable && done == walk_.seat)) {
+      walk_key_.reset();
+    } else {
+      walk_key_->free_processors += done->allocated;
+      if (walk_.reachable && *walk_.seat < *done) redo_ = Redo::kBeforeSeat;
+    }
+  }
+  running_.erase(done);
   slot_.erase(it);
 }
 
@@ -258,7 +304,7 @@ void BackfillScheduler::clear() {
   FifoBase::clear();
   running_.clear();
   slot_.clear();
-  ++running_epoch_;
+  walk_key_.reset();
   first_reservation_.clear();
   reservations_honored_ = 0;
   reservations_broken_ = 0;

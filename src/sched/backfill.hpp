@@ -98,27 +98,40 @@ class BackfillScheduler final : public FifoBase {
     }
   };
 
+  using RunningIt = std::multiset<Running>::const_iterator;
+
   /// The blocked head's EASY reservation: whether any prefix of the running
-  /// set (in estimated-finish order) seats it, the instant that prefix ends
-  /// (the shadow time) and the processors free then.
+  /// set (in estimated-finish order) seats it, the running job that ends
+  /// the shortest such prefix (the seating job), the instant it ends (the
+  /// shadow time) and the processors free then.
   struct Shadow {
     bool reachable{false};
+    RunningIt seat{};
     double shadow{0};
     std::int64_t avail{0};
   };
-  /// What a shape-aware walk reads: the head, the running set and the free
-  /// count (see ShapeProbe's reuse precondition).
+  /// The head and free count a kept shape-aware walk answers for. on_start
+  /// and on_complete move the free count by the job's allocated count as
+  /// they carry the walk across the change, so a snapshot that disagrees
+  /// (an occupancy change nobody reported) gets a fresh walk.
   struct WalkKey {
     std::uint64_t head_id{0};
-    std::uint64_t running_epoch{0};
     std::int64_t free_processors{0};
     friend bool operator==(const WalkKey&, const WalkKey&) = default;
+  };
+  /// What a running-set change left open of the kept walk (see on_start).
+  enum class Redo : std::uint8_t {
+    kNone,        ///< the walk stands
+    kFromSeat,    ///< a start after the seating job: probe from it on
+    kBeforeSeat,  ///< a completion after it: probe only the steps before it
   };
 
   [[nodiscard]] std::optional<std::size_t> select_easy(const AllocProbe& probe,
                                                        const SchedSnapshot& snap);
+  /// The walk itself: in full under Redo::kNone, else the part `redo`
+  /// leaves open of walk_.
   [[nodiscard]] Shadow walk_running(const QueuedJob& head, const SchedSnapshot& snap,
-                                    bool use_shape);
+                                    bool use_shape, Redo redo);
   [[nodiscard]] std::optional<std::size_t> select_conservative(
       const AllocProbe& probe, const SchedSnapshot& snap);
 
@@ -128,14 +141,14 @@ class BackfillScheduler final : public FifoBase {
   /// in-order traversals — no per-pass copy + sort; slot_ locates a job's
   /// entry for the O(log R) on_complete erase.
   std::multiset<Running> running_;
-  std::unordered_map<std::uint64_t, std::multiset<Running>::iterator> slot_;
-  /// Bumped by on_start, on_complete and clear: names the running set.
-  std::uint64_t running_epoch_{0};
+  std::unordered_map<std::uint64_t, RunningIt> slot_;
 
-  /// The last shape-aware walk and what it read; select_easy reuses it
-  /// while the head, the running set and the free count stand.
+  /// The last shape-aware walk, the key it answers for, and the part of it
+  /// the running-set changes since have left open; select_easy reuses it
+  /// while the key matches.
   std::optional<WalkKey> walk_key_;
   Shadow walk_;
+  Redo redo_{Redo::kNone};
 
   /// job_id -> first reserved start instant (see export_counters).
   std::unordered_map<std::uint64_t, double> first_reservation_;

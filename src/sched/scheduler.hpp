@@ -41,12 +41,16 @@ using AllocProbe = std::function<bool(const QueuedJob&)>;
 /// aware backfilling uses it to place reservations at instants where the
 /// head's sub-mesh actually *fits*, not merely where enough nodes are free.
 ///
-/// Reuse precondition: for a given job and block list, the answer may depend
-/// only on the running set reported through Scheduler::on_start /
-/// on_complete and on SchedSnapshot::free_processors. A discipline may then
-/// keep a walk's answers while none of those changed (EASY reuses its last
-/// shape-aware reservation walk), so a probe reading anything else (a
-/// clock, a counter, a different allocator per call) breaks the discipline.
+/// Contract, for a given job: the answer depends only on the union of the
+/// free nodes and the released blocks (cutting or reordering the blocks
+/// changes nothing), it never turns from yes to no as that union grows, and
+/// a job the AllocProbe rejects is rejected with an empty list too. EASY
+/// backfilling carries its shape-aware reservation walk across
+/// Scheduler::on_start and on_complete on these properties: a start moves
+/// nodes from the free set into a running job's release, a completion adds
+/// them to the free set, and the walk keeps every answer such a move cannot
+/// change. A probe reading anything else (a clock, a counter, a different
+/// allocator per call) breaks the discipline.
 using ShapeProbe =
     std::function<bool(const QueuedJob&, const std::vector<mesh::SubMesh>&)>;
 

@@ -7,10 +7,13 @@
 
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "alloc/registry.hpp"
 #include "core/experiment.hpp"
 #include "des/distributions.hpp"
 #include "des/rng.hpp"
@@ -201,6 +204,91 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '(' || c == ')') c = '_';
       return name;
     });
+
+/// `blocks` with every block cut in two (by rows, else by columns, when it
+/// has more than one node) and the pieces shuffled: the same union.
+std::vector<SubMesh> split_and_shuffle(const std::vector<SubMesh>& blocks,
+                                       procsim::des::Xoshiro256SS& rng) {
+  std::vector<SubMesh> out;
+  for (const SubMesh& b : blocks) {
+    if (b.y2 > b.y1) {
+      const std::int32_t y = (b.y1 + b.y2) / 2;
+      out.push_back(SubMesh{b.x1, b.y1, b.x2, y});
+      out.push_back(SubMesh{b.x1, y + 1, b.x2, b.y2});
+    } else if (b.x2 > b.x1) {
+      const std::int32_t x = (b.x1 + b.x2) / 2;
+      out.push_back(SubMesh{b.x1, b.y1, x, b.y2});
+      out.push_back(SubMesh{x + 1, b.y1, b.x2, b.y2});
+    } else {
+      out.push_back(b);
+    }
+  }
+  for (std::size_t i = out.size(); i > 1; --i)
+    std::swap(out[i - 1], out[static_cast<std::size_t>(procsim::des::sample_uniform_int(
+                              rng, 0, static_cast<std::int64_t>(i) - 1))]);
+  return out;
+}
+
+// The shape probe (can_allocate_with_free) answers from the union of the
+// free nodes and the released blocks alone, and never turns a yes into a no
+// as that union grows: EASY backfilling carries its reservation walk across
+// starts and completions on these two properties. On random occupancies,
+// released lists that nest (the empty list, then one held placement's
+// blocks more at a time) must never turn yes into no, and cutting or
+// reordering a list's blocks must not change an answer.
+TEST(AllocatorProperties, ShapeProbeDependsOnlyOnTheFreedUnionAndGrowsWithIt) {
+  std::vector<std::string> names = procsim::alloc::known_allocators();
+  names.emplace_back("Paging(1)");
+  for (const std::string& name : names) {
+    for (const Geometry g : {Geometry(16, 22), Geometry(70, 12), Geometry(9, 5)}) {
+      const auto alloc = make_allocator(AllocatorSpec{name}, g, 17);
+      procsim::des::Xoshiro256SS rng(g.nodes() * 31u + 7u);
+      std::vector<Placement> held;
+      int answers = 0;
+      for (int round = 0; round < 12; ++round) {
+        for (int step = 0; step < 30; ++step)
+          if (auto p = alloc->allocate(random_request(rng, g))) held.push_back(std::move(*p));
+        for (std::size_t i = held.size(); i-- > 0;)
+          if (procsim::des::sample_bernoulli(rng, 0.3)) {
+            alloc->release(held[i]);
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+          }
+        std::vector<std::size_t> order(held.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        for (std::size_t i = order.size(); i > 1; --i)
+          std::swap(order[i - 1], order[static_cast<std::size_t>(procsim::des::sample_uniform_int(
+                                      rng, 0, static_cast<std::int64_t>(i) - 1))]);
+        for (int q = 0; q < 8; ++q) {
+          Request req = random_request(rng, g);
+          if (q % 2 == 1) {  // trace-shaped: p processors in a derived box
+            req.processors = static_cast<std::int32_t>(
+                procsim::des::sample_uniform_int(rng, 1, g.nodes()));
+            std::tie(req.width, req.length) =
+                procsim::workload::shape_for_processors(req.processors, g);
+          }
+          std::vector<SubMesh> released;
+          bool before = false;
+          for (std::size_t k = 0; k <= order.size(); ++k) {
+            if (k > 0) {
+              const Placement& p = held[order[k - 1]];
+              released.insert(released.end(), p.blocks.begin(), p.blocks.end());
+            }
+            const bool yes = alloc->can_allocate_with_free(req, released);
+            EXPECT_TRUE(yes || !before)
+                << name << " " << g.width() << "x" << g.length() << " round " << round
+                << ": yes turned no at " << k << " of " << order.size() << " placements";
+            EXPECT_EQ(alloc->can_allocate_with_free(req, split_and_shuffle(released, rng)), yes)
+                << name << " " << g.width() << "x" << g.length() << " round " << round;
+            before = yes;
+            ++answers;
+          }
+        }
+      }
+      EXPECT_GT(answers, 500) << name;
+      for (const Placement& p : held) alloc->release(p);
+    }
+  }
+}
 
 // Trace-style requests (p with derived near-square shape) keep the same
 // guarantees — this is the path the real-workload experiments exercise.

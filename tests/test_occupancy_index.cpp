@@ -762,6 +762,72 @@ TEST(OccupancyIndex, AssumingFreeWalksAgreeWithBruteForceReplay) {
   check_walks_against_replay(Geometry(70, 12), 7);  // two words per row, a tail
 }
 
+/// Each orientation keeps its run masks between calls: a walk that
+/// alternates two shapes at one generation (so each orientation's width
+/// changes), extends its list after misses in both orientations, sometimes
+/// asks one shape twice in a row (a row-range scan after a miss), and is
+/// interrupted by a real allocate and release.
+void check_alternating_walks_against_replay(const Geometry& g, std::uint64_t seed) {
+  procsim::des::Xoshiro256SS rng(seed);
+  const auto draw = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, lo, hi));
+  };
+  OccupancyIndex idx(g);
+  std::vector<SubMesh> live;
+  int calls = 0;
+  const auto ask = [&](const std::vector<SubMesh>& released, std::int32_t a,
+                       std::int32_t b) {
+    EXPECT_EQ(idx.first_fit_rotatable_assuming_free(a, b, released),
+              replayed_first_fit(idx, released, a, b))
+        << g.width() << "x" << g.length() << " call " << calls << " q=" << a << "x" << b
+        << " blocks=" << released.size();
+    ++calls;
+  };
+  for (int round = 0; round < 60; ++round) {
+    if (round % 15 == 14) {
+      idx.clear();
+      live.clear();
+    }
+    for (int step = 0; step < 40; ++step)
+      if (const auto s = idx.first_fit(draw(1, 6), draw(1, 4))) {
+        idx.allocate(*s);
+        live.push_back(*s);
+      }
+    for (std::size_t i = live.size(); i-- > 0;)
+      if (procsim::des::sample_bernoulli(rng, 0.2)) {
+        idx.release(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    std::vector<SubMesh> order = live;
+    for (std::int32_t i = static_cast<std::int32_t>(order.size()) - 1; i > 0; --i)
+      std::swap(order[static_cast<std::size_t>(i)],
+                order[static_cast<std::size_t>(draw(0, i))]);
+    const std::int32_t a1 = draw(2, g.width());
+    const std::int32_t b1 = draw(1, std::min(a1 - 1, g.length()));
+    const std::int32_t a2 = draw(1, g.width());
+    const std::int32_t b2 = draw(1, g.length());
+    std::vector<SubMesh> released;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      released.push_back(order[k]);
+      ask(released, a1, b1);
+      if (procsim::des::sample_bernoulli(rng, 0.5)) ask(released, a2, b2);
+      if (k == order.size() / 2)
+        if (const auto s = idx.first_fit(draw(1, 3), draw(1, 3))) {
+          idx.allocate(*s);
+          ask(released, a1, b1);
+          idx.release(*s);
+          ask(released, a2, b2);
+        }
+    }
+  }
+  EXPECT_GT(calls, 500);
+}
+
+TEST(OccupancyIndex, AssumingFreeKeepsRunMasksPerOrientation) {
+  check_alternating_walks_against_replay(Geometry(8, 8), 31);
+  check_alternating_walks_against_replay(Geometry(70, 12), 37);  // two words per row
+}
+
 TEST(OccupancyIndex, AssumingFreeThrowsBeforeTouchingItsBitmap) {
   // A full 8x8 mesh of four 4x4 quadrants; 8x4 fits once two side by side
   // are back. After a miss, a call throws with a valid new block in its

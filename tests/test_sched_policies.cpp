@@ -12,11 +12,13 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "des/distributions.hpp"
 
 #include "alloc/gabl.hpp"
+#include "alloc/registry.hpp"
 #include "core/experiment.hpp"
 #include "core/system_sim.hpp"
 #include "des/rng.hpp"
@@ -483,71 +485,273 @@ TEST(ShapeAware, ConservativeRefinesEvenWhenTheCountSaysFitsNow) {
   EXPECT_EQ(*pos, 1u);
 }
 
-TEST(ShapeAware, EasyReusesItsWalkWhileHeadRunningSetAndFreeCountStand) {
-  // The 20-processor head is blocked until job 91's block is back: each
-  // walk asks the shape probe at t=10 (no) and t=20 (yes), leaving 16 extra
-  // processors. A pass with the same head, running set and free count (say,
-  // after another arrival) reuses the walk; each of the changes below makes
-  // it walk again.
+QueuedJob shaped(std::uint64_t id, std::int32_t width, double demand,
+                 std::int32_t processors, std::uint64_t seq) {
+  QueuedJob q = job(id, demand, width, seq);
+  q.width = width;
+  q.length = 1;
+  q.processors = processors;
+  return q;
+}
+
+TEST(ShapeAware, EasyCarriesItsWalkAcrossStartsAndCompletions) {
+  // A one-row machine of 28 nodes where each running job holds one block
+  // of consecutive nodes, and a job fits when the free nodes plus the
+  // released blocks hold `width` consecutive nodes. The snapshot's free
+  // count follows every start and completion. The head asks for one
+  // processor, so the count never binds and every step of a walk asks the
+  // shape probe.
   using procsim::mesh::SubMesh;
-  const SubMesh blk91{4, 0, 7, 3};
+  std::vector<bool> free_node(28, false);
+  std::map<std::uint64_t, SubMesh> held;
   BackfillScheduler s{BackfillOptions{.conservative = false, .shape_aware = true}};
-  const auto start_running = [&] {
-    s.on_start(job(90, 10, 16, 0), 0.0, 16, {SubMesh{0, 0, 3, 3}});
-    s.on_start(job(91, 20, 16, 1), 0.0, 16, {blk91});
+  const auto mark = [&](const SubMesh& b, bool free) {
+    for (std::int32_t x = b.x1; x <= b.x2; ++x) free_node[static_cast<std::size_t>(x)] = free;
   };
-  const auto enqueue_queue = [&] {
-    s.enqueue(job(0, 50, 20, 2));   // blocked head
-    s.enqueue(job(1, 50, 20, 3));   // blocked too: the head after take(0)
-    s.enqueue(job(2, 500, 18, 4));  // fits now, but runs long on 18 > 16
-    s.enqueue(job(3, 5, 4, 5));     // fits now and ends before t=20
+  const auto start = [&](std::uint64_t id, double estimate, std::int32_t x1, std::int32_t x2) {
+    const SubMesh b{x1, 0, x2, 0};
+    mark(b, false);
+    held[id] = b;
+    s.on_start(shaped(id, b.width(), estimate, b.area(), id), 0.0, b.area(), {b});
   };
-  start_running();
-  enqueue_queue();
+  const auto complete = [&](std::uint64_t id) {
+    mark(held.at(id), true);
+    held.erase(id);
+    s.on_complete(id, 1.0);
+  };
+  const auto fits = [&](std::int32_t width, const std::vector<SubMesh>& released) {
+    std::vector<bool> f = free_node;
+    for (const SubMesh& b : released)
+      for (std::int32_t x = b.x1; x <= b.x2; ++x) f[static_cast<std::size_t>(x)] = true;
+    std::int32_t run = 0;
+    for (const bool node : f)
+      if ((run = node ? run + 1 : 0) >= width) return true;
+    return false;
+  };
   int shape_calls = 0;
   const procsim::sched::ShapeProbe shape =
-      [&](const QueuedJob&, const std::vector<SubMesh>& released) {
+      [&](const QueuedJob& q, const std::vector<SubMesh>& released) {
         ++shape_calls;
-        return std::find(released.begin(), released.end(), blk91) != released.end();
+        return fits(q.width, released);
       };
-  const AllocProbe fits_now = [](const QueuedJob& q) { return q.job_id >= 2; };
-  SchedSnapshot snap{0.0, 4};
-  snap.shape_fit = &shape;
+  const AllocProbe fits_now = [&](const QueuedJob& q) { return fits(q.width, {}); };
+  std::int64_t unreported = 0;  // free nodes the hooks were not told about
   const auto select_counting = [&] {
+    SchedSnapshot snap{0.0, std::count(free_node.begin(), free_node.end(), true) + unreported};
+    snap.shape_fit = &shape;
     const int before = shape_calls;
     const auto pos = s.select(fits_now, snap);
     return std::pair{pos, shape_calls - before};
   };
+  using Pos = std::optional<std::size_t>;
 
-  const auto [first, first_calls] = select_counting();
-  EXPECT_EQ(first, std::optional<std::size_t>(3));
-  EXPECT_EQ(first_calls, 2);
-  s.enqueue(job(4, 5, 64, 6));  // an arrival behind the head
-  const auto [again, again_calls] = select_counting();
-  EXPECT_EQ(again, first);
-  EXPECT_EQ(again_calls, 0);
+  // Releases in estimate order: 90 [0,3] at 10, 91 [4,7] at 20, 92 [8,11]
+  // at 30, 93 [12,15] at 40, 94 [16,19] at 50, 99 [22,27] at 1000; nodes
+  // 20 and 21 are free.
+  start(90, 10, 0, 3);
+  start(91, 20, 4, 7);
+  start(92, 30, 8, 11);
+  start(93, 40, 12, 15);
+  start(94, 50, 16, 19);
+  start(99, 1000, 22, 27);
+  mark(SubMesh{20, 0, 21, 0}, true);
+  s.enqueue(shaped(0, 16, 50, 1, 0));   // the head: 16 in a row, first at [0,15]
+  s.enqueue(shaped(1, 6, 50, 1, 1));    // the head once job 0 runs
+  s.enqueue(shaped(2, 1, 500, 40, 2));  // fits now, but runs long on 40
+  s.enqueue(shaped(3, 1, 5, 1, 3));     // fits now and ends early
 
-  // clear() empties the running set, so nothing backs a reservation any
-  // more: the long job backfills. A reused walk would still refuse it.
-  s.clear();
-  enqueue_queue();
-  const auto [cleared, cleared_calls] = select_counting();
-  EXPECT_EQ(cleared, std::optional<std::size_t>(2)) << "clear";
-  EXPECT_EQ(cleared_calls, 0);  // nothing runs: nothing to probe
-  start_running();
-  EXPECT_EQ(select_counting().second, 2);
+  // The full walk asks at 90, 91 and 92 (no) and at 93 (yes): 93 seats the
+  // head at t=40, and only job 3 may backfill. A pass behind it (another
+  // arrival) reuses the walk.
+  EXPECT_EQ(select_counting(), std::pair(Pos(3), 4));
+  s.enqueue(shaped(4, 2, 5, 1, 4));
+  EXPECT_EQ(select_counting(), std::pair(Pos(3), 0));
 
-  s.on_start(job(92, 5, 2, 7), 0.0, 2, {SubMesh{0, 4, 1, 4}});
-  EXPECT_EQ(select_counting().second, 2) << "on_start";
-  EXPECT_EQ(select_counting().second, 0);
-  s.on_complete(92, 1.0);
-  EXPECT_EQ(select_counting().second, 2) << "on_complete";
-  snap.free_processors = 6;
+  start(95, 15, 20, 20);  // a start ending before the seat keeps the walk
+  EXPECT_EQ(select_counting(), std::pair(Pos(3), 0)) << "start before the seat";
+  start(96, 45, 21, 21);  // one ending after it: probe from 93 on
+  EXPECT_EQ(select_counting(), std::pair(Pos(), 1)) << "start after the seat";
+  complete(90);  // the first release: nothing to probe
+  EXPECT_EQ(select_counting().second, 0) << "completion of the first release";
+  complete(96);  // a release after the seat: probe 95, 91 and 92, take 93
+  EXPECT_EQ(select_counting().second, 3) << "completion after the seat";
+  complete(91);  // a later release before the seat keeps the walk
+  EXPECT_EQ(select_counting().second, 0) << "completion before the seat";
+  // A second change while a partial walk is pending: a full walk, 95, 92
+  // (no) and 93 (yes), in either order.
+  start(97, 45, 21, 21);
+  complete(97);
+  EXPECT_EQ(select_counting().second, 3) << "a start, then a completion";
+  complete(94);
+  start(98, 60, 16, 19);
+  EXPECT_EQ(select_counting().second, 3) << "a completion, then a start";
+  complete(93);  // the seating job: a full walk, 95 (no) and 92 (yes)
+  EXPECT_EQ(select_counting().second, 2) << "completion of the seating job";
+
+  complete(92);  // now [0,15] is free and the head starts
+  EXPECT_EQ(select_counting(), std::pair(Pos(0), 0));
+  (void)s.take(0);
+  start(0, 50, 0, 15);
+  // Job 1's full walk: 95 (no), then job 0 (yes) seats it at t=50.
+  EXPECT_EQ(select_counting(), std::pair(Pos(2), 2)) << "the head's start";
+
+  unreported = -1;  // a snapshot the hooks do not account for: walk afresh
   EXPECT_EQ(select_counting().second, 2) << "free count";
   EXPECT_EQ(select_counting().second, 0);
-  (void)s.take(0);
-  EXPECT_EQ(select_counting().second, 2) << "new head";
-  EXPECT_EQ(select_counting().second, 0);
+
+  // clear() empties the running set, so nothing backs a reservation any
+  // more: the long job backfills. A kept walk would still refuse it.
+  s.clear();
+  s.enqueue(shaped(1, 6, 50, 1, 1));
+  s.enqueue(shaped(2, 1, 500, 40, 2));
+  EXPECT_EQ(select_counting(), std::pair(Pos(1), 0)) << "clear";
+}
+
+/// One long-lived shape-aware EASY scheduler, driven through a seeded
+/// stream of arrivals, passes that start the selected jobs, and completions
+/// in random (not estimate) order, must select what a scheduler rebuilt
+/// from the same running set and queue selects, and keep the reservation
+/// counts that walks from scratch give.
+void expect_carried_walks_match_walks_from_scratch(const std::string& allocator,
+                                                   procsim::mesh::Geometry geom,
+                                                   std::uint64_t seed) {
+  using procsim::mesh::SubMesh;
+  const auto alloc = procsim::alloc::make_allocator(allocator, geom, {.seed = seed});
+  const BackfillOptions opts{.conservative = false, .shape_aware = true};
+  BackfillScheduler carried{opts};
+  struct Run {
+    QueuedJob job;
+    double start;
+    procsim::alloc::Placement placement;
+  };
+  std::vector<Run> running;
+  const auto request = [](const QueuedJob& q) {
+    return procsim::alloc::Request{q.width, q.length, q.processors};
+  };
+  const AllocProbe probe = [&](const QueuedJob& q) { return alloc->can_allocate(request(q)); };
+  const procsim::sched::ShapeProbe shape =
+      [&](const QueuedJob& q, const std::vector<SubMesh>& released) {
+        return alloc->can_allocate_with_free(request(q), released);
+      };
+  // The head's reservation, walked from scratch: the estimated end of the
+  // shortest prefix of the running set, in (estimate, id) order, whose
+  // processors cover the head and whose blocks fit it.
+  const auto shadow_from_scratch = [&](const QueuedJob& head) -> std::optional<double> {
+    std::vector<const Run*> order;
+    for (const Run& r : running) order.push_back(&r);
+    std::sort(order.begin(), order.end(), [](const Run* x, const Run* y) {
+      return std::pair(x->start + x->job.demand, x->job.job_id) <
+             std::pair(y->start + y->job.demand, y->job.job_id);
+    });
+    std::int64_t avail = alloc->free_processors();
+    std::vector<SubMesh> released;
+    for (const Run* r : order) {
+      avail += r->placement.allocated;
+      released.insert(released.end(), r->placement.blocks.begin(), r->placement.blocks.end());
+      if (avail >= head.processors && shape(head, released)) return r->start + r->job.demand;
+    }
+    return std::nullopt;
+  };
+  std::map<std::uint64_t, double> first_reservation;
+  std::uint64_t honored = 0;
+  std::uint64_t broken = 0;
+
+  procsim::des::Xoshiro256SS rng(seed);
+  const auto draw = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, lo, hi));
+  };
+  double now = 0;
+  int selects = 0;
+  const auto complete_one = [&] {
+    const auto i = static_cast<std::size_t>(
+        draw(0, static_cast<std::int64_t>(running.size()) - 1));
+    alloc->release(running[i].placement);
+    carried.on_complete(running[i].job.job_id, now);
+    running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  const auto pass = [&] {
+    for (;;) {
+      SchedSnapshot snap{now, alloc->free_processors()};
+      snap.shape_fit = &shape;
+      BackfillScheduler fresh{opts};
+      for (const Run& r : running)
+        fresh.on_start(r.job, r.start, r.placement.allocated, r.placement.blocks);
+      for (std::size_t i = 0; i < carried.size(); ++i) fresh.enqueue(carried.job_at(i));
+      const auto want = fresh.select(probe, snap);
+      // The carried scheduler sits out some selects and is told only of the
+      // start, so its hooks also come back to back, with no select between.
+      if (procsim::des::sample_bernoulli(rng, 0.75)) {
+        // Where every candidate fits now, the selected position is the
+        // first one the reservation admits: it shows the walk's result.
+        const AllocProbe all_fit = [&](const QueuedJob& q) {
+          return q.job_id != carried.job_at(0).job_id || probe(q);
+        };
+        const auto got = carried.select(all_fit, snap);
+        ASSERT_EQ(got, fresh.select(all_fit, snap))
+            << allocator << " " << geom.width() << "x" << geom.length() << " select "
+            << selects;
+        ASSERT_EQ(carried.select(probe, snap), want);
+        ++selects;
+        if (!carried.empty() && !probe(carried.job_at(0)))
+          if (const auto shadow = shadow_from_scratch(carried.job_at(0)))
+            first_reservation.emplace(carried.job_at(0).job_id, *shadow);
+      }
+      if (!want) return;
+      const QueuedJob q = carried.job_at(*want);
+      auto placement = alloc->allocate(request(q));
+      ASSERT_TRUE(placement.has_value());
+      (void)carried.take(*want);
+      carried.on_start(q, now, placement->allocated, placement->blocks);
+      if (const auto res = first_reservation.find(q.job_id); res != first_reservation.end()) {
+        ++(now <= res->second + 1e-9 ? honored : broken);
+        first_reservation.erase(res);
+      }
+      running.push_back(Run{q, now, std::move(*placement)});
+      // Sometimes a completion comes between a start and the next select.
+      if (procsim::des::sample_bernoulli(rng, 0.2)) complete_one();
+    }
+  };
+
+  for (std::uint64_t id = 0; id < 600; ++id) {
+    now += procsim::des::sample_exponential(rng, 2.0);
+    // Completions in random order, so running jobs overrun their estimates
+    // or leave early, and many arrivals while the queue is short.
+    while (!running.empty() &&
+           procsim::des::sample_bernoulli(rng, carried.size() > 12 ? 0.7 : 0.3)) {
+      complete_one();
+      pass();
+      if (::testing::Test::HasFatalFailure()) return;
+      now += procsim::des::sample_exponential(rng, 1.0);
+    }
+    QueuedJob q;
+    q.job_id = id;
+    q.seq = id;
+    q.arrival = now;
+    q.demand = procsim::des::sample_uniform(rng, 1.0, 60.0);
+    q.width = draw(1, std::max(1, geom.width() / 2));
+    q.length = draw(1, std::max(1, geom.length() / 2));
+    q.area = static_cast<std::int64_t>(q.width) * q.length;
+    q.processors = q.width * q.length;
+    carried.enqueue(q);
+    pass();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(selects, 1000);
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  carried.export_counters(counters);
+  EXPECT_EQ(counters, (std::vector<std::pair<std::string, std::uint64_t>>{
+                          {"backfill_reservations_honored", honored},
+                          {"backfill_reservations_broken", broken}}))
+      << allocator << " " << geom.width() << "x" << geom.length();
+  EXPECT_GT(honored + broken, 0u);
+}
+
+TEST(ShapeAware, CarriedWalkMatchesAWalkFromScratch) {
+  using procsim::mesh::Geometry;
+  // A real first-fit index (one- and two-word rows) and GABL's count.
+  expect_carried_walks_match_walks_from_scratch("FirstFit", Geometry(16, 16), 3);
+  expect_carried_walks_match_walks_from_scratch("FirstFit", Geometry(70, 12), 5);
+  expect_carried_walks_match_walks_from_scratch("GABL", Geometry(16, 16), 7);
 }
 
 // ----------------------------------------------------- legacy equivalence
