@@ -71,6 +71,12 @@ class Allocator {
   /// probes at an occupancy, then its cached feasibility frontier) — so a
   /// scheduling pass may probe many queued jobs without perturbing
   /// allocator state (Random's RNG included).
+  ///
+  /// The answer depends only on the request and the free set, and it never
+  /// turns from false to true as the free set shrinks (by allocate): each
+  /// strategy tests either a free count or whether a free rectangle exists.
+  /// The probing schedulers remember a refusal until the next release on
+  /// both properties (sched::AllocProbe); every override must keep them.
   [[nodiscard]] virtual bool can_allocate(const Request& req) const = 0;
 
   /// The probe-at-instant: true iff allocate(req) would succeed once every

@@ -93,8 +93,8 @@ std::optional<std::size_t> BackfillScheduler::select(const AllocProbe& probe,
 std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& probe,
                                                           const SchedSnapshot& snap) {
   if (empty()) return std::nullopt;
-  const QueuedJob head = job_at(0);
-  if (probe(head)) return 0;
+  if (fits_now(probe, snap, 0)) return 0;
+  const QueuedJob& head = queued(0);
   const bool use_shape = opts_.shape_aware && snap.shape_fit != nullptr;
 
   // A shape-aware walk pays one hypothetical-occupancy probe per release it
@@ -118,13 +118,16 @@ std::optional<std::size_t> BackfillScheduler::select_easy(const AllocProbe& prob
                                        : std::numeric_limits<std::int64_t>::max();
 
   for (std::size_t i = 1; i < size(); ++i) {
-    const QueuedJob c = job_at(i);
-    // Cheap O(1) reservation conditions first; the occupancy-index probe
+    // A candidate refused since the free set last grew is refused again;
+    // most candidates of a deep queue are, so the stamp is read first.
+    if (refused(i)) continue;
+    const QueuedJob& c = queued(i);
+    // Cheap O(1) reservation conditions next; the occupancy-index probe
     // only runs for candidates that could not delay the head anyway:
     // either done (by estimate) before the shadow time, or within the
     // processors left over there after the head is seated.
     if (reachable && snap.now + c.demand > shadow && c.processors > extra) continue;
-    if (probe(c)) return i;
+    if (fits_now(probe, snap, i)) return i;
   }
   return std::nullopt;
 }
@@ -174,7 +177,7 @@ std::optional<std::size_t> BackfillScheduler::select_conservative(
     const AllocProbe& probe, const SchedSnapshot& snap) {
   if (empty()) return std::nullopt;
   // Fast path shared with every discipline: a fitting head starts.
-  if (probe(job_at(0))) return 0;
+  if (fits_now(probe, snap, 0)) return 0;
   const bool use_shape = opts_.shape_aware && snap.shape_fit != nullptr;
 
   // Build the availability profile from the running set. Overdue estimates
@@ -189,9 +192,9 @@ std::optional<std::size_t> BackfillScheduler::select_conservative(
   // later candidate can take capacity from under it.
   const std::size_t n = size();
   for (std::size_t i = 0; i < n; ++i) {
-    const QueuedJob c = job_at(i);
+    const QueuedJob& c = queued(i);
     double t = profile.earliest_fit(snap.now, c.processors, c.demand);
-    if (t <= snap.now && probe(c)) return i;
+    if (t <= snap.now && fits_now(probe, snap, i)) return i;
     if (use_shape) {
       // The job cannot start now, so its reservation must sit at a
       // *shape-feasible* instant — including when the count model says it
@@ -263,7 +266,8 @@ void BackfillScheduler::on_start(const QueuedJob& job, double now,
   if (walk_.reachable && *walk_.seat < *it) redo_ = Redo::kFromSeat;
 }
 
-void BackfillScheduler::on_complete(std::uint64_t job_id, double) {
+void BackfillScheduler::on_complete(std::uint64_t job_id, double now) {
+  FifoBase::on_complete(job_id, now);
   const auto it = slot_.find(job_id);
   if (it == slot_.end()) return;
   const RunningIt done = it->second;

@@ -5,10 +5,10 @@
 namespace procsim::sched {
 
 std::optional<std::size_t> LookaheadScheduler::select(const AllocProbe& probe,
-                                                      const SchedSnapshot&) {
+                                                      const SchedSnapshot& snap) {
   const std::size_t n = std::min(window_, size());
   for (std::size_t i = 0; i < n; ++i)
-    if (probe(job_at(i))) return i;
+    if (fits_now(probe, snap, i)) return i;
   return std::nullopt;
 }
 

@@ -31,6 +31,16 @@ struct QueuedJob {
 /// allocator's exact feasibility test (Allocator::can_allocate), answered
 /// from the occupancy index without touching any state, so a discipline may
 /// test many non-head jobs per scheduling pass cheaply.
+///
+/// Contract: the answer reads only the job's request (width, length,
+/// processors) and the free set, and it never turns from no to yes as the
+/// free set shrinks. The probing disciplines (FifoBase) remember a refusal
+/// on these properties until the free set grows: Scheduler::on_complete
+/// reports that, and so does a snapshot with more free processors than the
+/// last select saw. A pass then asks again only about jobs the probe has
+/// not refused since. So every probe handed to one scheduler answers for
+/// the same allocator; a probe reading anything else (a clock, a call
+/// counter, a different allocator per call) breaks the discipline.
 using AllocProbe = std::function<bool(const QueuedJob&)>;
 
 /// The probe-at-instant companion of AllocProbe: true when the job could be
@@ -82,7 +92,8 @@ struct SchedSnapshot {
 /// `job_at` exposes the queue in discipline order (position 0 is the head),
 /// so a pass can inspect any candidate without consuming it. `on_start` /
 /// `on_complete` keep reservation-aware disciplines' view of the running set
-/// current; the simple orderings inherit the no-op defaults.
+/// current, and `on_complete` ends the probing disciplines' remembered
+/// refusals (AllocProbe); the simple orderings inherit the no-op defaults.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -119,7 +130,8 @@ class Scheduler {
     (void)blocks;
   }
   /// Notification that the job with `job_id` released its processors at
-  /// `now`. Default no-op.
+  /// `now`: the free set grew. Every release must be reported, since a
+  /// probing discipline keeps its refusals until then. Default no-op.
   virtual void on_complete(std::uint64_t job_id, double now) {
     (void)job_id;
     (void)now;

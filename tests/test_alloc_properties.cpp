@@ -290,6 +290,64 @@ TEST(AllocatorProperties, ShapeProbeDependsOnlyOnTheFreedUnionAndGrowsWithIt) {
   }
 }
 
+// The probe (can_allocate) reads only the request and the free set, and a
+// "no" stands while the free set only shrinks: the probing schedulers
+// remember a refusal until the next release on these two properties
+// (sched::AllocProbe). Under seeded churn, a request refused at one
+// occupancy must stay refused after each further allocate, and equal
+// requests, asked again in the opposite order, get equal answers.
+TEST(AllocatorProperties, ProbeRefusalSurvivesAllocation) {
+  std::vector<std::string> names = procsim::alloc::known_allocators();
+  names.emplace_back("Paging(1)");
+  for (const std::string& name : names) {
+    for (const Geometry g : {Geometry(16, 22), Geometry(70, 12), Geometry(9, 5)}) {
+      const auto alloc = make_allocator(AllocatorSpec{name}, g, 17);
+      procsim::des::Xoshiro256SS rng(g.nodes() * 37u + 11u);
+      std::vector<Placement> held;
+      int kept = 0;
+      for (int round = 0; round < 12; ++round) {
+        for (std::size_t i = held.size(); i-- > 0;)
+          if (procsim::des::sample_bernoulli(rng, 0.4)) {
+            alloc->release(held[i]);
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+          }
+        std::vector<Request> asked;
+        std::vector<bool> answers;
+        for (int q = 0; q < 16; ++q) {
+          Request req = random_request(rng, g);
+          if (q % 2 == 1) {  // trace-shaped: p processors in a derived box
+            req.processors = static_cast<std::int32_t>(
+                procsim::des::sample_uniform_int(rng, 1, g.nodes()));
+            std::tie(req.width, req.length) =
+                procsim::workload::shape_for_processors(req.processors, g);
+          }
+          asked.push_back(req);
+          answers.push_back(alloc->can_allocate(req));
+        }
+        for (std::size_t q = asked.size(); q-- > 0;) {
+          const Request copy{asked[q].width, asked[q].length, asked[q].processors};
+          EXPECT_EQ(alloc->can_allocate(copy), answers[q])
+              << name << " " << g.width() << "x" << g.length() << " round " << round
+              << ": equal requests, unequal answers";
+        }
+        for (int step = 0; step < 20; ++step) {
+          if (auto p = alloc->allocate(random_request(rng, g)))
+            held.push_back(std::move(*p));
+          for (std::size_t q = 0; q < asked.size(); ++q) {
+            if (answers[q]) continue;
+            EXPECT_FALSE(alloc->can_allocate(asked[q]))
+                << name << " " << g.width() << "x" << g.length() << " round " << round
+                << ": a refusal turned into yes after " << step + 1 << " allocations";
+            ++kept;
+          }
+        }
+      }
+      EXPECT_GT(kept, 300) << name << " " << g.width() << "x" << g.length();
+      for (const Placement& p : held) alloc->release(p);
+    }
+  }
+}
+
 // Trace-style requests (p with derived near-square shape) keep the same
 // guarantees — this is the path the real-workload experiments exercise.
 TEST(AllocTraceShapes, AllNonContiguousHandleArbitraryP) {

@@ -494,6 +494,45 @@ QueuedJob shaped(std::uint64_t id, std::int32_t width, double demand,
   return q;
 }
 
+/// A one-row machine where each running job holds one block of consecutive
+/// nodes, and a job fits when the free nodes plus the released blocks hold
+/// `width` consecutive nodes. start and complete tell the scheduler.
+struct RowMachine {
+  using SubMesh = procsim::mesh::SubMesh;
+  std::vector<bool> free_node;
+  std::map<std::uint64_t, SubMesh> held;
+
+  void mark(const SubMesh& b, bool free) {
+    for (std::int32_t x = b.x1; x <= b.x2; ++x)
+      free_node[static_cast<std::size_t>(x)] = free;
+  }
+  /// Starts `q` on the nodes [x1, x1 + q.width - 1].
+  void start(Scheduler& s, const QueuedJob& q, std::int32_t x1) {
+    const SubMesh b{x1, 0, x1 + q.width - 1, 0};
+    mark(b, false);
+    held[q.job_id] = b;
+    s.on_start(q, 0.0, b.area(), {b});
+  }
+  void complete(Scheduler& s, std::uint64_t id) {
+    mark(held.at(id), true);
+    held.erase(id);
+    s.on_complete(id, 1.0);
+  }
+  [[nodiscard]] bool fits(std::int32_t width,
+                          const std::vector<SubMesh>& released) const {
+    std::vector<bool> f = free_node;
+    for (const SubMesh& b : released)
+      for (std::int32_t x = b.x1; x <= b.x2; ++x) f[static_cast<std::size_t>(x)] = true;
+    std::int32_t run = 0;
+    for (const bool node : f)
+      if ((run = node ? run + 1 : 0) >= width) return true;
+    return false;
+  }
+  [[nodiscard]] std::int64_t free_count() const {
+    return std::count(free_node.begin(), free_node.end(), true);
+  }
+};
+
 TEST(ShapeAware, EasyCarriesItsWalkAcrossStartsAndCompletions) {
   // A one-row machine of 28 nodes where each running job holds one block
   // of consecutive nodes, and a job fits when the free nodes plus the
@@ -502,42 +541,23 @@ TEST(ShapeAware, EasyCarriesItsWalkAcrossStartsAndCompletions) {
   // processor, so the count never binds and every step of a walk asks the
   // shape probe.
   using procsim::mesh::SubMesh;
-  std::vector<bool> free_node(28, false);
-  std::map<std::uint64_t, SubMesh> held;
+  RowMachine m{std::vector<bool>(28, false), {}};
   BackfillScheduler s{BackfillOptions{.conservative = false, .shape_aware = true}};
-  const auto mark = [&](const SubMesh& b, bool free) {
-    for (std::int32_t x = b.x1; x <= b.x2; ++x) free_node[static_cast<std::size_t>(x)] = free;
+  const auto start = [&](std::uint64_t id, double estimate, std::int32_t x1,
+                         std::int32_t x2) {
+    m.start(s, shaped(id, x2 - x1 + 1, estimate, x2 - x1 + 1, id), x1);
   };
-  const auto start = [&](std::uint64_t id, double estimate, std::int32_t x1, std::int32_t x2) {
-    const SubMesh b{x1, 0, x2, 0};
-    mark(b, false);
-    held[id] = b;
-    s.on_start(shaped(id, b.width(), estimate, b.area(), id), 0.0, b.area(), {b});
-  };
-  const auto complete = [&](std::uint64_t id) {
-    mark(held.at(id), true);
-    held.erase(id);
-    s.on_complete(id, 1.0);
-  };
-  const auto fits = [&](std::int32_t width, const std::vector<SubMesh>& released) {
-    std::vector<bool> f = free_node;
-    for (const SubMesh& b : released)
-      for (std::int32_t x = b.x1; x <= b.x2; ++x) f[static_cast<std::size_t>(x)] = true;
-    std::int32_t run = 0;
-    for (const bool node : f)
-      if ((run = node ? run + 1 : 0) >= width) return true;
-    return false;
-  };
+  const auto complete = [&](std::uint64_t id) { m.complete(s, id); };
   int shape_calls = 0;
   const procsim::sched::ShapeProbe shape =
       [&](const QueuedJob& q, const std::vector<SubMesh>& released) {
         ++shape_calls;
-        return fits(q.width, released);
+        return m.fits(q.width, released);
       };
-  const AllocProbe fits_now = [&](const QueuedJob& q) { return fits(q.width, {}); };
+  const AllocProbe fits_now = [&](const QueuedJob& q) { return m.fits(q.width, {}); };
   std::int64_t unreported = 0;  // free nodes the hooks were not told about
   const auto select_counting = [&] {
-    SchedSnapshot snap{0.0, std::count(free_node.begin(), free_node.end(), true) + unreported};
+    SchedSnapshot snap{0.0, m.free_count() + unreported};
     snap.shape_fit = &shape;
     const int before = shape_calls;
     const auto pos = s.select(fits_now, snap);
@@ -554,7 +574,7 @@ TEST(ShapeAware, EasyCarriesItsWalkAcrossStartsAndCompletions) {
   start(93, 40, 12, 15);
   start(94, 50, 16, 19);
   start(99, 1000, 22, 27);
-  mark(SubMesh{20, 0, 21, 0}, true);
+  m.mark(SubMesh{20, 0, 21, 0}, true);
   s.enqueue(shaped(0, 16, 50, 1, 0));   // the head: 16 in a row, first at [0,15]
   s.enqueue(shaped(1, 6, 50, 1, 1));    // the head once job 0 runs
   s.enqueue(shaped(2, 1, 500, 40, 2));  // fits now, but runs long on 40
@@ -607,18 +627,28 @@ TEST(ShapeAware, EasyCarriesItsWalkAcrossStartsAndCompletions) {
   EXPECT_EQ(select_counting(), std::pair(Pos(1), 0)) << "clear";
 }
 
-/// One long-lived shape-aware EASY scheduler, driven through a seeded
-/// stream of arrivals, passes that start the selected jobs, and completions
-/// in random (not estimate) order, must select what a scheduler rebuilt
-/// from the same running set and queue selects, and keep the reservation
-/// counts that walks from scratch give.
-void expect_carried_walks_match_walks_from_scratch(const std::string& allocator,
-                                                   procsim::mesh::Geometry geom,
-                                                   std::uint64_t seed) {
+/// A long-lived scheduler of `spec`, driven through a seeded stream of
+/// arrivals, passes that start the selected jobs, completions in random (not
+/// estimate) order and tail steals (take(size() - 1), what a stealing fleet
+/// takes), must select what a scheduler rebuilt from the same running set
+/// and queue selects: what it carries between selects (EASY's reservation
+/// walk, every probing discipline's refusal stamps) changes no answer. EASY
+/// must also keep the reservation counts that walks from scratch give.
+void expect_carried_state_matches_a_rebuild(const std::string& spec,
+                                            const std::string& allocator,
+                                            procsim::mesh::Geometry geom,
+                                            std::uint64_t seed) {
   using procsim::mesh::SubMesh;
   const auto alloc = procsim::alloc::make_allocator(allocator, geom, {.seed = seed});
-  const BackfillOptions opts{.conservative = false, .shape_aware = true};
-  BackfillScheduler carried{opts};
+  // Two long-lived schedulers fed the same enqueues, takes, starts and
+  // completions: one asked with the allocator's probe, one with `all_fit`.
+  // A scheduler remembers its probe's refusals, so neither is asked with
+  // the other's probe.
+  const auto carried = procsim::sched::make_scheduler(spec);
+  const auto carried_all = procsim::sched::make_scheduler(spec);
+  const auto* backfill = dynamic_cast<const BackfillScheduler*>(carried.get());
+  const bool easy = backfill != nullptr && !backfill->options().conservative;
+  const bool shape_aware = easy && backfill->options().shape_aware;
   struct Run {
     QueuedJob job;
     double start;
@@ -633,22 +663,33 @@ void expect_carried_walks_match_walks_from_scratch(const std::string& allocator,
       [&](const QueuedJob& q, const std::vector<SubMesh>& released) {
         return alloc->can_allocate_with_free(request(q), released);
       };
-  // The head's reservation, walked from scratch: the estimated end of the
-  // shortest prefix of the running set, in (estimate, id) order, whose
-  // processors cover the head and whose blocks fit it.
+  const auto rebuilt = [&] {
+    auto fresh = procsim::sched::make_scheduler(spec);
+    for (const Run& r : running)
+      fresh->on_start(r.job, r.start, r.placement.allocated, r.placement.blocks);
+    for (std::size_t i = 0; i < carried->size(); ++i) fresh->enqueue(carried->job_at(i));
+    return fresh;
+  };
+  double now = 0;
+  // EASY's reservation for the head, walked from scratch: the estimated end
+  // of the shortest prefix of the running set, in (estimate, id) order,
+  // whose processors cover the head and, shape-aware, whose blocks fit it;
+  // the count model seats a head the free processors already cover now.
   const auto shadow_from_scratch = [&](const QueuedJob& head) -> std::optional<double> {
+    std::int64_t avail = alloc->free_processors();
+    if (!shape_aware && avail >= head.processors) return now;
     std::vector<const Run*> order;
     for (const Run& r : running) order.push_back(&r);
     std::sort(order.begin(), order.end(), [](const Run* x, const Run* y) {
       return std::pair(x->start + x->job.demand, x->job.job_id) <
              std::pair(y->start + y->job.demand, y->job.job_id);
     });
-    std::int64_t avail = alloc->free_processors();
     std::vector<SubMesh> released;
     for (const Run* r : order) {
       avail += r->placement.allocated;
       released.insert(released.end(), r->placement.blocks.begin(), r->placement.blocks.end());
-      if (avail >= head.processors && shape(head, released)) return r->start + r->job.demand;
+      if (avail >= head.processors && (!shape_aware || shape(head, released)))
+        return r->start + r->job.demand;
     }
     return std::nullopt;
   };
@@ -660,48 +701,50 @@ void expect_carried_walks_match_walks_from_scratch(const std::string& allocator,
   const auto draw = [&](std::int64_t lo, std::int64_t hi) {
     return static_cast<std::int32_t>(procsim::des::sample_uniform_int(rng, lo, hi));
   };
-  double now = 0;
   int selects = 0;
   const auto complete_one = [&] {
     const auto i = static_cast<std::size_t>(
         draw(0, static_cast<std::int64_t>(running.size()) - 1));
     alloc->release(running[i].placement);
-    carried.on_complete(running[i].job.job_id, now);
+    for (Scheduler* s : {carried.get(), carried_all.get()})
+      s->on_complete(running[i].job.job_id, now);
     running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
   };
   const auto pass = [&] {
     for (;;) {
       SchedSnapshot snap{now, alloc->free_processors()};
       snap.shape_fit = &shape;
-      BackfillScheduler fresh{opts};
-      for (const Run& r : running)
-        fresh.on_start(r.job, r.start, r.placement.allocated, r.placement.blocks);
-      for (std::size_t i = 0; i < carried.size(); ++i) fresh.enqueue(carried.job_at(i));
-      const auto want = fresh.select(probe, snap);
-      // The carried scheduler sits out some selects and is told only of the
-      // start, so its hooks also come back to back, with no select between.
+      const auto want = rebuilt()->select(probe, snap);
+      // The carried schedulers sit out some selects and are told only of
+      // the start, so their hooks also come back to back, with no select
+      // between.
       if (procsim::des::sample_bernoulli(rng, 0.75)) {
         // Where every candidate fits now, the selected position is the
-        // first one the reservation admits: it shows the walk's result.
+        // first one the discipline admits: for EASY it shows the walk's
+        // result.
         const AllocProbe all_fit = [&](const QueuedJob& q) {
-          return q.job_id != carried.job_at(0).job_id || probe(q);
+          return q.job_id != carried->job_at(0).job_id || probe(q);
         };
-        const auto got = carried.select(all_fit, snap);
-        ASSERT_EQ(got, fresh.select(all_fit, snap))
-            << allocator << " " << geom.width() << "x" << geom.length() << " select "
-            << selects;
-        ASSERT_EQ(carried.select(probe, snap), want);
+        const auto got = carried_all->select(all_fit, snap);
+        ASSERT_EQ(got, rebuilt()->select(all_fit, snap))
+            << spec << " " << allocator << " " << geom.width() << "x" << geom.length()
+            << " select " << selects;
+        ASSERT_EQ(carried->select(probe, snap), want)
+            << spec << " " << allocator << " " << geom.width() << "x" << geom.length()
+            << " select " << selects;
         ++selects;
-        if (!carried.empty() && !probe(carried.job_at(0)))
-          if (const auto shadow = shadow_from_scratch(carried.job_at(0)))
-            first_reservation.emplace(carried.job_at(0).job_id, *shadow);
+        if (easy && !carried->empty() && !probe(carried->job_at(0)))
+          if (const auto shadow = shadow_from_scratch(carried->job_at(0)))
+            first_reservation.emplace(carried->job_at(0).job_id, *shadow);
       }
       if (!want) return;
-      const QueuedJob q = carried.job_at(*want);
+      const QueuedJob q = carried->job_at(*want);
       auto placement = alloc->allocate(request(q));
       ASSERT_TRUE(placement.has_value());
-      (void)carried.take(*want);
-      carried.on_start(q, now, placement->allocated, placement->blocks);
+      for (Scheduler* s : {carried.get(), carried_all.get()}) {
+        (void)s->take(*want);
+        s->on_start(q, now, placement->allocated, placement->blocks);
+      }
       if (const auto res = first_reservation.find(q.job_id); res != first_reservation.end()) {
         ++(now <= res->second + 1e-9 ? honored : broken);
         first_reservation.erase(res);
@@ -717,12 +760,17 @@ void expect_carried_walks_match_walks_from_scratch(const std::string& allocator,
     // Completions in random order, so running jobs overrun their estimates
     // or leave early, and many arrivals while the queue is short.
     while (!running.empty() &&
-           procsim::des::sample_bernoulli(rng, carried.size() > 12 ? 0.7 : 0.3)) {
+           procsim::des::sample_bernoulli(rng, carried->size() > 12 ? 0.7 : 0.3)) {
       complete_one();
       pass();
       if (::testing::Test::HasFatalFailure()) return;
       now += procsim::des::sample_exponential(rng, 1.0);
     }
+    // A steal takes the youngest of at least two waiting jobs, stamps and
+    // all, with no select after it.
+    if (carried->size() >= 2 && procsim::des::sample_bernoulli(rng, 0.1))
+      for (Scheduler* s : {carried.get(), carried_all.get()})
+        (void)s->take(s->size() - 1);
     QueuedJob q;
     q.job_id = id;
     q.seq = id;
@@ -732,26 +780,108 @@ void expect_carried_walks_match_walks_from_scratch(const std::string& allocator,
     q.length = draw(1, std::max(1, geom.length() / 2));
     q.area = static_cast<std::int64_t>(q.width) * q.length;
     q.processors = q.width * q.length;
-    carried.enqueue(q);
+    for (Scheduler* s : {carried.get(), carried_all.get()}) s->enqueue(q);
     pass();
     if (::testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_GT(selects, 1000);
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  carried.export_counters(counters);
-  EXPECT_EQ(counters, (std::vector<std::pair<std::string, std::uint64_t>>{
-                          {"backfill_reservations_honored", honored},
-                          {"backfill_reservations_broken", broken}}))
-      << allocator << " " << geom.width() << "x" << geom.length();
+  EXPECT_GT(selects, 1000) << spec;
+  if (!easy) return;
+  for (const Scheduler* s : {carried.get(), carried_all.get()}) {
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    s->export_counters(counters);
+    EXPECT_EQ(counters, (std::vector<std::pair<std::string, std::uint64_t>>{
+                            {"backfill_reservations_honored", honored},
+                            {"backfill_reservations_broken", broken}}))
+        << spec << " " << allocator << " " << geom.width() << "x" << geom.length();
+  }
   EXPECT_GT(honored + broken, 0u);
 }
 
 TEST(ShapeAware, CarriedWalkMatchesAWalkFromScratch) {
   using procsim::mesh::Geometry;
   // A real first-fit index (one- and two-word rows) and GABL's count.
-  expect_carried_walks_match_walks_from_scratch("FirstFit", Geometry(16, 16), 3);
-  expect_carried_walks_match_walks_from_scratch("FirstFit", Geometry(70, 12), 5);
-  expect_carried_walks_match_walks_from_scratch("GABL", Geometry(16, 16), 7);
+  const std::string spec = "backfill;shape";
+  expect_carried_state_matches_a_rebuild(spec, "FirstFit", Geometry(16, 16), 3);
+  expect_carried_state_matches_a_rebuild(spec, "FirstFit", Geometry(70, 12), 5);
+  expect_carried_state_matches_a_rebuild(spec, "GABL", Geometry(16, 16), 7);
+}
+
+// ------------------------------------------------------- refusal stamps
+
+TEST(RefusalStamps, EveryProbingDisciplineMatchesARebuildFromScratch) {
+  using procsim::mesh::Geometry;
+  for (const char* spec : {"backfill", "backfill:conservative",
+                           "backfill:conservative;shape", "lookahead:4"}) {
+    expect_carried_state_matches_a_rebuild(spec, "FirstFit", Geometry(16, 16), 3);
+    expect_carried_state_matches_a_rebuild(spec, "FirstFit", Geometry(70, 12), 5);
+    expect_carried_state_matches_a_rebuild(spec, "GABL", Geometry(16, 16), 7);
+  }
+}
+
+TEST(RefusalStamps, ARefusalStandsUntilTheFreeSetGrows) {
+  // A row machine of 32 nodes. Running jobs hold [0,7], [12,15] and
+  // [20,31], so the free runs are [8,11] and [16,19]. The queued jobs ask for one
+  // processor and end early, so neither the count nor a reservation keeps
+  // any of them from being probed.
+  using procsim::mesh::SubMesh;
+  using Pos = std::optional<std::size_t>;
+  using Ids = std::vector<std::uint64_t>;
+  for (const char* spec :
+       {"backfill", "backfill;shape", "backfill:conservative", "lookahead:4"}) {
+    SCOPED_TRACE(spec);
+    const auto s = procsim::sched::make_scheduler(spec);
+    RowMachine m{std::vector<bool>(32, true), {}};
+    const auto start = [&](const QueuedJob& q, std::int32_t x1) { m.start(*s, q, x1); };
+    Ids asked;
+    const AllocProbe probe = [&](const QueuedJob& q) {
+      asked.push_back(q.job_id);
+      return m.fits(q.width, {});
+    };
+    const procsim::sched::ShapeProbe shape =
+        [&](const QueuedJob& q, const std::vector<SubMesh>& released) {
+          return m.fits(q.width, released);
+        };
+    std::int64_t unreported = 0;  // free nodes no hook was told about
+    const auto select_asking = [&] {
+      asked.clear();
+      SchedSnapshot snap{0.0, m.free_count() + unreported};
+      snap.shape_fit = &shape;
+      const auto pos = s->select(probe, snap);
+      return std::pair{pos, asked};
+    };
+
+    start(shaped(90, 8, 100, 8, 90), 0);
+    start(shaped(91, 4, 200, 4, 91), 12);
+    start(shaped(92, 12, 300, 12, 92), 20);
+    const QueuedJob a = shaped(0, 6, 1, 1, 0);
+    const QueuedJob b = shaped(2, 5, 1, 1, 2);
+    const QueuedJob d = shaped(3, 7, 1, 1, 3);
+    s->enqueue(a);
+    s->enqueue(b);
+    // Every job is asked once, the head included (conservative's queue
+    // walk meets it again).
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{0, 2}));
+    s->enqueue(d);
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{3})) << "an arrival";
+    // A job that fits, queued ahead of b by its seq: its start shifts the
+    // stamps behind it.
+    s->enqueue(shaped(1, 2, 1, 1, 1));
+    EXPECT_EQ(select_asking(), std::pair(Pos(1), Ids{1})) << "an arrival that fits";
+    start(s->take(1), 8);
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{})) << "a start";
+    // A completion whose growth a start hides from the free count (6 free
+    // at the last select, 5 now): only the hook tells.
+    m.complete(*s, 1);
+    start(shaped(93, 3, 50, 3, 93), 16);
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{0, 2, 3})) << "a completion";
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{}));
+    unreported = 1;
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{0, 2, 3})) << "unreported growth";
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{}));
+    s->clear();
+    for (const QueuedJob& q : {a, b, d}) s->enqueue(q);
+    EXPECT_EQ(select_asking(), std::pair(Pos(), Ids{0, 2, 3})) << "clear";
+  }
 }
 
 // ----------------------------------------------------- legacy equivalence
