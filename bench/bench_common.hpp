@@ -26,13 +26,12 @@ inline core::ExperimentConfig base_config() {
   return cfg;
 }
 
-/// Stochastic workload template (paper §5, first workload).
+/// Stochastic workload template (paper §5, first workload): the registry's
+/// `uniform` or `exponential` stream, num_mes = 5 by default.
 inline core::ExperimentConfig stochastic_base(workload::SideDistribution dist) {
   core::ExperimentConfig cfg = base_config();
-  cfg.workload.kind = core::WorkloadKind::kStochastic;
+  cfg.workload.source_spec = workload::to_string(dist);
   cfg.workload.job_count = cfg.sys.target_completions;
-  cfg.workload.stochastic.side_dist = dist;
-  cfg.workload.stochastic.mean_messages = 5.0;
   return cfg;
 }
 
@@ -42,11 +41,11 @@ inline core::ExperimentConfig stochastic_base(workload::SideDistribution dist) {
 /// (workload/paragon_model.hpp).
 inline core::ExperimentConfig trace_base() {
   core::ExperimentConfig cfg = base_config();
-  cfg.workload.kind = core::WorkloadKind::kTrace;
+  cfg.workload.source_spec = "real";
   // Default replay effort keeps the whole 15-figure suite to minutes; raise
   // with --jobs=N (up to the full 10,658-job stream) for final numbers.
   cfg.sys.target_completions = 600;
-  cfg.workload.replay.prefix = 1800;
+  cfg.workload.job_count = 1800;
   return cfg;
 }
 
@@ -55,8 +54,6 @@ inline core::ExperimentConfig trace_base() {
 /// strategy to reach its upper limits of utilization".
 inline core::ExperimentConfig saturated(core::ExperimentConfig cfg) {
   cfg.workload.job_count = 3 * cfg.sys.target_completions;
-  if (cfg.workload.replay.prefix)
-    cfg.workload.replay.prefix = 3 * cfg.sys.target_completions;
   // Skip the cold-start fill so the time average reflects the steady state.
   cfg.sys.warmup_completions = cfg.sys.target_completions / 10;
   return cfg;

@@ -157,8 +157,12 @@ void write_metrics_csv(const std::string& path, const Options& opt,
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
 
-  const auto trace =
-      workload::load_swf_file_shared(opt.swf, opt.mesh * opt.mesh);
+  std::shared_ptr<const std::vector<workload::TraceJob>> trace;
+  try {
+    trace = workload::load_swf_file_shared(opt.swf, opt.mesh * opt.mesh);
+  } catch (const std::exception& e) {
+    usage_error(e.what());
+  }
   const std::size_t njobs =
       opt.prefix != 0 && opt.prefix < trace->size() ? opt.prefix : trace->size();
   std::cout << "trace: " << trace->size() << " records, replaying " << njobs

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "workload/source_registry.hpp"
 
 using namespace procsim;
 
@@ -32,11 +33,9 @@ std::string title(std::string_view metric, const core::ExperimentConfig& base) {
                         : metric == "utilization" ? "System utilization at heavy load"
                         : metric == "blocking"    ? "Packet blocking time vs system load"
                                                   : "Packet latency vs system load";
-  const char* jobs =
-      base.workload.kind == core::WorkloadKind::kTrace ? "real workload"
-      : base.workload.stochastic.side_dist == workload::SideDistribution::kUniform
-          ? "stochastic uniform side lengths"
-          : "stochastic exponential side lengths";
+  const std::string kind = workload::parse_source_spec(base.workload.source_spec)->kind;
+  const std::string jobs =
+      kind == "real" ? "real workload" : "stochastic " + kind + " side lengths";
   return std::string(plotted) + ", all-to-all, " + jobs + ", 16x22 mesh";
 }
 

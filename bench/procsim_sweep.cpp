@@ -54,11 +54,19 @@
 // the node count, and the saturation workload keeps the whole mesh busy.
 //
 // Allocator and scheduler names are resolved through alloc::make_allocator /
-// sched::make_scheduler, and workloads beyond the three figure families
-// through workload::make_source — SWF trace replay (`swf:<path>`), the
-// saturation (backlogged-queue) setup behind the utilization figures, and
-// the bursty MMPP stream — so every registry strategy and source is
-// reachable; unknown names fail fast listing the known ones.
+// sched::make_scheduler, and every workload, the three figure families
+// included, through workload::make_source — besides them SWF trace replay
+// (`swf:<path>`), the saturation (backlogged-queue) setup behind the
+// utilization figures, and the bursty MMPP stream — so every registry
+// strategy and source is reachable; unknown names fail fast listing the
+// known ones, and so does a workload that cannot be built on one of the
+// --mesh geometries (an SWF file with no job that fits it).
+//
+// The workload's kind, not its spelling, picks the defaults: `exponential`
+// takes the exponential figures' load axis, `real` and `swf:` the real
+// ones' with a completion target of 600 (`real` streams 1,800 jobs unless
+// the spec pins `jobs`, `swf:` replays the whole file), `saturation` one
+// saturated row, and `uniform` and `bursty` the uniform axis, 1,000 jobs.
 
 #include <cstdlib>
 #include <cstring>
@@ -204,41 +212,25 @@ int main(int argc, char** argv) {
                           std::to_string(geom->length()));
   }
 
-  // Workload family template and its default load axis: the three figure
-  // families keep their bench_common templates (and their exact CSV bytes);
-  // anything else is a workload::make_source registry spec. Template choice
-  // is driver policy; the axis itself is validated and applied below through
+  // Defaults by the spec's kind, whatever options it adds (see the top of
+  // this file). The spec itself is validated and applied below through
   // core::apply_experiment_spec, the shared fail-fast entry point.
   const auto wspec = workload::parse_source_spec(workload);
-  core::ExperimentConfig base;
-  std::vector<double> loads;
-  bool saturation = false;
-  const bool bare_family =
-      wspec && wspec->arg.empty() && wspec->params.empty() &&
-      (wspec->kind == "uniform" || wspec->kind == "exponential" ||
-       wspec->kind == "real");
-  if (bare_family) {
-    if (wspec->kind == "uniform") {
-      base = bench::stochastic_base(workload::SideDistribution::kUniform);
-      loads = bench::loads_uniform();
-    } else if (wspec->kind == "exponential") {
-      base = bench::stochastic_base(workload::SideDistribution::kExponential);
-      loads = bench::loads_exponential();
-    } else {
-      base = bench::trace_base();
-      loads = bench::loads_real();
-    }
-  } else {
-    base = bench::base_config();
-    if (wspec && wspec->kind == "swf") {
-      base.sys.target_completions = 600;  // the trace_base effort default
-      loads = bench::loads_real();
-    } else if (wspec && wspec->kind == "saturation") {
-      saturation = true;
-      loads = {1.0};
-    } else {
-      loads = bench::loads_uniform();
-    }
+  const std::string kind = wspec ? wspec->kind : "";
+  core::ExperimentConfig base = bench::base_config();
+  std::vector<double> loads = bench::loads_uniform();
+  const bool saturation = kind == "saturation";
+  if (kind == "exponential") {
+    loads = bench::loads_exponential();
+  } else if (kind == "real") {
+    base = bench::trace_base();
+    loads = bench::loads_real();
+  } else if (kind == "swf") {
+    base.sys.target_completions = 600;  // the trace_base effort default
+    base.workload.job_count = 0;
+    loads = bench::loads_real();
+  } else if (saturation) {
+    loads = {1.0};
   }
 
   // The grid-wide axes — workload, cluster — through the single
@@ -249,6 +241,11 @@ int main(int argc, char** argv) {
     axes.cluster = cluster_arg;
     try {
       core::apply_experiment_spec(axes, base);
+      // The spec was checked on the base geometry; each --mesh must build
+      // it too (an SWF file may hold no job that fits a small mesh).
+      if (!cluster_mode)
+        for (const mesh::Geometry& geom : meshes)
+          (void)core::make_workload_source(base.workload, geom, base.sys.net.packet_len);
     } catch (const std::exception& e) {
       usage_error(e.what());
     }
@@ -318,7 +315,7 @@ int main(int argc, char** argv) {
     if (!cluster_mode) cfg.sys.geom = geom;
     cfg.allocator = s.alloc;
     cfg.scheduler = s.sched;
-    core::set_offered_load(cfg, load);
+    cfg.workload.load = load;
     core::apply_effort(cfg, opts);
     return cfg;
   };

@@ -19,11 +19,9 @@ int main(int argc, char** argv) {
   cfg.sys.geom = mesh::Geometry(16, 22);            // the paper's partition
   cfg.sys.net = network::NetworkParams{3, 8, false}; // st = 3, P_len = 8
   cfg.sys.target_completions = opts.jobs ? opts.jobs : 1000;
-  cfg.workload.kind = core::WorkloadKind::kStochastic;
+  cfg.workload.source_spec = "uniform;mes=5";      // side lengths, num_mes
   cfg.workload.job_count = cfg.sys.target_completions;
-  cfg.workload.stochastic.load = 0.015;             // jobs per time unit
-  cfg.workload.stochastic.side_dist = workload::SideDistribution::kUniform;
-  cfg.workload.stochastic.mean_messages = 5.0;      // num_mes
+  cfg.workload.load = 0.015;                        // jobs per time unit
   cfg.seed = opts.seed;
 
   std::printf("%-14s %12s %12s %12s %12s %12s\n", "strategy", "turnaround",

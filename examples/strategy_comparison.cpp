@@ -62,15 +62,14 @@ int main(int argc, char** argv) {
   cfg.sys.geom = mesh::Geometry(16, 22);
   cfg.sys.think_time = 50;
   cfg.sys.target_completions = opts.jobs ? opts.jobs : 1000;
-  cfg.workload.kind = core::WorkloadKind::kStochastic;
+  cfg.workload.source_spec = "uniform";
   cfg.workload.job_count = cfg.sys.target_completions;
-  cfg.workload.stochastic.load = 0.02;
   cfg.workload.load = 0.02;
   cfg.seed = opts.seed;
   if (!workload_spec.empty()) {
     // Through the shared fail-fast entry point (unknown kinds exit listing
-    // the known ones); the driver's job cap survives a registry spec.
-    const std::size_t cap = cfg.workload.job_count;
+    // the known ones); the driver's job cap and load survive the spec
+    // wherever it does not pin them.
     core::ExperimentSpecStrings axes;
     axes.workload = workload_spec;
     try {
@@ -79,7 +78,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-    if (cfg.workload.job_count == 0) cfg.workload.job_count = cap;
   }
 
   // Every strategy the registry knows, by name — the same names

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/experiment_spec.hpp"
 #include "core/figure_runner.hpp"
 #include "des/rng.hpp"
 #include "stats/histogram.hpp"
@@ -40,6 +41,24 @@ int main(int argc, char** argv) {
   const core::RunOptions opts = core::parse_run_options(
       static_cast<int>(passthrough.size()), passthrough.data());
 
+  // The replay's configuration comes first: the shared fail-fast entry point
+  // rejects an SWF file with nothing to replay (or a path the spec grammar
+  // cannot hold) with one stderr line before anything prints.
+  core::ExperimentConfig cfg;
+  cfg.sys.geom = mesh::Geometry(16, 22);
+  cfg.sys.think_time = 50;
+  cfg.sys.target_completions = opts.jobs ? opts.jobs : 1000;
+  cfg.workload.load = load;
+  cfg.workload.job_count = 3 * cfg.sys.target_completions;
+  cfg.seed = opts.seed;
+  core::ExperimentSpecStrings axes;
+  axes.workload = swf_path.empty() ? "real" : "swf:" + swf_path;
+  try {
+    core::apply_experiment_spec(axes, cfg);
+  } catch (const std::exception& e) {
+    core::usage_error("trace_replay_tool", e.what());
+  }
+
   // --- trace statistics -----------------------------------------------
   std::vector<workload::TraceJob> trace;
   if (swf_path.empty()) {
@@ -47,7 +66,8 @@ int main(int argc, char** argv) {
     trace = workload::generate_paragon_trace(workload::ParagonModelParams{}, rng);
     std::printf("trace: synthetic SDSC Paragon model (no --swf given)\n");
   } else {
-    trace = workload::load_swf_file(swf_path, 352);
+    // The records the replay parsed above, from the shared cache.
+    trace = *workload::load_swf_file_shared(swf_path, cfg.sys.geom.nodes());
     std::printf("trace: %s\n", swf_path.c_str());
   }
   const workload::TraceStats stats = workload::compute_stats(trace);
@@ -71,16 +91,6 @@ int main(int argc, char** argv) {
               workload::arrival_factor_for_load(load, stats.mean_interarrival));
   std::printf("%-16s %12s %12s %8s %10s %10s\n", "strategy", "turnaround", "service",
               "util", "latency", "blocking");
-
-  core::ExperimentConfig cfg;
-  cfg.sys.geom = mesh::Geometry(16, 22);
-  cfg.sys.think_time = 50;
-  cfg.sys.target_completions = opts.jobs ? opts.jobs : 1000;
-  cfg.workload.kind = core::WorkloadKind::kTrace;
-  cfg.workload.swf_path = swf_path;
-  cfg.workload.load = load;
-  cfg.workload.replay.prefix = 3 * cfg.sys.target_completions;
-  cfg.seed = opts.seed;
 
   for (const core::Series& s : core::paper_series()) {
     cfg.allocator = s.allocator;

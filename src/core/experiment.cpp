@@ -54,6 +54,7 @@ std::unique_ptr<workload::Source> make_workload_source(const WorkloadSpec& spec,
     overrides.packet_len = packet_len;
     return workload::make_source(spec.source_spec, geom, overrides);
   }
+  // The retired template (perfbench/ and the tests that fill it directly).
   switch (spec.kind) {
     case WorkloadKind::kStochastic: {
       workload::StochasticParams p = spec.stochastic;
@@ -63,8 +64,8 @@ std::unique_ptr<workload::Source> make_workload_source(const WorkloadSpec& spec,
     }
     case WorkloadKind::kTrace: {
       if (spec.swf_path.empty())
-        return std::make_unique<workload::TraceSource>(spec.paragon, spec.replay,
-                                                       spec.load, geom, "real");
+        return std::make_unique<workload::TraceSource>(
+            workload::ParagonModelParams{}, spec.replay, spec.load, geom, "real");
       // Shared parse: replications alias one immutable record vector.
       return std::make_unique<workload::TraceSource>(
           workload::load_swf_file_shared(spec.swf_path, geom.nodes()), spec.replay,

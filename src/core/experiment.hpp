@@ -13,7 +13,6 @@
 #include "mesh/page_table.hpp"
 #include "sched/registry.hpp"
 #include "stats/replication.hpp"
-#include "workload/paragon_model.hpp"
 #include "workload/source.hpp"
 #include "workload/stochastic.hpp"
 #include "workload/trace_replay.hpp"
@@ -57,27 +56,36 @@ struct AllocatorSpec {
 /// nullopt for unknown names. Inverse of AllocatorSpec::label().
 [[nodiscard]] std::optional<AllocatorSpec> parse_allocator_spec(const std::string& name);
 
-/// The two workload families of the paper.
+/// Retired workload template: every driver describes its workload as a
+/// `source_spec`. The enum and the template fields of WorkloadSpec
+/// (`kind`, `stochastic`, `replay`, `swf_path`) survive only because
+/// perfbench/ and the tests that fill them directly (the goldens among
+/// them) still do; make_workload_source and build_jobs are their only
+/// readers. Delete them with the next change to the benchmark. That change
+/// moves `fleet_steal_4x64`'s reference statistics: the template's
+/// stochastic branch reads `stochastic.load`, which run_probed's per-mesh
+/// scaling of `load` does not reach.
 enum class WorkloadKind { kStochastic, kTrace };
 
 struct WorkloadSpec {
-  WorkloadKind kind{WorkloadKind::kStochastic};
-
-  // Stochastic family.
-  workload::StochasticParams stochastic{};
+  /// A `workload::make_source` spec ("uniform", "exponential", "real",
+  /// "swf:trace.swf", "saturation;n=5000", "bursty;b=8", ...). When empty,
+  /// the retired template below describes the workload (see WorkloadKind).
+  std::string source_spec;
+  /// Driver-level overrides where the spec does not pin the key: the
+  /// offered load (`--loads` sweep axes; per mesh on a fleet) and the
+  /// stream length (`--jobs`, `--fast`; trace kinds: the replay prefix,
+  /// 0 = the whole trace).
+  double load{0.01};
   std::size_t job_count{1000};
 
-  // Trace family: a synthetic Paragon stream by default, or an SWF file.
-  workload::ParagonModelParams paragon{};
+  // Retired template (perfbench/ only): `job_count` and `load` serve it
+  // too; the trace family replays the synthetic Paragon model, or
+  // `swf_path` when that is non-empty.
+  WorkloadKind kind{WorkloadKind::kStochastic};
+  workload::StochasticParams stochastic{};
   workload::TraceReplayParams replay{};
-  std::string swf_path;  ///< when non-empty, load this instead of the model
-  double load{0.01};     ///< offered load; sets replay.arrival_factor
-
-  /// When non-empty, a `workload::make_source` spec (e.g. "swf:trace.swf",
-  /// "saturation;n=5000", "bursty;b=8") that overrides `kind`; `load` and
-  /// `job_count` still act as driver-level overrides where the spec doesn't
-  /// pin them (`--loads` sweep axes, `--jobs`, `--fast`).
-  std::string source_spec;
+  std::string swf_path;
 };
 
 /// One experiment point: machine + strategy pair + workload + seed.
@@ -104,8 +112,10 @@ struct ExperimentConfig {
   [[nodiscard]] std::string series_label() const;
 };
 
-/// Builds the streaming job source one replication runs against. The caller
-/// seeds it (`source->reset(seed)`) before handing it to SystemSim — the
+/// Builds the streaming job source one replication runs against: the
+/// registry source of `spec.source_spec`, with `load` and `job_count` as its
+/// overrides, or the retired template when that is empty. The caller seeds
+/// it (`source->reset(seed)`) before handing it to SystemSim — the
 /// replication seed is `des::substream_seed(base, rep)`, so serial and
 /// threaded replication schedules see bit-identical streams.
 [[nodiscard]] std::unique_ptr<workload::Source> make_workload_source(
@@ -127,7 +137,10 @@ struct ExperimentConfig {
 /// cfg.sys.recorder when non-null) and `sink` (when non-null), and runs one
 /// replication. This is how tools instrument a run — procsim_sweep's
 /// --telemetry/--counters/--trace/--job-records all lower onto it — while
-/// run_once itself stays the uninstrumented figure path.
+/// run_once itself stays the uninstrumented figure path. On a fleet it
+/// scales `workload.load` from per-mesh to fleet-wide. A retired template
+/// config's stochastic branch reads `stochastic.load` and so runs unscaled,
+/// as `fleet_steal_4x64`'s reference pins (see WorkloadKind).
 [[nodiscard]] RunMetrics run_probed(const ExperimentConfig& cfg,
                                     obs::Recorder* recorder, MetricsSink* sink);
 

@@ -60,33 +60,11 @@ void apply_experiment_spec(const ExperimentSpecStrings& axes,
     if (!spec)
       throw std::invalid_argument("unknown workload '" + axes.workload + "' (known: " +
                                   util::join(workload::known_sources()) + ")");
-    const bool bare_family =
-        spec->arg.empty() && spec->params.empty() &&
-        (spec->kind == "uniform" || spec->kind == "exponential" ||
-         spec->kind == "real");
-    if (bare_family) {
-      // The three figure families keep the template WorkloadSpec path so the
-      // fixed-seed figure CSVs stay byte-identical with the spec API.
-      cfg.workload.source_spec.clear();
-      if (spec->kind == "real") {
-        cfg.workload.kind = WorkloadKind::kTrace;
-      } else {
-        cfg.workload.kind = WorkloadKind::kStochastic;
-        cfg.workload.stochastic.side_dist =
-            spec->kind == "uniform" ? workload::SideDistribution::kUniform
-                                    : workload::SideDistribution::kExponential;
-      }
-    } else {
-      cfg.workload.source_spec = spec->canonical;
-      // No stream-length override: the registry defaults apply (trace kinds
-      // replay the whole file). Drivers' --jobs/--fast still cap it.
-      cfg.workload.job_count = 0;
-    }
+    cfg.workload.source_spec = spec->canonical;
     // Fail fast on bad option keys / unreadable SWF files before any cell
     // spends a replicated simulation on them (make_source validates values;
     // parse only validates syntax).
-    if (!cfg.workload.source_spec.empty())
-      (void)workload::make_source(cfg.workload.source_spec, cfg.sys.geom);
+    (void)workload::make_source(cfg.workload.source_spec, cfg.sys.geom);
   }
 }
 

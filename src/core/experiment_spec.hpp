@@ -16,8 +16,8 @@
 namespace procsim::core {
 
 /// Raw string axes as a driver's flags collect them. An empty axis leaves the
-/// config's current value alone, so drivers can layer a spec over a workload
-/// template (bench_common's figure bases) without re-stating every field.
+/// config's current value alone, so drivers can layer a spec over a base
+/// config (bench_common's figure bases) without re-stating every field.
 struct ExperimentSpecStrings {
   std::string mesh;      ///< "WxL", sides 1..4096 — the single-mesh axis
   std::string cluster;   ///< cluster::parse_cluster_spec grammar — the fleet axis
@@ -34,11 +34,12 @@ struct ExperimentSpecStrings {
 /// Parses every non-empty axis of `axes` and applies it to `cfg` in place.
 /// Throws std::invalid_argument naming the offending axis and listing the
 /// known kinds. `mesh` and `cluster` together is a conflict (the cluster
-/// spec already fixes every mesh geometry). The three bare figure families
-/// ("uniform" | "exponential" | "real", no options) keep the template
-/// WorkloadSpec path — and its exact figure CSV bytes; any other workload
-/// spec lowers onto workload::make_source with the registry's own stream
-/// defaults (job_count 0, i.e. no driver-level cap).
+/// spec already fixes every mesh geometry). Every workload spec, the bare
+/// figure families ("uniform" | "exponential" | "real") included, lowers
+/// onto `workload.source_spec` in its canonical spelling and is built by
+/// workload::make_source. The config's `workload.load` and
+/// `workload.job_count` stay as they were: they are the overrides for every
+/// key the spec does not pin.
 void apply_experiment_spec(const ExperimentSpecStrings& axes,
                            ExperimentConfig& cfg);
 

@@ -106,53 +106,21 @@ RunOptions parse_run_options(int argc, char** argv) {
 }
 
 void apply_effort(ExperimentConfig& cfg, const RunOptions& opts) {
+  if (cfg.workload.source_spec.empty())
+    throw std::logic_error(
+        "apply_effort: the workload names no source_spec (a retired template config)");
   cfg.obs_probe = opts.obs_probe;
-  if (!cfg.workload.source_spec.empty()) {
-    // Registry-spec workloads: job_count is the stream-length override the
-    // source registry consumes (spec-pinned keys still win).
-    if (opts.jobs) {
-      cfg.workload.job_count = opts.jobs;
-      cfg.sys.target_completions = opts.jobs;
-    }
-    if (opts.fast) {
-      cfg.workload.job_count =
-          cfg.workload.job_count ? std::min<std::size_t>(cfg.workload.job_count, 200) : 200;
-      cfg.sys.target_completions =
-          std::min<std::size_t>(cfg.sys.target_completions, 200);
-    }
-    return;
+  // job_count is the stream-length override the source registry consumes
+  // (spec-pinned keys still win).
+  if (opts.jobs) {
+    cfg.workload.job_count = opts.jobs;
+    cfg.sys.target_completions = opts.jobs;
   }
-  if (cfg.workload.kind == WorkloadKind::kStochastic) {
-    if (opts.jobs) {
-      cfg.workload.job_count = opts.jobs;
-      cfg.sys.target_completions = opts.jobs;
-    }
-    if (opts.fast) {
-      cfg.workload.job_count = std::min<std::size_t>(cfg.workload.job_count, 200);
-      cfg.sys.target_completions =
-          std::min<std::size_t>(cfg.sys.target_completions, 200);
-    }
-  } else {
-    if (opts.jobs) {
-      cfg.workload.replay.prefix = opts.jobs;
-      cfg.sys.target_completions = opts.jobs;
-    }
-    if (opts.fast) {
-      cfg.workload.replay.prefix = std::min<std::size_t>(
-          cfg.workload.replay.prefix ? cfg.workload.replay.prefix : 10658, 200);
-      cfg.sys.target_completions =
-          std::min<std::size_t>(cfg.sys.target_completions, 200);
-    }
+  if (opts.fast) {
+    cfg.workload.job_count =
+        cfg.workload.job_count ? std::min<std::size_t>(cfg.workload.job_count, 200) : 200;
+    cfg.sys.target_completions = std::min<std::size_t>(cfg.sys.target_completions, 200);
   }
-}
-
-void set_offered_load(ExperimentConfig& cfg, double load) {
-  if (!cfg.workload.source_spec.empty())
-    cfg.workload.load = load;  // registry override; ignored by saturation
-  else if (cfg.workload.kind == WorkloadKind::kStochastic)
-    cfg.workload.stochastic.load = load;
-  else
-    cfg.workload.load = load;
 }
 
 void check_metric(const std::string& metric) {
@@ -272,7 +240,7 @@ void run_figure(const FigureSpec& spec, const RunOptions& opts, bool with_ci) {
     ExperimentConfig cfg = spec.base;
     cfg.allocator = s.allocator;
     cfg.scheduler = s.scheduler;
-    set_offered_load(cfg, spec.loads[row]);
+    cfg.workload.load = spec.loads[row];
     apply_effort(cfg, opts);
     return cfg;
   };

@@ -37,7 +37,7 @@ struct Plot {
 struct FigureSpec {
   std::vector<double> loads;
   std::vector<Series> series;
-  ExperimentConfig base;   ///< workload/sys template; load+strategy filled per cell
+  ExperimentConfig base;   ///< sys + workload spec; load+strategy filled per cell
   std::vector<Plot> plots;
 };
 
@@ -112,12 +112,10 @@ void run_grid(const GridSpec& spec, const std::vector<GridOutput>& outputs,
 void run_figure(const FigureSpec& spec, const RunOptions& opts, bool with_ci = false);
 
 /// Applies the effort knobs (--jobs, --fast) to one cell configuration —
-/// shared by run_figure and the generic sweep drivers.
+/// shared by run_figure and the generic sweep drivers. A cell's load and
+/// stream cap are registry overrides, so `cfg.workload` must name a
+/// `source_spec`; a retired template config (core/experiment.hpp), whose
+/// branches do not all read them, throws std::logic_error.
 void apply_effort(ExperimentConfig& cfg, const RunOptions& opts);
-
-/// Sets the offered load on whichever workload family `cfg` uses — the one
-/// place that knows stochastic loads live in workload.stochastic.load and
-/// trace loads in workload.load.
-void set_offered_load(ExperimentConfig& cfg, double load);
 
 }  // namespace procsim::core

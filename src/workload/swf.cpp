@@ -73,7 +73,14 @@ std::vector<TraceJob> parse_swf(std::istream& in, std::int32_t max_processors) {
 std::vector<TraceJob> load_swf_file(const std::string& path, std::int32_t max_processors) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_swf_file: cannot open " + path);
-  return parse_swf(in, max_processors);
+  std::vector<TraceJob> jobs = parse_swf(in, max_processors);
+  if (jobs.empty())
+    throw std::runtime_error(
+        "load_swf_file: no usable record" +
+        (max_processors > 0 ? " of at most " + std::to_string(max_processors) + " processors"
+                            : std::string()) +
+        " in " + path);
+  return jobs;
 }
 
 namespace {

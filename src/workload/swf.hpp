@@ -43,8 +43,9 @@ struct TraceStats {
 [[nodiscard]] std::vector<TraceJob> parse_swf(std::istream& in,
                                               std::int32_t max_processors = 0);
 
-/// Convenience file-loading wrapper; throws std::runtime_error when the file
-/// cannot be opened.
+/// Convenience file-loading wrapper; throws std::runtime_error naming the
+/// path when the file cannot be opened or no record survives parse_swf (an
+/// empty or all-malformed file, or no job that fits `max_processors`).
 [[nodiscard]] std::vector<TraceJob> load_swf_file(const std::string& path,
                                                   std::int32_t max_processors = 0);
 

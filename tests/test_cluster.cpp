@@ -13,6 +13,7 @@
 #include "core/experiment.hpp"
 #include "core/experiment_spec.hpp"
 #include "core/figure_runner.hpp"
+#include "workload/source_registry.hpp"
 
 namespace {
 
@@ -217,20 +218,34 @@ TEST(ExperimentSpec, AppliesEveryAxis) {
   EXPECT_EQ(cfg.sys.geom.width(), 16);  // shaped for the first mesh
   EXPECT_EQ(cfg.allocator.label(), "MBS");
   EXPECT_EQ(cfg.scheduler.canonical, "SSD");
-  EXPECT_FALSE(cfg.workload.source_spec.empty());
-  EXPECT_EQ(cfg.workload.job_count, 0u);  // registry stream defaults
+  EXPECT_EQ(cfg.workload.source_spec, "bursty;b=8");
+  // The config's own stream length stays the override.
+  EXPECT_EQ(cfg.workload.job_count, core::WorkloadSpec{}.job_count);
 }
 
-TEST(ExperimentSpec, BareFiguresKeepTemplatePath) {
-  core::ExperimentSpecStrings axes;
-  axes.workload = "uniform";
-  core::ExperimentConfig cfg = core::parse_experiment_spec(axes);
-  EXPECT_TRUE(cfg.workload.source_spec.empty());
-  EXPECT_EQ(cfg.workload.kind, core::WorkloadKind::kStochastic);
-  axes.workload = "real";
-  cfg = core::parse_experiment_spec(axes);
-  EXPECT_TRUE(cfg.workload.source_spec.empty());
-  EXPECT_EQ(cfg.workload.kind, core::WorkloadKind::kTrace);
+TEST(ExperimentSpec, BareFiguresTakeTheRegistryPath) {
+  for (const char* family : {"uniform", "Exponential", "real"}) {
+    core::ExperimentSpecStrings axes;
+    axes.workload = family;
+    core::ExperimentConfig cfg;
+    cfg.workload.load = 0.02;
+    cfg.workload.job_count = 300;
+    core::apply_experiment_spec(axes, cfg);
+    EXPECT_EQ(cfg.workload.source_spec,
+              workload::parse_source_spec(family)->canonical);
+    EXPECT_EQ(cfg.workload.load, 0.02) << family;
+    EXPECT_EQ(cfg.workload.job_count, 300u) << family;
+    EXPECT_EQ(core::build_jobs(cfg.workload, cfg.sys.geom, 8, 1).size(), 300u) << family;
+  }
+}
+
+// A cell's load and stream cap are registry overrides, which a template
+// config does not read on every branch.
+TEST(ExperimentSpec, ApplyEffortRejectsATemplateConfig) {
+  core::ExperimentConfig cfg;
+  core::RunOptions opts;
+  opts.fast = true;
+  EXPECT_THROW(core::apply_effort(cfg, opts), std::logic_error);
 }
 
 TEST(ExperimentSpec, MeshAndClusterConflict) {
@@ -378,7 +393,7 @@ TEST(ClusterSim, FleetOfOneMeasuresLikeAMesh) {
         core::ExperimentConfig cfg;
         cfg.sys.think_time = 10;
         cfg.sys.target_completions = 200;
-        cfg.workload.stochastic.load = 0.05;
+        cfg.workload.load = 0.05;
         core::apply_experiment_spec(axes, cfg);
         if (workload == "saturation") {  // bench::saturated's setup
           cfg.workload.job_count = 3 * cfg.sys.target_completions;
@@ -399,6 +414,31 @@ TEST(ClusterSim, FleetOfOneMeasuresLikeAMesh) {
         EXPECT_EQ(fleet.at(key), value) << workload << " " << alloc << " " << key;
       }
     }
+  }
+}
+
+// `workload.load` is the per-mesh offered load, so a fleet of four equal
+// meshes is about as busy as one of them.
+TEST(ClusterSim, FleetRunsAtItsPerMeshLoad) {
+  for (const std::string workload : {"uniform", "exponential"}) {
+    const auto utilization = [&](const std::string& cluster) {
+      core::ExperimentSpecStrings axes;
+      axes.cluster = cluster;
+      axes.alloc = "GABL";
+      axes.sched = "FCFS";
+      axes.workload = workload;
+      core::ExperimentConfig cfg;
+      cfg.workload.load = 0.01;
+      cfg.workload.job_count = 200;
+      cfg.sys.target_completions = 200;
+      core::apply_experiment_spec(axes, cfg);
+      cfg.seed = 7;
+      return core::run_once(cfg).utilization;
+    };
+    const double one = utilization("1x(16x16)");
+    const double four = utilization("4x(16x16)");
+    EXPECT_GT(one, 0.0) << workload;
+    EXPECT_NEAR(four, one, 0.15 * one) << workload;
   }
 }
 

@@ -74,7 +74,7 @@ TEST(BuildJobs, TraceLoadControlsMeanInterarrival) {
   procsim::core::WorkloadSpec spec;
   spec.kind = WorkloadKind::kTrace;
   spec.load = 0.01;
-  spec.paragon.jobs = 4000;
+  spec.replay.prefix = 4000;
   const auto jobs = build_jobs(spec, Geometry(16, 22), 8, 7);
   ASSERT_EQ(jobs.size(), 4000u);
   const double mean_ia = jobs.back().arrival / static_cast<double>(jobs.size() - 1);
@@ -147,7 +147,7 @@ TEST(FigureRunner, EmitsCsvWithAllSeries) {
   spec.loads = {0.005, 0.01};
   spec.series = paper_series();
   spec.base.sys.target_completions = 30;
-  spec.base.workload.kind = WorkloadKind::kStochastic;
+  spec.base.workload.source_spec = "uniform";
   spec.base.workload.job_count = 30;
 
   RunOptions opts;

@@ -23,7 +23,6 @@
 #include "alloc/registry.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_spec.hpp"
-#include "core/figure_runner.hpp"
 #include "core/job_record_store.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
@@ -108,9 +107,8 @@ TEST_P(ModelLaws, HoldOnADrainedRun) {
   axes.sched = sched;
   axes.workload = work;
   core::ExperimentConfig cfg = core::parse_experiment_spec(axes);
-  core::set_offered_load(cfg, kLoad);
-  cfg.workload.job_count = kJobs;      // stochastic and registry streams
-  cfg.workload.replay.prefix = kJobs;  // the Paragon-model trace
+  cfg.workload.load = kLoad;
+  cfg.workload.job_count = kJobs;
   cfg.sys.target_completions = 0;      // drain
   cfg.sys.warmup_completions = 0;
 
@@ -173,9 +171,8 @@ TEST_P(PacketLatencyLaw, HoldsForEveryDeliveredPacket) {
   axes.sched = "FCFS";
   axes.workload = work;
   core::ExperimentConfig cfg = core::parse_experiment_spec(axes);
-  core::set_offered_load(cfg, 0.01);
+  cfg.workload.load = 0.01;
   cfg.workload.job_count = 150;
-  cfg.workload.replay.prefix = 150;
   cfg.sys.target_completions = 0;
   cfg.sys.warmup_completions = 0;
 

@@ -24,7 +24,6 @@ using procsim::core::run_figure;
 using procsim::core::run_grid;
 using procsim::core::run_replicated;
 using procsim::core::RunOptions;
-using procsim::core::WorkloadKind;
 using procsim::stats::ReplicationPolicy;
 using procsim::util::parallel_for;
 using procsim::util::resolve_threads;
@@ -115,7 +114,7 @@ FigureSpec small_figure() {
   spec.loads = {0.005, 0.01, 0.02};
   spec.series = paper_series();
   spec.base.sys.target_completions = 25;
-  spec.base.workload.kind = WorkloadKind::kStochastic;
+  spec.base.workload.source_spec = "uniform";
   spec.base.workload.job_count = 25;
   return spec;
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -258,6 +260,28 @@ TEST(Swf, RuntimeFallsBackToRequestedTime) {
 
 TEST(Swf, MissingFileThrows) {
   EXPECT_THROW((void)procsim::workload::load_swf_file("/nonexistent/trace.swf"),
+               std::runtime_error);
+}
+
+TEST(Swf, FileWithNothingToReplayThrowsNamingThePath) {
+  // parse_swf stays lenient on a stream; the file loader refuses a trace in
+  // which no record survives, so no tool replays an empty stream.
+  const std::string path = ::testing::TempDir() + "procsim_nothing_to_replay.swf";
+  for (const char* text : {"", "; header\n2 10 3\ngarbage line here\n5 40 5 100 0.5\n"}) {
+    std::istringstream in(text);
+    EXPECT_TRUE(parse_swf(in).empty());
+    std::ofstream(path) << text;
+    try {
+      (void)procsim::workload::load_swf_file(path);
+      ADD_FAILURE() << "expected std::runtime_error for '" << text << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
+  std::remove(path.c_str());
+  // No record of the fixture fits a 2x2 mesh.
+  EXPECT_THROW((void)procsim::workload::load_swf_file(
+                   std::string(PROCSIM_TEST_DATA_DIR) + "/mini.swf", 4),
                std::runtime_error);
 }
 

@@ -221,6 +221,56 @@ TEST(BuildJobs, DrainsTheWorkloadSource) {
   expect_same_jobs(streamed, eager);
 }
 
+// perfbench/ still fills the retired WorkloadSpec template while every
+// driver names a registry spec; both build the same stream, job for job.
+TEST(BuildJobs, TemplateAndRegistryBuildTheSameStreams) {
+  using procsim::core::WorkloadKind;
+  using procsim::core::WorkloadSpec;
+  using procsim::workload::SideDistribution;
+  const auto stochastic = [](SideDistribution dist, double mes) {
+    WorkloadSpec t;
+    t.kind = WorkloadKind::kStochastic;
+    t.stochastic.side_dist = dist;
+    t.stochastic.mean_messages = mes;
+    t.stochastic.load = 0.02;
+    t.job_count = 300;
+    return t;
+  };
+  const auto trace = [](std::size_t prefix, std::string swf_path, double load) {
+    WorkloadSpec t;
+    t.kind = WorkloadKind::kTrace;
+    t.replay.prefix = prefix;
+    t.swf_path = std::move(swf_path);
+    t.load = load;
+    return t;
+  };
+  const auto registry = [](std::string spec, double load, std::size_t jobs) {
+    WorkloadSpec r;
+    r.source_spec = std::move(spec);
+    r.load = load;
+    r.job_count = jobs;
+    return r;
+  };
+  const std::pair<WorkloadSpec, WorkloadSpec> pairs[] = {
+      {stochastic(SideDistribution::kUniform, 5), registry("uniform", 0.02, 300)},
+      {stochastic(SideDistribution::kExponential, 5), registry("exponential", 0.02, 300)},
+      {stochastic(SideDistribution::kUniform, 10), registry("uniform;mes=10", 0.02, 300)},
+      {trace(1800, "", 0.005), registry("real", 0.005, 1800)},
+      {trace(0, fixture_path(), 0.01), registry("swf:" + fixture_path(), 0.01, 0)},
+  };
+  for (const auto& [tmpl, spec] : pairs) {
+    for (const Geometry g : {Geometry(16, 22), Geometry(64, 64)}) {
+      for (const std::uint64_t seed : {1u, 42u}) {
+        SCOPED_TRACE(spec.source_spec + " on " + std::to_string(g.width()) + "x" +
+                     std::to_string(g.length()) + ", seed " + std::to_string(seed));
+        const auto expected = procsim::core::build_jobs(tmpl, g, 8, seed);
+        EXPECT_FALSE(expected.empty());
+        expect_same_jobs(procsim::core::build_jobs(spec, g, 8, seed), expected);
+      }
+    }
+  }
+}
+
 TEST(SystemSim, SourceRunMatchesVectorRun) {
   procsim::core::ExperimentConfig cfg;
   cfg.sys.geom = Geometry(16, 22);
